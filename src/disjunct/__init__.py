@@ -10,7 +10,6 @@ evaluation of the known row lower bounds, and exhaustive searches for the
 smallest schemes that beat individual testing.
 """
 
-from ._kernels import active_backend, set_backend
 from .bounds import (
     KAPPA,
     BoundReport,
@@ -103,7 +102,6 @@ __all__ = [
     "Theorem1Certificate",
     "Theorem2Audit",
     "Witness",
-    "active_backend",
     "affine_plane_matrix",
     "affine_plane_spec",
     "boolean_sum",
@@ -135,7 +133,6 @@ __all__ = [
     "random_disjunct_corpus",
     "read_matrix",
     "save_matrix",
-    "set_backend",
     "t_dn_lower_bound",
     "theorem1_certificate",
     "theorem2_audit",

@@ -1,82 +1,33 @@
-"""Bulk numeric kernels over bit-packed boolean matrices.
-
-Every kernel has two interchangeable implementations: a numba ``@njit``
-fast path and a pure-numpy fallback.  The active backend is chosen by the
-``DISJUNCT_BACKEND`` environment variable (``"numba"`` or ``"numpy"``) and
-can be switched at runtime with :func:`set_backend`.  Both paths must
-return identical results; ``tests/test_kernels.py`` enforces this and
-``benchmarks/bench_kernels.py`` compares their speed.
+"""Bulk numeric kernels over bit-packed boolean matrices, in numpy.
 
 Packing convention: a column over rows ``{0, .., t-1}`` is an array of
 ``ceil(t/64)`` uint64 words, row ``i`` stored at bit ``i & 63`` of word
-``i >> 6``.  Bits at positions >= t are always zero.
+``i >> 6``.  Bits at positions >= t are always zero.  The column kernels
+take packed ``(n, W)`` arrays and handle any word count W.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-_VALID_BACKENDS = ("numba", "numpy")
-
-
-def _resolve_initial_backend() -> str:
-    env = os.environ.get("DISJUNCT_BACKEND")
-    if env is None:
-        return "numba" if HAVE_NUMBA else "numpy"
-    if env not in _VALID_BACKENDS:
-        raise ValueError(
-            f"DISJUNCT_BACKEND must be one of {_VALID_BACKENDS}, got {env!r}"
-        )
-    if env == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("DISJUNCT_BACKEND=numba but numba is not importable")
-    return env
-
-
-_backend = _resolve_initial_backend()
-
-
-def active_backend() -> str:
-    """Name of the backend kernels currently dispatch to."""
-    return _backend
-
-
-def set_backend(name: str) -> None:
-    """Switch the kernel backend ("numba" or "numpy") for this process."""
-    global _backend
-    if name not in _VALID_BACKENDS:
-        raise ValueError(f"backend must be one of {_VALID_BACKENDS}, got {name!r}")
-    if name == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    _backend = name
-
-
-# ---------------------------------------------------------------------------
-# numpy implementations
-# ---------------------------------------------------------------------------
-
-
-def _np_column_weights(words: np.ndarray) -> np.ndarray:
+def column_weights(words: np.ndarray) -> np.ndarray:
+    """Per-column popcount of a packed (n, W) matrix."""
     return np.bitwise_count(words).sum(axis=1, dtype=np.int64)
 
 
-def _np_subset_columns(words: np.ndarray, mask: np.ndarray) -> np.ndarray:
+def subset_columns(words: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Boolean vector: which packed columns are subsets of ``mask``."""
     return ((words & ~mask) == 0).all(axis=1)
 
 
-def _np_intersection_counts(words: np.ndarray, col: np.ndarray) -> np.ndarray:
+def intersection_counts(words: np.ndarray, col: np.ndarray) -> np.ndarray:
+    """Popcount of the intersection of every packed column with ``col``."""
     return np.bitwise_count(words & col).sum(axis=1, dtype=np.int64)
 
 
-def _np_row_degrees(words: np.ndarray, t: int) -> np.ndarray:
+def row_degrees(words: np.ndarray, t: int) -> np.ndarray:
+    """Number of columns containing each row, from packed columns."""
     degrees = np.zeros(t, dtype=np.int64)
     n = words.shape[0]
     # unpack in column blocks so the dense intermediate stays small
@@ -90,173 +41,6 @@ def _np_row_degrees(words: np.ndarray, t: int) -> np.ndarray:
     return degrees
 
 
-def _np_matching_numbers_table(
-    num_edges: int, match_masks: np.ndarray, match_sizes: np.ndarray
-) -> np.ndarray:
-    graphs = np.arange(1 << num_edges, dtype=np.uint32)
-    out = np.zeros(graphs.size, dtype=np.uint8)
-    order = np.argsort(match_sizes, kind="stable")
-    for idx in order:
-        mask = match_masks[idx]
-        size = match_sizes[idx]
-        if size == 0:
-            continue
-        out[(graphs & mask) == mask] = size
-    return out
-
-
-def _np_identification_scan(cols: np.ndarray, combos: np.ndarray) -> int:
-    n = cols.shape[0]
-    num_cases, k = combos.shape
-    if k == 0:
-        unions = np.zeros(num_cases, dtype=np.uint64)
-    else:
-        unions = np.bitwise_or.reduce(cols[combos], axis=1)
-    decoded = (cols[None, :] & ~unions[:, None]) == 0
-    expected = np.zeros((num_cases, n), dtype=bool)
-    if k:
-        expected[np.arange(num_cases)[:, None], combos] = True
-    bad = (decoded != expected).any(axis=1)
-    return int(np.argmax(bad)) if bad.any() else -1
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-    _M1 = np.uint64(0x5555555555555555)
-    _M2 = np.uint64(0x3333333333333333)
-    _M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
-    _H01 = np.uint64(0x0101010101010101)
-    _S1 = np.uint64(1)
-    _S2 = np.uint64(2)
-    _S4 = np.uint64(4)
-    _S56 = np.uint64(56)
-
-    @njit(cache=True, inline="always")
-    def _popcount64(x):
-        x = x - ((x >> _S1) & _M1)
-        x = (x & _M2) + ((x >> _S2) & _M2)
-        x = (x + (x >> _S4)) & _M4
-        return (x * _H01) >> _S56
-
-    @njit(cache=True)
-    def _nb_column_weights(words):
-        n, w = words.shape
-        out = np.zeros(n, dtype=np.int64)
-        for j in range(n):
-            acc = 0
-            for a in range(w):
-                acc += _popcount64(words[j, a])
-            out[j] = acc
-        return out
-
-    @njit(cache=True)
-    def _nb_subset_columns(words, mask):
-        n, w = words.shape
-        out = np.empty(n, dtype=np.bool_)
-        for j in range(n):
-            ok = True
-            for a in range(w):
-                if words[j, a] & ~mask[a]:
-                    ok = False
-                    break
-            out[j] = ok
-        return out
-
-    @njit(cache=True)
-    def _nb_intersection_counts(words, col):
-        n, w = words.shape
-        out = np.zeros(n, dtype=np.int64)
-        for j in range(n):
-            acc = 0
-            for a in range(w):
-                acc += _popcount64(words[j, a] & col[a])
-            out[j] = acc
-        return out
-
-    @njit(cache=True)
-    def _nb_row_degrees(words, t):
-        n = words.shape[0]
-        out = np.zeros(t, dtype=np.int64)
-        for j in range(n):
-            for i in range(t):
-                out[i] += (words[j, i >> 6] >> np.uint64(i & 63)) & _S1
-        return out
-
-    @njit(cache=True)
-    def _nb_matching_numbers_table(num_edges, masks_desc, sizes_desc):
-        num_graphs = 1 << num_edges
-        out = np.zeros(num_graphs, dtype=np.uint8)
-        m = masks_desc.size
-        for g in range(num_graphs):
-            gu = np.uint32(g)
-            for i in range(m):
-                mk = masks_desc[i]
-                if gu & mk == mk:
-                    out[g] = sizes_desc[i]
-                    break
-        return out
-
-    @njit(cache=True)
-    def _nb_identification_scan(cols, combos):
-        n = cols.shape[0]
-        num_cases, k = combos.shape
-        for idx in range(num_cases):
-            union = np.uint64(0)
-            for a in range(k):
-                union |= cols[combos[idx, a]]
-            rest = ~union
-            p = 0
-            ok = True
-            for j in range(n):
-                if cols[j] & rest == 0:
-                    if p < k and combos[idx, p] == j:
-                        p += 1
-                    else:
-                        ok = False
-                        break
-            if ok and p != k:
-                ok = False
-            if not ok:
-                return idx
-        return -1
-
-
-# ---------------------------------------------------------------------------
-# dispatching wrappers
-# ---------------------------------------------------------------------------
-
-
-def column_weights(words: np.ndarray) -> np.ndarray:
-    """Per-column popcount of a packed (n, W) matrix."""
-    if _backend == "numba":
-        return _nb_column_weights(words)
-    return _np_column_weights(words)
-
-
-def subset_columns(words: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Boolean vector: which packed columns are subsets of ``mask``."""
-    if _backend == "numba":
-        return _nb_subset_columns(words, mask)
-    return _np_subset_columns(words, mask)
-
-
-def intersection_counts(words: np.ndarray, col: np.ndarray) -> np.ndarray:
-    """Popcount of the intersection of every packed column with ``col``."""
-    if _backend == "numba":
-        return _nb_intersection_counts(words, col)
-    return _np_intersection_counts(words, col)
-
-
-def row_degrees(words: np.ndarray, t: int) -> np.ndarray:
-    """Number of columns containing each row, from packed columns."""
-    if _backend == "numba":
-        return _nb_row_degrees(words, t)
-    return _np_row_degrees(words, t)
-
-
 def matching_numbers_table(
     num_edges: int, match_masks: np.ndarray, match_sizes: np.ndarray
 ) -> np.ndarray:
@@ -268,23 +52,33 @@ def matching_numbers_table(
     """
     if num_edges > 28:
         raise ValueError("edge universe too large to tabulate")
-    if _backend == "numba":
-        order = np.argsort(match_sizes, kind="stable")[::-1]
-        return _nb_matching_numbers_table(
-            num_edges,
-            np.ascontiguousarray(match_masks[order]),
-            np.ascontiguousarray(match_sizes[order]),
-        )
-    return _np_matching_numbers_table(num_edges, match_masks, match_sizes)
+    graphs = np.arange(1 << num_edges, dtype=np.uint32)
+    out = np.zeros(graphs.size, dtype=np.uint8)
+    for idx in np.argsort(match_sizes, kind="stable"):
+        mask = match_masks[idx]
+        size = match_sizes[idx]
+        if size == 0:
+            continue
+        out[(graphs & mask) == mask] = size
+    return out
 
 
 def identification_scan(cols: np.ndarray, combos: np.ndarray) -> int:
     """Check the naive decoder over many positive sets at once.
 
-    ``cols`` are single-word packed columns (t <= 64) and each row of
-    ``combos`` is a sorted positive set.  Returns the index of the first
-    positive set the decoder fails to recover exactly, or -1.
+    ``cols`` are packed ``(n, W)`` columns and each row of ``combos`` is a
+    sorted positive set of k distinct columns.  Returns the index of the
+    first positive set the decoder fails to recover exactly, or -1.
+
+    Column j is decoded iff it lies inside the union of the positive
+    columns, word by word.  Every positive column does, so a set is
+    recovered exactly iff exactly k columns are decoded.
     """
-    if _backend == "numba":
-        return int(_nb_identification_scan(cols, combos))
-    return _np_identification_scan(cols, combos)
+    num_cases, k = combos.shape
+    decoded = np.ones((num_cases, cols.shape[0]), dtype=bool)
+    for a in range(cols.shape[1]):
+        word = cols[:, a]
+        union = np.bitwise_or.reduce(word[combos], axis=1)
+        decoded &= (word & ~union[:, None]) == 0
+    bad = np.count_nonzero(decoded, axis=1) != k
+    return int(np.argmax(bad)) if bad.any() else -1

@@ -9,7 +9,7 @@ recovers any positive set of size at most d exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, islice
 from math import comb
 from typing import Iterable
 
@@ -17,6 +17,11 @@ import numpy as np
 
 from . import _kernels
 from .matrix import BinaryMatrix, _iter_bits, _mask_to_words
+
+
+# Positive sets per identification_scan call: bounds the (sets, n) scratch
+# arrays whatever the total number of sets.
+_SCAN_BLOCK = 1 << 10
 
 
 class BudgetExceededError(RuntimeError):
@@ -106,34 +111,22 @@ def verify_identification(
             f"{total} positive sets exceed the budget of {max_cases}"
         )
     checked = 0
-    single_word = matrix.words.shape[1] == 1
     for k in range(0, min(d, n) + 1):
-        if single_word:
+        sets = combinations(range(n), k)
+        num_sets = comb(n, k)
+        for start in range(0, num_sets, _SCAN_BLOCK):
+            size = min(_SCAN_BLOCK, num_sets - start)
             combos = np.fromiter(
-                (j for combo in combinations(range(n), k) for j in combo),
+                chain.from_iterable(islice(sets, size)),
                 dtype=np.int64,
-                count=comb(n, k) * k,
-            ).reshape(comb(n, k), k)
-            bad = _kernels.identification_scan(matrix.words[:, 0], combos)
+                count=size * k,
+            ).reshape(size, k)
+            bad = _kernels.identification_scan(matrix.words, combos)
             if bad != -1:
                 return IdentificationReport(
                     ok=False,
                     cases=checked + bad + 1,
-                    failure=tuple(int(x) for x in combos[bad]),
+                    failure=tuple(combos[bad].tolist()),
                 )
-            checked += combos.shape[0]
-        else:
-            masks = matrix.masks
-            for combo in combinations(range(n), k):
-                union = 0
-                for j in combo:
-                    union |= masks[j]
-                decoded = frozenset(
-                    j for j in range(n) if masks[j] & ~union == 0
-                )
-                checked += 1
-                if decoded != frozenset(combo):
-                    return IdentificationReport(
-                        ok=False, cases=checked, failure=combo
-                    )
+            checked += size
     return IdentificationReport(ok=True, cases=checked)

@@ -279,15 +279,16 @@ def read_matrix(text: str) -> BinaryMatrix:
         raise DmatFormatError(len(lines) + 1, f"expected {t} rows, got {actual}")
     if actual > t:
         raise DmatFormatError(t + 2, f"expected {t} rows, got {actual}")
-    dense = np.zeros((t, n), dtype=bool)
-    for i, row in enumerate(lines[1:]):
+    rows = lines[1:]
+    for i, row in enumerate(rows):
         if not _ROW_RE.match(row):
             bad = next(ch for ch in row if ch not in "01")
             raise DmatFormatError(i + 2, f"invalid character {bad!r}")
         if len(row) != n:
             raise DmatFormatError(i + 2, f"expected {n} characters, got {len(row)}")
-        dense[i] = np.frombuffer(row.encode("ascii"), dtype=np.uint8) == ord("1")
-    return BinaryMatrix.from_dense(dense)
+    # built only from validated rows, so its size is bounded by the input's
+    body = np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8)
+    return BinaryMatrix.from_dense((body == ord("1")).reshape(t, n))
 
 
 def write_matrix(matrix: BinaryMatrix) -> str:

@@ -78,6 +78,26 @@ def brute_decode(dense, outcome_rows):
     )
 
 
+def brute_verify_identification(masks, d):
+    """(ok, cases, failure) of decoding every positive set of size <= d.
+
+    Sets are tried by size then lexicographically, the empty set first;
+    ``cases`` counts the sets tried up to and including the first failure.
+    """
+    n = len(masks)
+    cases = 0
+    for k in range(0, min(d, n) + 1):
+        for combo in combinations(range(n), k):
+            union = 0
+            for j in combo:
+                union |= masks[j]
+            decoded = frozenset(j for j in range(n) if masks[j] & ~union == 0)
+            cases += 1
+            if decoded != frozenset(combo):
+                return False, cases, combo
+    return True, cases, None
+
+
 def brute_max_edges_nu_at_most(k, mu):
     """max edges over all graphs on k labeled vertices with nu <= mu.
 

@@ -157,6 +157,11 @@ def test_errors_exit_2(tmp_path, capsys):
     bad.write_text("1 1\n2\n")
     code, _, stderr = run(capsys, "check", "--d", "1", str(bad))
     assert code == 2 and "invalid character" in stderr
+    # 10^11 columns in the header: rejected before any t x n array exists
+    bad.write_text("1 100000000000\n0\n")
+    code, stdout, stderr = run(capsys, "check", "--d", "1", str(bad))
+    assert code == 2 and stdout == ""
+    assert "line 2: expected 100000000000 characters" in stderr
     code, _, stderr = run(capsys, "construct", "affine", "--q", "4", "-o", "-")
     assert code == 2 and "prime" in stderr
 

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from disjunct import group_testing
 from disjunct import (
     BinaryMatrix,
     BudgetExceededError,
@@ -13,7 +14,7 @@ from disjunct import (
     outcomes,
     verify_identification,
 )
-from oracles import brute_decode
+from oracles import brute_decode, brute_verify_identification
 
 
 def test_outcome_vector_bitstring_round_trip():
@@ -101,11 +102,56 @@ def test_verify_identification_budget():
 
 
 def test_verify_identification_multiword_path():
-    # t > 64 exercises the arbitrary-width fallback
+    # t = 130 packs each column into three words
     masks = [1 << i for i in range(0, 130, 13)]
     m = BinaryMatrix.from_masks(130, masks)
     report = verify_identification(m, 2)
     assert report.ok
+    # rows 0, 70, 100 and 129 lie in three different words; column 2 is
+    # inside the union of columns 0 and 1 only when both words count
+    m = BinaryMatrix.from_masks(130, [1 | 1 << 100, 1 << 70 | 1 << 129, 1 | 1 << 70])
+    report = verify_identification(m, 2)
+    assert not report.ok
+    assert report.failure == (0, 1)
+    assert report.cases == 5  # empty set, three singletons, then {0, 1}
+    assert naive_decode(m, outcomes(m, [0, 1])) == frozenset({0, 1, 2})
+
+
+def _random_columns(rng, t, n):
+    density = rng.choice((0.05, 0.2, 0.5))
+    masks = [
+        sum(1 << i for i in range(t) if rng.random() < density) for _ in range(n)
+    ]
+    if rng.random() < 0.5:
+        # plant a column inside the union of a few others
+        j, *others = rng.sample(range(n), rng.randint(2, min(n, 4)))
+        masks[j] = 0
+        for k in others:
+            masks[j] |= masks[k]
+        if rng.random() < 0.5:
+            masks[j] &= ~(1 << rng.randrange(t))
+    return masks
+
+
+def test_verify_identification_matches_oracle(monkeypatch):
+    # a tiny block size makes failures land past block boundaries too
+    block = 7
+    monkeypatch.setattr(group_testing, "_SCAN_BLOCK", block)
+    rng = random.Random(31)
+    outcomes_seen = set()
+    late_failures = 0
+    for t in (5, 63, 64, 65, 130):
+        for _ in range(20):
+            masks = _random_columns(rng, t, rng.randint(3, 11))
+            m = BinaryMatrix.from_masks(t, masks)
+            for d in (1, 2, 3):
+                report = verify_identification(m, d)
+                expected = brute_verify_identification(masks, d)
+                assert (report.ok, report.cases, report.failure) == expected
+                outcomes_seen.add(report.ok)
+                late_failures += not report.ok and report.cases > block
+    assert outcomes_seen == {True, False}
+    assert late_failures > 0
 
 
 def test_identification_implies_weaker_disjunctness():

@@ -5,17 +5,6 @@ from disjunct import _kernels
 from disjunct.matrix import BinaryMatrix
 from disjunct.pairs import complete_graph_matchings
 
-BACKENDS = ["numpy"] + (["numba"] if _kernels.HAVE_NUMBA else [])
-
-
-@pytest.fixture(params=BACKENDS)
-def backend(request):
-    previous = _kernels.active_backend()
-    _kernels.set_backend(request.param)
-    yield request.param
-    _kernels.set_backend(previous)
-
-
 def random_words(rng, n, t):
     masks = []
     for _ in range(n):
@@ -24,12 +13,7 @@ def random_words(rng, n, t):
     return BinaryMatrix.from_masks(t, masks), masks
 
 
-def test_set_backend_validation():
-    with pytest.raises(ValueError):
-        _kernels.set_backend("cuda")
-
-
-def test_column_weights(backend):
+def test_column_weights():
     rng = np.random.default_rng(1)
     for t in (5, 64, 100):
         m, masks = random_words(rng, 7, t)
@@ -37,7 +21,7 @@ def test_column_weights(backend):
         assert got.tolist() == [mask.bit_count() for mask in masks]
 
 
-def test_subset_columns(backend):
+def test_subset_columns():
     rng = np.random.default_rng(2)
     for t in (6, 70):
         m, masks = random_words(rng, 9, t)
@@ -50,7 +34,7 @@ def test_subset_columns(backend):
         assert got.tolist() == [mask & ~target == 0 for mask in masks]
 
 
-def test_intersection_counts(backend):
+def test_intersection_counts():
     rng = np.random.default_rng(3)
     for t in (6, 70):
         m, masks = random_words(rng, 9, t)
@@ -58,7 +42,7 @@ def test_intersection_counts(backend):
         assert got.tolist() == [(mask & masks[0]).bit_count() for mask in masks]
 
 
-def test_row_degrees(backend):
+def test_row_degrees():
     rng = np.random.default_rng(4)
     for t in (6, 64, 130):
         m, masks = random_words(rng, 8, t)
@@ -67,7 +51,7 @@ def test_row_degrees(backend):
         assert got.tolist() == expected
 
 
-def test_matching_table_small_graphs(backend):
+def test_matching_table_small_graphs():
     masks, sizes = complete_graph_matchings(4)
     table = _kernels.matching_numbers_table(6, masks, sizes)
     assert table[0] == 0
@@ -77,21 +61,9 @@ def test_matching_table_small_graphs(backend):
     assert table[(1 << 6) - 1] == 2
 
 
-def test_matching_table_backends_agree():
-    masks, sizes = complete_graph_matchings(5)
-    results = {}
-    for name in BACKENDS:
-        _kernels.set_backend(name)
-        results[name] = _kernels.matching_numbers_table(10, masks, sizes)
-    _kernels.set_backend(BACKENDS[-1])
-    reference = results["numpy"]
-    for table in results.values():
-        assert np.array_equal(table, reference)
-
-
-def test_identification_scan(backend):
+def test_identification_scan():
     # identity columns: every positive set decodes exactly
-    cols = np.array([1 << i for i in range(6)], dtype=np.uint64)
+    cols = np.array([[1 << i] for i in range(6)], dtype=np.uint64)
     combos = np.array([[0, 1], [2, 4], [1, 5]], dtype=np.int64)
     assert _kernels.identification_scan(cols, combos) == -1
     # make column 5 the union of 0 and 1: sets containing {0,1} now break
@@ -99,9 +71,24 @@ def test_identification_scan(backend):
     assert _kernels.identification_scan(cols, combos) == 0
     empty = np.empty((1, 0), dtype=np.int64)
     assert _kernels.identification_scan(cols, empty) == -1
+    # W = 2 and W = 3: one row per column, spread over every word
+    combos = np.array([[0, 1], [2, 3], [0, 3], [1, 4]], dtype=np.int64)
+    for t in (100, 150):
+        masks = [1 << r for r in (0, 63, 64, t - 1, 70, 5)]
+        m = BinaryMatrix.from_masks(t, masks)
+        assert m.words.shape[1] == (t + 63) // 64
+        assert _kernels.identification_scan(m.words, combos) == -1
+        # inside the union of columns 0 and 3 in the low word only
+        masks[5] = masks[0] | 1 << (t - 2)
+        m = BinaryMatrix.from_masks(t, masks)
+        assert _kernels.identification_scan(m.words, combos) == -1
+        # the union of columns 0 and 3, which lie in different words
+        masks[5] = masks[0] | masks[3]
+        m = BinaryMatrix.from_masks(t, masks)
+        assert _kernels.identification_scan(m.words, combos) == 2
 
 
-def test_matching_table_guard(backend):
+def test_matching_table_guard():
     masks, sizes = complete_graph_matchings(3)
     with pytest.raises(ValueError):
         _kernels.matching_numbers_table(29, masks, sizes)
