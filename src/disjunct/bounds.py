@@ -40,7 +40,7 @@ def kappa_bounds(bits: int = 96) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
-def _kappa_times_floor(x: int) -> int:
+def floor_kappa_times(x: int) -> int:
     """floor(kappa * x) for integer x >= 0, exact via rational bounds."""
     if x == 0:
         return 0
@@ -59,12 +59,7 @@ def ceil_kappa_times(x: int) -> int:
     if x == 0:
         return 0
     # kappa is irrational, so kappa*x is never an integer for x > 0
-    return _kappa_times_floor(x) + 1
-
-
-def floor_kappa_times(x: int) -> int:
-    """floor(kappa * x) for integer x >= 0, safe against float rounding."""
-    return _kappa_times_floor(x)
+    return floor_kappa_times(x) + 1
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from math import comb
 from pathlib import Path
 
 from .bounds import lower_bounds, t_dn_lower_bound
@@ -21,16 +22,16 @@ from .group_testing import (
     naive_decode,
     verify_identification,
 )
-from .matrix import BinaryMatrix, DmatFormatError, load_matrix, save_matrix, write_matrix
-from .pairs import (
-    PairGraph,
-    classify_pairs,
-    matching_number,
-    private_pair_budget,
-    verify_lemma3,
+from .matrix import (
+    DENSE_LIMIT,
+    BinaryMatrix,
+    DmatFormatError,
+    load_matrix,
+    save_matrix,
+    write_matrix,
 )
+from .pairs import matching_number, pair_graph, verify_lemma3
 from .search import exhaustive_T
-from .matrix import _iter_bits
 
 
 def _bool(value: bool) -> str:
@@ -45,14 +46,24 @@ def _write_output(matrix: BinaryMatrix, target: str) -> None:
         print(f"wrote={target} t={matrix.t} n={matrix.n}")
 
 
+def _refuse_oversize(t: int, n: int) -> None:
+    """Refuse an unwritable t x n build up front; builders report sizes < 1."""
+    if t > 0 and n > 0 and t * n > DENSE_LIMIT:
+        raise ValueError("matrix too large to densify")
+
+
 def _cmd_construct(args) -> int:
     if args.kind == "affine":
+        q = max(args.q, 0)
+        _refuse_oversize(q * q, q * q + q)
         matrix = affine_plane_matrix(args.q)
         _write_output(matrix, args.output)
     elif args.kind == "identity":
+        _refuse_oversize(args.n, args.n)
         matrix = identity_matrix(args.n)
         _write_output(matrix, args.output)
     else:  # random
+        _refuse_oversize(args.t, args.n)
         corpus = random_disjunct_corpus(
             args.d,
             args.t,
@@ -100,17 +111,13 @@ def _cmd_analyze(args) -> int:
     if isolated:
         print(f"note={len(isolated)} isolated columns; pair-bound checks skipped")
     refuted = False
+    private_total = 0
     for j in range(matrix.n):
-        cls = classify_pairs(matrix, j)
-        graph = PairGraph(
-            vertices=frozenset(_iter_bits(matrix.column_mask(j))),
-            edges=cls.nonprivate_pairs,
-        )
-        nu = matching_number(graph)
         if checks_valid:
             report = verify_lemma3(
                 matrix, j, d, allow_out_of_range=True, check_disjunct=False
             )
+            nonprivate, nu = report.num_nonprivate, report.matching
             ok = report.bound_ok and report.matching_ok
             status = "pass" if ok else "fail"
             if not report.in_range:
@@ -119,18 +126,22 @@ def _cmd_analyze(args) -> int:
                 refuted = True
             bound = str(report.bound)
         else:
+            graph = pair_graph(matrix, j)
+            nonprivate, nu = len(graph.edges), matching_number(graph)
             status = "n/a"
             bound = "-"
+        # private and non-private pairs partition the column's 2-subsets
+        weight = matrix.weight(j)
+        private = comb(weight, 2) - nonprivate
+        private_total += private
         print(
-            f"column={j} weight={matrix.weight(j)}"
-            f" private={len(cls.private_pairs)}"
-            f" nonprivate={len(cls.nonprivate_pairs)}"
-            f" matching={nu} bound={bound} lemma3={status}"
+            f"column={j} weight={weight} private={private}"
+            f" nonprivate={nonprivate} matching={nu} bound={bound} lemma3={status}"
         )
-    budget = private_pair_budget(matrix)
+    pair_budget = comb(matrix.t, 2)
     print(
-        f"private_total={budget.total} pair_budget={budget.budget}"
-        f" budget_ok={_bool(budget.ok)}"
+        f"private_total={private_total} pair_budget={pair_budget}"
+        f" budget_ok={_bool(private_total <= pair_budget)}"
     )
     return 1 if refuted else 0
 

@@ -11,7 +11,7 @@ is deliberately no heuristic shortcut.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -46,10 +46,17 @@ class PeelResult:
     removed_rows: frozenset[int]
 
 
-def _cover_search(masks: Sequence[int], j: int, depth: int) -> list[int] | None:
-    """Find <= ``depth`` columns (other than j) whose union contains column j.
+def _cover_search(
+    masks: Sequence[int], j: int, depths: Iterable[int]
+) -> list[int] | None:
+    """Find columns (other than j) whose union contains column j.
 
-    Returns the covering column ids, or None when no such cover exists.
+    Tries each bound in ``depths`` in order and returns the first cover of
+    at most that many columns, or None when no bound admits one.  The
+    trace table is built once and one ``dead`` set of refuted
+    (uncovered rows, depth left) states is shared by every bound: such a
+    state does not depend on the bound it was reached from, so passing
+    increasing bounds deepens iteratively at the cost of one table.
     Deterministic: branches on the uncovered row with the fewest covering
     traces (lowest row index on ties), candidate traces ordered by their
     representative column id.
@@ -57,8 +64,6 @@ def _cover_search(masks: Sequence[int], j: int, depth: int) -> list[int] | None:
     cj = masks[j]
     if cj == 0:
         return []  # the empty column is covered by the empty union
-    if depth <= 0:
-        return None
 
     # traces of the other columns on the support of column j, one
     # representative column id (the lowest) per distinct trace
@@ -120,7 +125,11 @@ def _cover_search(masks: Sequence[int], j: int, depth: int) -> list[int] | None:
         dead.add(key)
         return None
 
-    return dfs(cj, depth, [])
+    for depth in depths:
+        cover = dfs(cj, depth, [])
+        if cover is not None:
+            return cover
+    return None
 
 
 def is_d_disjunct(matrix: BinaryMatrix, d: int) -> DisjunctVerdict:
@@ -135,42 +144,38 @@ def is_d_disjunct(matrix: BinaryMatrix, d: int) -> DisjunctVerdict:
         return DisjunctVerdict(True, vacuous=True)
     masks = matrix.masks
     for j in range(matrix.n):
-        cover = _cover_search(masks, j, d)
+        cover = _cover_search(masks, j, (d,))
         if cover is not None:
             return DisjunctVerdict(False, Witness(j, tuple(cover)))
     return DisjunctVerdict(True)
-
-
-def _min_cover_size(masks: Sequence[int], j: int, limit: int) -> int | None:
-    """Size of the smallest cover of column j by other columns, or None.
-
-    Iterative deepening up to ``limit``; exact because the underlying
-    search is exact at every depth.
-    """
-    for depth in range(1, limit + 1):
-        cover = _cover_search(masks, j, depth)
-        if cover is not None:
-            return max(1, len(cover))
-    return None
 
 
 def max_disjunct_order(matrix: BinaryMatrix) -> int:
     """Largest d >= 0 for which the matrix is d-disjunct, capped at n-1.
 
     0 means some column is contained in another.  Equivalent to running
-    the checker for increasing d, but computed from per-column minimum
-    cover sizes so the work is done once per column.
+    the checker for increasing d, but each column's minimum cover size is
+    found by one iteratively deepened search over its trace table, up to
+    the best order found so far (larger covers cannot lower it).
     """
     masks = matrix.masks
     best = matrix.n - 1
     for j in range(matrix.n):
         if best == 0:
             break
-        # covers larger than best+1 cannot lower the answer
-        size = _min_cover_size(masks, j, best)
-        if size is not None:
-            best = min(best, size - 1)
+        cover = _cover_search(masks, j, range(1, best + 1))
+        if cover is not None:
+            best = min(best, max(1, len(cover)) - 1)
     return best
+
+
+def _drop(matrix: BinaryMatrix, j: int, rows: list[int]) -> BinaryMatrix:
+    """``matrix`` without column j and ``rows``, survivors in order."""
+    keep_rows = np.ones(matrix.t, dtype=bool)
+    keep_rows[rows] = False
+    keep_cols = np.ones(matrix.n, dtype=bool)
+    keep_cols[j] = False
+    return BinaryMatrix.from_dense(matrix.dense()[keep_rows][:, keep_cols])
 
 
 def find_isolated_columns(matrix: BinaryMatrix) -> frozenset[int]:
@@ -197,13 +202,8 @@ def peel_isolated(matrix: BinaryMatrix, j: int) -> PeelResult:
     private = [r for r in _iter_bits(col) if degrees[r] == 1]
     if not private:
         raise ValueError(f"column {j} is not isolated")
-    keep_rows = np.ones(matrix.t, dtype=bool)
-    keep_rows[private] = False
-    keep_cols = np.ones(matrix.n, dtype=bool)
-    keep_cols[j] = False
-    dense = matrix.dense()[keep_rows][:, keep_cols]
     return PeelResult(
-        reduced=BinaryMatrix.from_dense(dense),
+        reduced=_drop(matrix, j, private),
         removed_column=j,
         removed_rows=frozenset(private),
     )
@@ -237,10 +237,4 @@ def delete_column_and_rows(matrix: BinaryMatrix, j: int) -> BinaryMatrix:
         raise ValueError("matrix must have at least 2 columns")
     if not 0 <= j < matrix.n:
         raise ValueError(f"column index {j} out of range")
-    col = matrix.column_mask(j)
-    keep_rows = np.ones(matrix.t, dtype=bool)
-    keep_rows[list(_iter_bits(col))] = False
-    keep_cols = np.ones(matrix.n, dtype=bool)
-    keep_cols[j] = False
-    dense = matrix.dense()[keep_rows][:, keep_cols]
-    return BinaryMatrix.from_dense(dense)
+    return _drop(matrix, j, list(_iter_bits(matrix.column_mask(j))))

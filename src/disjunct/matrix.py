@@ -106,6 +106,11 @@ def contains(a: ColumnSupport, b: ColumnSupport) -> bool:
     return b.mask & ~a.mask == 0
 
 
+# analysis operations are specified at desk scale; densifying above this
+# many cells is almost certainly a mistake
+DENSE_LIMIT = 1 << 28
+
+
 class BinaryMatrix:
     """Immutable t x n binary matrix with bit-packed columns.
 
@@ -115,10 +120,6 @@ class BinaryMatrix:
     """
 
     __slots__ = ("t", "n", "_words", "_masks", "_row_degrees", "_dense_cache")
-
-    # analysis operations are specified at desk scale; densifying above
-    # this many cells is almost certainly a mistake
-    _DENSE_LIMIT = 1 << 28
 
     def __init__(self, t: int, words: np.ndarray):
         # t == 0 is a legal degenerate case: deleting all rows intersecting
@@ -224,7 +225,7 @@ class BinaryMatrix:
     def dense(self) -> np.ndarray:
         """Read-only (t, n) bool view; for desk-scale matrices only."""
         if self._dense_cache is None:
-            if self.t * self.n > self._DENSE_LIMIT:
+            if self.t * self.n > DENSE_LIMIT:
                 raise ValueError("matrix too large to densify")
             bits = np.unpackbits(
                 self._words.view(np.uint8), axis=1, bitorder="little", count=self.t

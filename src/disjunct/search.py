@@ -53,9 +53,7 @@ class _Budget:
 
 def _candidate_pool(t: int, d: int) -> list[int]:
     """All column masks of weight >= d+1 over t rows, ascending as ints."""
-    pool = [m for m in range(1, 1 << t) if m.bit_count() >= d + 1]
-    pool.sort()
-    return pool
+    return [m for m in range(1, 1 << t) if m.bit_count() >= d + 1]
 
 
 def _passes_incremental(masks: list[int], d: int) -> bool:
@@ -68,7 +66,7 @@ def _passes_incremental(masks: list[int], d: int) -> bool:
     if depth < 1:
         return True
     for j in range(len(masks)):
-        if _cover_search(masks, j, depth) is not None:
+        if _cover_search(masks, j, (depth,)) is not None:
             return False
     return True
 

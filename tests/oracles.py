@@ -23,6 +23,18 @@ def brute_is_d_disjunct(masks, d):
     return True
 
 
+def brute_max_disjunct_order(masks):
+    """Largest d for which the matrix is d-disjunct, capped at n-1.
+
+    The first d the enumeration refutes, minus one.
+    """
+    n = len(masks)
+    for d in range(1, n):
+        if not brute_is_d_disjunct(masks, d):
+            return d - 1
+    return n - 1
+
+
 def brute_matching_number(edges):
     """Max number of pairwise disjoint edges, by exhaustive extension."""
     edges = sorted(edges)

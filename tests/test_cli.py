@@ -1,7 +1,9 @@
 import pytest
 
-from disjunct import affine_plane_matrix, load_matrix, save_matrix
+from disjunct import affine_plane_matrix, identity_matrix, load_matrix, save_matrix
+from disjunct import cli
 from disjunct.cli import main
+from oracles import brute_matching_number, brute_private_pairs
 
 
 @pytest.fixture()
@@ -75,6 +77,44 @@ def test_analyze_skips_checks_on_invalid_input(tmp_path, capsys):
     assert code == 0
     assert "note=matrix is not 1-disjunct" in stdout
     assert "lemma3=n/a" in stdout
+    assert stdout.splitlines()[-1] == "private_total=0 pair_budget=1 budget_ok=true"
+
+
+def test_analyze_golden_out_of_range(tmp_path, capsys):
+    # weight 5 at d=2 gives s=3 > d-1: the bound is still evaluated
+    path = tmp_path / "p5.dmat"
+    save_matrix(affine_plane_matrix(5), path)
+    code, stdout, _ = run(capsys, "analyze", "--d", "2", str(path))
+    assert code == 0
+    lines = stdout.splitlines()
+    assert lines[:-1] == [
+        f"column={j} weight=5 private=10 nonprivate=0"
+        " matching=0 bound=10 lemma3=pass-out-of-range"
+        for j in range(30)
+    ]
+    assert lines[-1] == "private_total=300 pair_budget=300 budget_ok=true"
+
+
+def test_analyze_nonprivate_pairs_match_oracles(mixed_corpus, tmp_path, capsys):
+    matrix = mixed_corpus[4][0]
+    path = tmp_path / "m4.dmat"
+    save_matrix(matrix, path)
+    code, stdout, _ = run(capsys, "analyze", "--d", "4", str(path))
+    assert code == 0
+    lines = stdout.splitlines()
+    assert len(lines) == matrix.n + 1
+    dense = matrix.dense()
+    for j, line in enumerate(lines[:-1]):
+        fields = dict(item.split("=") for item in line.split())
+        private, nonprivate = brute_private_pairs(dense, j)
+        assert int(fields["column"]) == j
+        assert int(fields["private"]) == len(private)
+        assert int(fields["nonprivate"]) == len(nonprivate)
+        assert int(fields["matching"]) == brute_matching_number(nonprivate)
+    assert lines[1] == (
+        "column=1 weight=6 private=13 nonprivate=2 matching=1 bound=5 lemma3=pass"
+    )
+    assert lines[-1] == "private_total=170 pair_budget=276 budget_ok=true"
 
 
 def test_decode(plane_file, capsys):
@@ -164,6 +204,31 @@ def test_errors_exit_2(tmp_path, capsys):
     assert "line 2: expected 100000000000 characters" in stderr
     code, _, stderr = run(capsys, "construct", "affine", "--q", "4", "-o", "-")
     assert code == 2 and "prime" in stderr
+
+
+def test_construct_refuses_oversize_before_building(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a matrix past the size limit")
+
+    for name in ("identity_matrix", "affine_plane_matrix", "random_disjunct_corpus"):
+        monkeypatch.setattr(cli, name, refuse)
+    for argv in (
+        ["identity", "--n", "16385"],
+        # 131 is the smallest prime with q^2 (q^2 + q) > 2^28 cells
+        ["affine", "--q", "131"],
+        ["random", "--d", "2", "--t", "16385", "--n", "16385", "--seed", "0",
+         "--attempts", "1"],
+    ):
+        code, stdout, stderr = run(capsys, "construct", *argv, "-o", "-")
+        assert code == 2 and stdout == ""
+        assert "error: matrix too large to densify" in stderr
+
+
+def test_construct_accepts_the_size_limit(monkeypatch, capsys):
+    # 16384^2 cells is exactly the limit; stand in a small build for it
+    monkeypatch.setattr(cli, "identity_matrix", lambda n: identity_matrix(2))
+    code, stdout, _ = run(capsys, "construct", "identity", "--n", "16384", "-o", "-")
+    assert code == 0 and stdout == "2 2\n10\n01\n"
 
 
 def test_usage_error_exit_2(capsys):

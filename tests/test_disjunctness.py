@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,7 @@ from disjunct import (
     peel_isolated,
     peel_to_core,
 )
-from oracles import brute_is_d_disjunct
+from oracles import brute_is_d_disjunct, brute_max_disjunct_order
 
 
 def random_masks(rng, t, n):
@@ -165,6 +166,37 @@ def test_max_order_matches_checker_ladder():
         if naive == n - 1 or is_d_disjunct(m, n - 1).is_disjunct:
             naive = n - 1
         assert order == naive
+
+
+def test_max_order_matches_brute_force_oracle():
+    # a search state refuted with one column left must stay open with two:
+    # a dead set keyed on the uncovered rows alone reports 3 here
+    assert max_disjunct_order(BinaryMatrix.from_masks(9, [209, 99, 30, 390])) == 2
+    rng = random.Random(45)
+    for i in range(3000):
+        t, n = rng.randint(2, 10), rng.randint(1, 9)
+        if i % 2:
+            masks = random_masks(rng, t, n)
+        else:
+            # distinct columns of one weight: none contains another, so
+            # the orders spread up to n-1 instead of sitting at 0
+            w = rng.randint(1, max(1, t // 2))
+            pool = [sum(1 << r for r in c) for c in combinations(range(t), w)]
+            masks = rng.sample(pool, min(n, len(pool)))
+        m = BinaryMatrix.from_masks(t, masks)
+        assert max_disjunct_order(m) == brute_max_disjunct_order(masks), masks
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_max_order_planes_and_vertical_line_mutants(ag, q):
+    plane = ag(q)
+    assert max_disjunct_order(plane) == q - 1
+    # the first vertical line; with one point gone, q-1 lines cover it
+    j = q * q
+    for row in sorted(plane.column_support(j).rows):
+        masks = list(plane.masks)
+        masks[j] &= ~(1 << row)
+        assert max_disjunct_order(BinaryMatrix.from_masks(q * q, masks)) == q - 2
 
 
 # -- isolated columns and peeling ------------------------------------
