@@ -104,9 +104,11 @@ def _cmd_analyze(args) -> int:
     matrix = load_matrix(args.file)
     d = args.d
     isolated = find_isolated_columns(matrix)
-    disjunct = is_d_disjunct(matrix, d).is_disjunct
-    checks_valid = disjunct and not isolated
-    if not disjunct:
+    verdict = is_d_disjunct(matrix, d)
+    checks_valid = verdict.is_disjunct and not verdict.vacuous and not isolated
+    if verdict.vacuous:
+        print(f"note=d={d} >= n={matrix.n} is vacuous; pair-bound checks skipped")
+    elif not verdict.is_disjunct:
         print(f"note=matrix is not {d}-disjunct; pair-bound checks skipped")
     if isolated:
         print(f"note={len(isolated)} isolated columns; pair-bound checks skipped")

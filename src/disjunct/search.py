@@ -13,10 +13,10 @@ the certificate list cumulatively.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from math import comb, isqrt
 
 from .constructions import _is_prime, affine_plane_matrix
-from .disjunctness import _cover_search, is_d_disjunct
+from .disjunctness import is_d_disjunct
 from .matrix import BinaryMatrix
 
 
@@ -56,19 +56,67 @@ def _candidate_pool(t: int, d: int) -> list[int]:
     return [m for m in range(1, 1 << t) if m.bit_count() >= d + 1]
 
 
-def _passes_incremental(masks: list[int], d: int) -> bool:
-    """Is the partial column set still d-disjunct-compatible?
+def _maximal(unions) -> tuple[int, ...]:
+    """The antichain of maximal sets among ``unions``."""
+    kept: list[int] = []
+    for u in sorted(set(unions), key=int.bit_count, reverse=True):
+        for k in kept:
+            if u | k == k:
+                break
+        else:
+            kept.append(u)
+    return tuple(kept)
 
-    d-disjunctness is hereditary under column removal, so checking the
-    full partial set at every extension keeps the search exact.
+
+def _grow(family: tuple[tuple[int, ...], ...], c: int) -> tuple[tuple[int, ...], ...]:
+    """``family[k]`` (maximal unions of <= k columns) after adding column c."""
+    return (family[0],) + tuple(
+        _maximal(family[k] + tuple(u | c for u in family[k - 1]))
+        for k in range(1, len(family))
+    )
+
+
+class _PathUnions:
+    """The unions of a d-disjunct prefix P, enough to admit its next column.
+
+    ``levels[k]`` (k = 0..d) is the antichain of maximal unions of at most
+    k columns of P; ``others[i]`` is the same for k < d over P without
+    ``chosen[i]``.  d-disjunctness is hereditary, so P + [c] is d-disjunct
+    iff no cover uses c: c lies under no union in ``levels[d]``, and no
+    ``j = chosen[i]`` has ``j & ~c`` under a union in ``others[i][d - 1]``.
+    Columns are non-zero, as in the candidate pool.
     """
-    depth = min(d, len(masks) - 1)
-    if depth < 1:
+
+    __slots__ = ("d", "chosen", "levels", "others")
+
+    def __init__(self, d: int, chosen=(), levels=None, others=()):
+        self.d = d
+        self.chosen: tuple[int, ...] = chosen
+        self.levels = levels if levels is not None else ((0,),) * (d + 1)
+        self.others = others
+
+    def admits(self, c: int) -> bool:
+        """Is P + [c] d-disjunct?"""
+        for u in self.levels[-1]:
+            if c | u == u:
+                return False
+        below = self.d - 1
+        for j, unions in zip(self.chosen, self.others):
+            rest = j & ~c
+            for u in unions[below]:
+                if rest | u == u:
+                    return False
         return True
-    for j in range(len(masks)):
-        if _cover_search(masks, j, (depth,)) is not None:
-            return False
-    return True
+
+    def push(self, c: int) -> _PathUnions:
+        """The state of P + [c]; P itself is left unchanged."""
+        others = tuple(_grow(unions, c) for unions in self.others)
+        return _PathUnions(
+            self.d,
+            self.chosen + (c,),
+            _grow(self.levels, c),
+            others + (self.levels[: self.d],),
+        )
 
 
 def _seeded_certificate(d: int, t: int) -> BinaryMatrix | None:
@@ -86,37 +134,37 @@ def _seeded_certificate(d: int, t: int) -> BinaryMatrix | None:
 def _search_one(d: int, t: int, budget: _Budget) -> tuple[BinaryMatrix | None, bool, int]:
     """DFS over strictly increasing column masks of weight >= d+1."""
     n = t + 1
+    if sum(comb(t, w) for w in range(d + 1, t + 1)) < n:
+        return None, True, 0  # fewer candidate masks than columns
+    if budget.remaining <= 0:
+        return None, False, 0  # no node to spend: leave the pool unbuilt
     pool = _candidate_pool(t, d)
     start_nodes = budget.remaining
-    if len(pool) < n:
-        return None, True, 0
 
     found: BinaryMatrix | None = None
     ran_out = False
 
-    def dfs(start: int, chosen: list[int]) -> bool:
+    def dfs(start: int, path: _PathUnions) -> bool:
         nonlocal found, ran_out
+        chosen = path.chosen
         if len(chosen) == n:
-            matrix = BinaryMatrix.from_masks(t, chosen)
+            matrix = BinaryMatrix.from_masks(t, list(chosen))
             verdict = is_d_disjunct(matrix, d)
             if verdict.is_disjunct:
                 found = matrix
                 return True
-            return False  # pragma: no cover - incremental check is complete
-        for idx in range(start, len(pool)):
-            if len(pool) - idx < n - len(chosen):
-                break  # not enough masks left
+            return False  # pragma: no cover - the admission check is exact
+        # stop where fewer masks are left than columns still to choose
+        for idx in range(start, len(pool) - n + len(chosen) + 1):
             if not budget.spend():
                 ran_out = True
                 return True
-            chosen.append(pool[idx])
-            if _passes_incremental(chosen, d) and dfs(idx + 1, chosen):
-                chosen.pop()
+            c = pool[idx]
+            if path.admits(c) and dfs(idx + 1, path.push(c)):
                 return True
-            chosen.pop()
         return False
 
-    dfs(0, [])
+    dfs(0, _PathUnions(d))
     nodes = start_nodes - budget.remaining
     return found, not ran_out, nodes
 
@@ -135,6 +183,8 @@ def exhaustive_T(d: int, t_max: int, budget: int = 2_000_000) -> list[SearchCert
         raise ValueError("d must be >= 1")
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
     shared = _Budget(budget)
     certificates = []
     for t in range(1, t_max + 1):

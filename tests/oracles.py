@@ -7,6 +7,8 @@ cannot hide in the oracle.
 
 from itertools import combinations
 
+from disjunct.disjunctness import _cover_search
+
 
 def brute_is_d_disjunct(masks, d):
     """Enumerate all (column, <=d other columns) cover candidates."""
@@ -65,6 +67,24 @@ def antichain_exists(t, n):
         ):
             return True
     return False
+
+
+def passes_incremental(masks, d):
+    """Is the partial column set still d-disjunct-compatible?
+
+    The search's former admission check, kept as the reference its
+    per-path union families must agree with: one library cover search per
+    column of the whole prefix.  ``_cover_search`` itself is checked
+    against ``brute_is_d_disjunct``, through ``is_d_disjunct``, in the
+    disjunctness tests.
+    """
+    depth = min(d, len(masks) - 1)
+    if depth < 1:
+        return True
+    for j in range(len(masks)):
+        if _cover_search(masks, j, (depth,)) is not None:
+            return False
+    return True
 
 
 def brute_private_pairs(dense, j):

@@ -117,6 +117,28 @@ def test_analyze_nonprivate_pairs_match_oracles(mixed_corpus, tmp_path, capsys):
     assert lines[-1] == "private_total=170 pair_budget=276 budget_ok=true"
 
 
+@pytest.mark.parametrize("extra", [0, 1])
+def test_analyze_skips_checks_when_vacuous(mixed_corpus, tmp_path, capsys, extra):
+    # d >= n: no d other columns exist, so Lemma 3 has nothing to bound
+    matrix = mixed_corpus[4][0]
+    path = tmp_path / "m4.dmat"
+    save_matrix(matrix, path)
+    d = matrix.n + extra
+    code, stdout, stderr = run(capsys, "analyze", "--d", str(d), str(path))
+    assert code == 0 and stderr == ""
+    lines = stdout.splitlines()
+    assert lines[0] == f"note=d={d} >= n=16 is vacuous; pair-bound checks skipped"
+    dense = matrix.dense()
+    for j, line in enumerate(lines[1:-1]):
+        fields = dict(item.split("=") for item in line.split())
+        _, nonprivate = brute_private_pairs(dense, j)
+        assert int(fields["column"]) == j
+        assert int(fields["matching"]) == brute_matching_number(nonprivate)
+        assert (fields["bound"], fields["lemma3"]) == ("-", "n/a")
+    assert len(lines) == matrix.n + 2
+    assert lines[-1] == "private_total=170 pair_budget=276 budget_ok=true"
+
+
 def test_decode(plane_file, capsys):
     code, stdout, _ = run(capsys, "decode", "--outcomes", "111000000", plane_file)
     assert code == 0
@@ -204,6 +226,11 @@ def test_errors_exit_2(tmp_path, capsys):
     assert "line 2: expected 100000000000 characters" in stderr
     code, _, stderr = run(capsys, "construct", "affine", "--q", "4", "-o", "-")
     assert code == 2 and "prime" in stderr
+    code, stdout, stderr = run(
+        capsys, "search", "--d", "1", "--tmax", "3", "--budget", "-1"
+    )
+    assert code == 2 and stdout == ""
+    assert "error: budget must be >= 0" in stderr
 
 
 def test_construct_refuses_oversize_before_building(monkeypatch, capsys):
