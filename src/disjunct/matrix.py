@@ -258,12 +258,26 @@ class BinaryMatrix:
 # ---------------------------------------------------------------------------
 
 
+def _check_header_size(line: str) -> None:
+    """Refuse a well-formed header of more than DENSE_LIMIT cells; any
+    other header fault is reported by read_matrix in its usual order."""
+    header = _HEADER_RE.match(line)
+    if header is not None:
+        cells = int(header.group(1)) * int(header.group(2))
+        if cells > DENSE_LIMIT:
+            raise DmatFormatError(
+                1, f"matrix too large to densify: t*n = {cells} > {DENSE_LIMIT}"
+            )
+
+
 def read_matrix(text: str) -> BinaryMatrix:
     """Parse .dmat text: header ``"t n"`` then t rows of n chars in {0,1}.
 
     Raises :class:`DmatFormatError` naming the offending line on any
-    deviation, including a missing trailing newline.
+    deviation, including a missing trailing newline and a header whose
+    t * n exceeds ``DENSE_LIMIT``.
     """
+    _check_header_size(text.partition("\n")[0])
     if not text.endswith("\n"):
         raise DmatFormatError(max(1, text.count("\n") + 1), "missing trailing newline")
     lines = text.split("\n")[:-1]
@@ -303,8 +317,11 @@ def write_matrix(matrix: BinaryMatrix) -> str:
 
 
 def load_matrix(path) -> BinaryMatrix:
+    """Read a .dmat file; an oversize header is refused before the body is read."""
     with open(path, "r", encoding="ascii") as fh:
-        return read_matrix(fh.read())
+        header = fh.readline()
+        _check_header_size(header.rstrip("\n"))
+        return read_matrix(header + fh.read())
 
 
 def save_matrix(matrix: BinaryMatrix, path) -> None:

@@ -5,7 +5,8 @@ contains both rows, non-private otherwise.  The non-private pairs of a
 column form a graph on its support whose matching number is the lever of
 the general row lower bound: a d-disjunct matrix with no isolated columns
 cannot afford s pairwise disjoint non-private pairs inside a column of
-weight d+s.
+weight d+s.  Matching numbers come from Edmonds' blossom algorithm, in
+O(V^3) for a graph on V vertices.
 """
 
 from __future__ import annotations
@@ -78,44 +79,98 @@ def pair_graph(matrix: BinaryMatrix, j: int) -> PairGraph:
 def matching_number(graph: PairGraph) -> int:
     """Exact maximum matching size of a general (possibly non-bipartite) graph.
 
-    Memoized recursion over the active-vertex bitmask: the lowest active
-    vertex is either left unmatched or matched to one of its neighbours.
-    Exponential in the worst case but exact, which is what counts here;
-    the graphs analysed are column-sized.
+    Edmonds' blossom algorithm ("Paths, trees, and flowers", 1965) in
+    O(V^3): a greedy matching, then one search for an augmenting path from
+    each exposed vertex.  An exposed vertex from which no augmenting path
+    starts never gains one later, so one search per vertex suffices.
     """
+    if not graph.edges:  # every pair private, as in an affine plane
+        return 0
     verts = sorted(graph.vertices)
     index = {v: i for i, v in enumerate(verts)}
-    adjacency = [0] * len(verts)
+    adjacency: list[list[int]] = [[] for _ in verts]
     for a, b in graph.edges:
         ia, ib = index[a], index[b]
-        adjacency[ia] |= 1 << ib
-        adjacency[ib] |= 1 << ia
+        adjacency[ia].append(ib)
+        adjacency[ib].append(ia)
+    mate = [-1] * len(verts)
+    matched = 0
+    for v, neighbours in enumerate(adjacency):
+        for u in neighbours:
+            if mate[v] < 0 and mate[u] < 0:
+                mate[u], mate[v] = v, u
+                matched += 1
+    for root, neighbours in enumerate(adjacency):
+        if mate[root] < 0 and neighbours:
+            matched += _augment(root, adjacency, mate)
+    return matched
 
-    memo: dict[int, int] = {}
 
-    def best(active: int) -> int:
-        while active:
-            low = active & -active
-            v = low.bit_length() - 1
-            if adjacency[v] & active & ~low:
+def _augment(root: int, adjacency: list[list[int]], mate: list[int]) -> bool:
+    """Grow an alternating tree from the exposed ``root`` breadth first and
+    flip the first augmenting path found in ``mate``; False if there is none.
+
+    An edge between two even (outer) vertices closes an odd cycle, which
+    is contracted into its base: every vertex of the cycle becomes even
+    and the tree edges around it are redirected so that a path through
+    the blossom can later be read back through ``parent``.
+    """
+    size = len(adjacency)
+    base = list(range(size))  # base of the blossom holding each vertex
+    parent = [-1] * size  # tree edge into each odd vertex (and blossom vertex)
+    even = [False] * size
+    even[root] = True
+    queue = [root]
+
+    def common_base(a: int, b: int) -> int:
+        """The base of the blossom an edge between even a and b closes."""
+        on_path = [False] * size
+        while True:
+            a = base[a]
+            on_path[a] = True
+            if mate[a] < 0:  # reached the root's blossom
                 break
-            active ^= low  # v has no active neighbour, drop it
-        else:
-            return 0
-        if active in memo:
-            return memo[active]
-        low = active & -active
-        v = low.bit_length() - 1
-        result = best(active ^ low)  # leave v unmatched
-        partners = adjacency[v] & active & ~low
-        while partners:
-            ulow = partners & -partners
-            partners ^= ulow
-            result = max(result, 1 + best(active ^ low ^ ulow))
-        memo[active] = result
-        return result
+            a = parent[mate[a]]
+        while True:
+            b = base[b]
+            if on_path[b]:
+                return b
+            b = parent[mate[b]]
 
-    return best((1 << len(verts)) - 1)
+    def mark_path(v: int, top: int, child: int, blossom: list[bool]) -> None:
+        while base[v] != top:
+            blossom[base[v]] = blossom[base[mate[v]]] = True
+            parent[v] = child
+            child = mate[v]
+            v = parent[mate[v]]
+
+    for v in queue:  # the queue grows while it is read
+        for u in adjacency[v]:
+            if base[v] == base[u] or mate[v] == u:
+                continue
+            if even[u]:
+                top = common_base(v, u)
+                blossom = [False] * size
+                mark_path(v, top, u, blossom)
+                mark_path(u, top, v, blossom)
+                for w in range(size):
+                    if blossom[base[w]]:
+                        base[w] = top
+                        if not even[w]:
+                            even[w] = True
+                            queue.append(w)
+            elif parent[u] < 0:
+                parent[u] = v
+                if mate[u] < 0:
+                    while u >= 0:  # flip the path's edges back to the root
+                        back = parent[u]
+                        after = mate[back]
+                        mate[u], mate[back] = back, u
+                        u = after
+                    return True
+                even[mate[u]] = True
+                queue.append(mate[u])
+    return False
 
 
 def erdos_gallai_bound(k: int, mu: int) -> int:

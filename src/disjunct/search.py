@@ -19,6 +19,10 @@ from .constructions import _is_prime, affine_plane_matrix
 from .disjunctness import is_d_disjunct
 from .matrix import BinaryMatrix
 
+# every t up to t_max gets a certificate, and t = (d+1)^2 builds an affine
+# plane with t rows; 1024 keeps both at desk scale (AG(2, 31) at t = 961)
+T_MAX_LIMIT = 1024
+
 
 @dataclass(frozen=True)
 class SearchCertificate:
@@ -172,17 +176,19 @@ def _search_one(d: int, t: int, budget: _Budget) -> tuple[BinaryMatrix | None, b
 def exhaustive_T(d: int, t_max: int, budget: int = 2_000_000) -> list[SearchCertificate]:
     """Search for a t x (t+1) d-disjunct matrix for every t up to t_max.
 
-    ``budget`` caps the total DFS nodes across all t.  d = 1 is fully
-    decidable at desk scale; for larger d the search is best effort and
-    nonexistence may only be claimed from certificates with
-    ``exhausted=True``.  Known attainable configurations (truncated affine
-    planes at t = (d+1)^2 for prime d+1) are emitted constructively
-    without searching.
+    ``budget`` caps the total DFS nodes across all t, and ``t_max`` may
+    not exceed ``T_MAX_LIMIT``.  d = 1 is fully decidable at desk scale;
+    for larger d the search is best effort and nonexistence may only be
+    claimed from certificates with ``exhausted=True``.  Known attainable
+    configurations (truncated affine planes at t = (d+1)^2 for prime d+1)
+    are emitted constructively without searching.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
+    if t_max > T_MAX_LIMIT:
+        raise ValueError(f"t_max must be <= {T_MAX_LIMIT}")
     if budget < 0:
         raise ValueError("budget must be >= 0")
     shared = _Budget(budget)

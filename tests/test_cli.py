@@ -1,7 +1,14 @@
 import pytest
 
-from disjunct import affine_plane_matrix, identity_matrix, load_matrix, save_matrix
+from disjunct import (
+    BinaryMatrix,
+    affine_plane_matrix,
+    identity_matrix,
+    load_matrix,
+    save_matrix,
+)
 from disjunct import cli
+from disjunct import matrix as matrix_module
 from disjunct.cli import main
 from oracles import brute_matching_number, brute_private_pairs
 
@@ -117,6 +124,56 @@ def test_analyze_nonprivate_pairs_match_oracles(mixed_corpus, tmp_path, capsys):
     assert lines[-1] == "private_total=170 pair_budget=276 budget_ok=true"
 
 
+# AG(2,5) plus a column on every point but 0, analysed at d=4; recorded
+# with the exponential matching recursion that Edmonds' algorithm replaced
+ANALYZE_WIDE_GOLDEN = """\
+note=matrix is not 4-disjunct; pair-bound checks skipped
+column=0 weight=5 private=4 nonprivate=6 matching=2 bound=- lemma3=n/a
+column=1 weight=5 private=0 nonprivate=10 matching=2 bound=- lemma3=n/a
+column=2 weight=5 private=0 nonprivate=10 matching=2 bound=- lemma3=n/a
+column=3 weight=5 private=0 nonprivate=10 matching=2 bound=- lemma3=n/a
+column=4 weight=5 private=0 nonprivate=10 matching=2 bound=- lemma3=n/a
+column=5 weight=5 private=4 nonprivate=6 matching=2 bound=- lemma3=n/a
+column=6 weight=5 private=0 nonprivate=10 matching=2 bound=- lemma3=n/a
+column=7 weight=5 private=0 nonprivate=10 matching=2 bound=- lemma3=n/a
+column=8 weight=5 private=0 nonprivate=10 matching=2 bound=- lemma3=n/a
+column=9 weight=5 private=0 nonprivate=10 matching=2 bound=- lemma3=n/a
+column=10 weight=5 private=4 nonprivate=6 matching=2 bound=- lemma3=n/a
+column=11 weight=5 private=0 nonprivate=10 matching=2 bound=- lemma3=n/a
+column=12 weight=5 private=0 nonprivate=10 matching=2 bound=- lemma3=n/a
+column=13 weight=5 private=0 nonprivate=10 matching=2 bound=- lemma3=n/a
+column=14 weight=5 private=0 nonprivate=10 matching=2 bound=- lemma3=n/a
+column=15 weight=5 private=4 nonprivate=6 matching=2 bound=- lemma3=n/a
+column=16 weight=5 private=0 nonprivate=10 matching=2 bound=- lemma3=n/a
+column=17 weight=5 private=0 nonprivate=10 matching=2 bound=- lemma3=n/a
+column=18 weight=5 private=0 nonprivate=10 matching=2 bound=- lemma3=n/a
+column=19 weight=5 private=0 nonprivate=10 matching=2 bound=- lemma3=n/a
+column=20 weight=5 private=4 nonprivate=6 matching=2 bound=- lemma3=n/a
+column=21 weight=5 private=0 nonprivate=10 matching=2 bound=- lemma3=n/a
+column=22 weight=5 private=0 nonprivate=10 matching=2 bound=- lemma3=n/a
+column=23 weight=5 private=0 nonprivate=10 matching=2 bound=- lemma3=n/a
+column=24 weight=5 private=0 nonprivate=10 matching=2 bound=- lemma3=n/a
+column=25 weight=5 private=4 nonprivate=6 matching=2 bound=- lemma3=n/a
+column=26 weight=5 private=0 nonprivate=10 matching=2 bound=- lemma3=n/a
+column=27 weight=5 private=0 nonprivate=10 matching=2 bound=- lemma3=n/a
+column=28 weight=5 private=0 nonprivate=10 matching=2 bound=- lemma3=n/a
+column=29 weight=5 private=0 nonprivate=10 matching=2 bound=- lemma3=n/a
+column=30 weight=24 private=0 nonprivate=276 matching=12 bound=- lemma3=n/a
+private_total=24 pair_budget=300 budget_ok=true
+"""
+
+
+def test_analyze_golden_dense_pair_graph(tmp_path, capsys):
+    # column 30's non-private pair graph is K24
+    plane = affine_plane_matrix(5)
+    path = tmp_path / "wide.dmat"
+    wide = list(plane.masks) + [((1 << 25) - 1) & ~1]
+    save_matrix(BinaryMatrix.from_masks(25, wide), path)
+    code, stdout, _ = run(capsys, "analyze", "--d", "4", str(path))
+    assert code == 0
+    assert stdout == ANALYZE_WIDE_GOLDEN
+
+
 @pytest.mark.parametrize("extra", [0, 1])
 def test_analyze_skips_checks_when_vacuous(mixed_corpus, tmp_path, capsys, extra):
     # d >= n: no d other columns exist, so Lemma 3 has nothing to bound
@@ -219,11 +276,11 @@ def test_errors_exit_2(tmp_path, capsys):
     bad.write_text("1 1\n2\n")
     code, _, stderr = run(capsys, "check", "--d", "1", str(bad))
     assert code == 2 and "invalid character" in stderr
-    # 10^11 columns in the header: rejected before any t x n array exists
+    # 10^11 columns in the header: rejected before the body is read
     bad.write_text("1 100000000000\n0\n")
     code, stdout, stderr = run(capsys, "check", "--d", "1", str(bad))
     assert code == 2 and stdout == ""
-    assert "line 2: expected 100000000000 characters" in stderr
+    assert "line 1: matrix too large to densify" in stderr
     code, _, stderr = run(capsys, "construct", "affine", "--q", "4", "-o", "-")
     assert code == 2 and "prime" in stderr
     code, stdout, stderr = run(
@@ -231,6 +288,11 @@ def test_errors_exit_2(tmp_path, capsys):
     )
     assert code == 2 and stdout == ""
     assert "error: budget must be >= 0" in stderr
+    code, stdout, stderr = run(
+        capsys, "search", "--d", "1008", "--tmax", "1018081"
+    )
+    assert code == 2 and stdout == ""
+    assert "error: t_max must be <= 1024" in stderr
 
 
 def test_construct_refuses_oversize_before_building(monkeypatch, capsys):
@@ -256,6 +318,18 @@ def test_construct_accepts_the_size_limit(monkeypatch, capsys):
     monkeypatch.setattr(cli, "identity_matrix", lambda n: identity_matrix(2))
     code, stdout, _ = run(capsys, "construct", "identity", "--n", "16384", "-o", "-")
     assert code == 0 and stdout == "2 2\n10\n01\n"
+
+
+def test_dmat_header_above_the_size_limit(monkeypatch, plane_file, capsys):
+    # AG(2,3) is 9 x 12 = 108 cells
+    monkeypatch.setattr(matrix_module, "DENSE_LIMIT", 107)
+    for argv in (["check", "--d", "2"], ["analyze", "--d", "2"], ["verify-id", "--d", "1"]):
+        code, stdout, stderr = run(capsys, *argv, plane_file)
+        assert code == 2 and stdout == ""
+        assert stderr == "error: line 1: matrix too large to densify: t*n = 108 > 107\n"
+    monkeypatch.setattr(matrix_module, "DENSE_LIMIT", 108)
+    code, stdout, _ = run(capsys, "check", "--d", "2", plane_file)
+    assert code == 0 and stdout == "DISJUNCT d=2\n"
 
 
 def test_usage_error_exit_2(capsys):

@@ -189,7 +189,9 @@ def test_round_trip_any_matrix(tm):
         ("2 2\n10\n0\n", 3, "expected 2 characters"),
         ("2 2\n10\n", 3, "expected 2 rows"),
         ("1 2\n10\n01\n", 3, "expected 1 rows"),
-        ("1 100000000000\n0\n", 2, "expected 100000000000 characters"),
+        # 10^11 cells: refused on the header, before any row is looked at
+        ("1 100000000000\n0\n", 1, "too large"),
+        ("1 100000\n0\n", 2, "expected 100000 characters"),
     ],
 )
 def test_parse_errors(text, line, fragment):

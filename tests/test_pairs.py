@@ -4,6 +4,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from disjunct import (
     BinaryMatrix,
@@ -115,6 +117,85 @@ def test_matching_matches_bruteforce():
         }
         g = PairGraph(frozenset(range(k)), frozenset(edges))
         assert matching_number(g) == brute_matching_number(edges)
+
+
+def _relabelled(rng, k, edges):
+    """The graph on range(k) with shuffled labels and shuffled edge order."""
+    labels = rng.sample(range(10 * k + 10), k)
+    moved = [tuple(sorted((labels[a], labels[b]))) for a, b in edges]
+    rng.shuffle(moved)
+    return PairGraph(frozenset(labels), frozenset(moved))
+
+
+def test_matching_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(5)
+    for i in range(200):
+        k = rng.randint(10, 80)
+        density = i / 199
+        edges = [e for e in combinations(range(k), 2) if rng.random() < density]
+        oracle = nx.Graph()
+        oracle.add_nodes_from(range(k))
+        oracle.add_edges_from(edges)
+        expected = len(nx.max_weight_matching(oracle, maxcardinality=True))
+        assert matching_number(_relabelled(rng, k, edges)) == expected, (k, density)
+
+
+def _flower(rng, depth, start):
+    """A factor-critical graph on vertices start.. : an odd cycle whose
+    nodes are flowers of the next depth down, consecutive ones joined by
+    one edge between random vertices.  Returns (vertex count, edges)."""
+    if depth == 0:
+        return 1, []
+    size, edges, parts = 0, [], []
+    for _ in range(rng.choice((3, 5))):
+        count, inner = _flower(rng, depth - 1, start + size)
+        parts.append(range(start + size, start + size + count))
+        edges += inner
+        size += count
+    for here, there in zip(parts, parts[1:] + parts[:1]):
+        edges.append((rng.choice(here), rng.choice(there)))
+    return size, edges
+
+
+def test_matching_nested_blossoms():
+    # a graph is factor-critical when contracting a factor-critical part
+    # of it leaves a factor-critical graph (here an odd cycle), so a flower
+    # on V vertices has a matching of (V - 1) / 2; a stem path of s
+    # vertices hung on any vertex gives floor((V + s) / 2)
+    rng = random.Random(13)
+    for trial in range(120):
+        size, edges = _flower(rng, rng.randint(1, 3), 0)
+        stem = trial % 4
+        anchor = rng.randrange(size)
+        for extra in range(size, size + stem):
+            edges.append((anchor if extra == size else extra - 1, extra))
+        total = size + stem
+        assert matching_number(_relabelled(rng, total, edges)) == total // 2
+
+
+@pytest.mark.parametrize("k", [24, 25, 35, 64])
+def test_matching_complete_graphs(k):
+    edges = frozenset(combinations(range(k), 2))
+    assert matching_number(PairGraph(frozenset(range(k)), edges)) == k // 2
+
+
+@st.composite
+def _graphs(draw):
+    k = draw(st.integers(0, 24))
+    pairs = list(combinations(range(k), 2))
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return k, edges, draw(st.permutations(range(k)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_graphs())
+def test_matching_invariant_under_relabelling(graph):
+    k, edges, perm = graph
+    nu = matching_number(PairGraph(frozenset(range(k)), frozenset(edges)))
+    moved = frozenset(tuple(sorted((perm[a], perm[b]))) for a, b in edges)
+    assert matching_number(PairGraph(frozenset(range(k)), moved)) == nu
+    assert nu <= k // 2
 
 
 # -- Erdos-Gallai bound ------------------------------------------------

@@ -122,6 +122,9 @@ def test_parameter_validation():
         exhaustive_T(1, 0)
     with pytest.raises(ValueError, match="budget"):
         exhaustive_T(1, 3, budget=-1)
+    with pytest.raises(ValueError, match="t_max must be <= 1024"):
+        exhaustive_T(1, search.T_MAX_LIMIT + 1, budget=0)
+    assert len(exhaustive_T(2, search.T_MAX_LIMIT, budget=0)) == 1024
     assert _summary(exhaustive_T(1, 2, budget=0)) == [
         (1, False, True, 0, None),
         (2, False, True, 0, None),
