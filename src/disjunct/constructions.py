@@ -129,6 +129,19 @@ def _place_column(
     return None
 
 
+# seed sequences spawned per block: repeated spawn(k) calls continue the
+# same child sequence, so corpora do not depend on the block size
+_SPAWN_BLOCK = 1024
+
+
+def _attempt_seeds(root: np.random.SeedSequence, attempts: int):
+    """The first ``attempts`` children of ``root``, spawned a block at a time."""
+    while attempts > 0:
+        k = min(attempts, _SPAWN_BLOCK)
+        yield from root.spawn(k)
+        attempts -= k
+
+
 def random_disjunct_corpus(
     d: int,
     t: int,
@@ -164,7 +177,7 @@ def random_disjunct_corpus(
     max_weight = min(max_weight, t)
     root = np.random.SeedSequence(seed)
     corpus: list[BinaryMatrix] = []
-    for child in root.spawn(attempts):
+    for child in _attempt_seeds(root, attempts):
         rng = np.random.default_rng(child)
         masks: list[int] = []
         weights: list[int] = []

@@ -8,6 +8,22 @@ normalized instance at any t' <= t" is equivalent to "no instance at all
 at any t' <= t".  Nonexistence below a given t therefore requires
 exhausted certificates at every smaller t as well; the CLI and tests read
 the certificate list cumulatively.
+
+Row and column symmetry is broken by double-lex ordering.  Columns are
+chosen in strictly increasing order as integers (row t-1 the most
+significant bit), and rows are kept lexicographically non-increasing,
+row t-1 <= ... <= row 0, read with the first chosen column as the most
+significant.  Reversing the row order makes both orders non-decreasing
+in the same reading direction, and every 0/1 matrix has a row and
+column permutation that is doubly lexical in that sense (Lubiw,
+"Doubly lexical orderings of matrices", SIAM J. Comput. 16, 1987).
+Permutations keep column weights and d-disjunctness, so the search
+still meets some ordering of every normalized instance and its
+"exhausted" verdicts stay exact.
+
+A node is one pool index examined under a chosen prefix: it costs one
+unit of the budget whether the index is then skipped by the row order,
+refused by the admission check, or descended into.
 """
 
 from __future__ import annotations
@@ -123,6 +139,18 @@ class _PathUnions:
         )
 
 
+def _lex_child(tied: int, c: int) -> int:
+    """``tied`` after appending column c, or -1 if c breaks the row order.
+
+    Bit r of ``tied`` is set while rows r+1 and r agree on every chosen
+    column; c breaks the order when it puts a 1 in row r+1 and a 0 in a
+    row r tied to it, which would make row r+1 the larger.
+    """
+    if (c >> 1) & ~c & tied:
+        return -1
+    return tied & ~((c >> 1) ^ c)
+
+
 def _seeded_certificate(d: int, t: int) -> BinaryMatrix | None:
     """Constructive shortcut: a truncated affine plane when t = (d+1)^2."""
     q = isqrt(t)
@@ -136,7 +164,7 @@ def _seeded_certificate(d: int, t: int) -> BinaryMatrix | None:
 
 
 def _search_one(d: int, t: int, budget: _Budget) -> tuple[BinaryMatrix | None, bool, int]:
-    """DFS over strictly increasing column masks of weight >= d+1."""
+    """DFS over doubly lex-ordered matrices with columns of weight >= d+1."""
     n = t + 1
     if sum(comb(t, w) for w in range(d + 1, t + 1)) < n:
         return None, True, 0  # fewer candidate masks than columns
@@ -148,7 +176,7 @@ def _search_one(d: int, t: int, budget: _Budget) -> tuple[BinaryMatrix | None, b
     found: BinaryMatrix | None = None
     ran_out = False
 
-    def dfs(start: int, path: _PathUnions) -> bool:
+    def dfs(start: int, path: _PathUnions, tied: int) -> bool:
         nonlocal found, ran_out
         chosen = path.chosen
         if len(chosen) == n:
@@ -164,11 +192,12 @@ def _search_one(d: int, t: int, budget: _Budget) -> tuple[BinaryMatrix | None, b
                 ran_out = True
                 return True
             c = pool[idx]
-            if path.admits(c) and dfs(idx + 1, path.push(c)):
+            child = _lex_child(tied, c)
+            if child >= 0 and path.admits(c) and dfs(idx + 1, path.push(c), child):
                 return True
         return False
 
-    dfs(0, _PathUnions(d))
+    dfs(0, _PathUnions(d), (1 << (t - 1)) - 1)
     nodes = start_nodes - budget.remaining
     return found, not ran_out, nodes
 

@@ -6,8 +6,11 @@ cannot hide in the oracle.
 """
 
 from itertools import combinations
+from math import comb
 
-from disjunct.disjunctness import _cover_search
+from disjunct.disjunctness import _cover_search, is_d_disjunct
+from disjunct.matrix import BinaryMatrix
+from disjunct.search import _Budget, _candidate_pool, _PathUnions
 
 
 def brute_is_d_disjunct(masks, d):
@@ -85,6 +88,49 @@ def passes_incremental(masks, d):
         if _cover_search(masks, j, (depth,)) is not None:
             return False
     return True
+
+
+def reference_search_one(d, t, budget: _Budget):
+    """The search's former DFS, kept as the reference for its lex pruning.
+
+    Enumerates every strictly increasing column sequence from the pool,
+    so every row permutation of a candidate matrix is visited; the
+    library's DFS must agree with it on found versus exhausted.
+    """
+    n = t + 1
+    if sum(comb(t, w) for w in range(d + 1, t + 1)) < n:
+        return None, True, 0  # fewer candidate masks than columns
+    if budget.remaining <= 0:
+        return None, False, 0  # no node to spend: leave the pool unbuilt
+    pool = _candidate_pool(t, d)
+    start_nodes = budget.remaining
+
+    found: BinaryMatrix | None = None
+    ran_out = False
+
+    def dfs(start: int, path: _PathUnions) -> bool:
+        nonlocal found, ran_out
+        chosen = path.chosen
+        if len(chosen) == n:
+            matrix = BinaryMatrix.from_masks(t, list(chosen))
+            verdict = is_d_disjunct(matrix, d)
+            if verdict.is_disjunct:
+                found = matrix
+                return True
+            return False  # pragma: no cover - the admission check is exact
+        # stop where fewer masks are left than columns still to choose
+        for idx in range(start, len(pool) - n + len(chosen) + 1):
+            if not budget.spend():
+                ran_out = True
+                return True
+            c = pool[idx]
+            if path.admits(c) and dfs(idx + 1, path.push(c)):
+                return True
+        return False
+
+    dfs(0, _PathUnions(d))
+    nodes = start_nodes - budget.remaining
+    return found, not ran_out, nodes
 
 
 def brute_private_pairs(dense, j):

@@ -255,6 +255,22 @@ def test_search_writes_certificates(tmp_path, capsys):
     assert (cert.t, cert.n) == (4, 5)
 
 
+def test_search_settles_t2_golden(capsys):
+    code, stdout, stderr = run(capsys, "search", "--d", "2", "--tmax", "9")
+    assert code == 0 and stderr == ""
+    assert stdout == (
+        "t=1 found=false exhausted=true nodes=0\n"
+        "t=2 found=false exhausted=true nodes=0\n"
+        "t=3 found=false exhausted=true nodes=0\n"
+        "t=4 found=false exhausted=true nodes=3\n"
+        "t=5 found=false exhausted=true nodes=63\n"
+        "t=6 found=false exhausted=true nodes=670\n"
+        "t=7 found=false exhausted=true nodes=9340\n"
+        "t=8 found=false exhausted=true nodes=269433\n"
+        "t=9 found=true exhausted=false nodes=0\n"
+    )
+
+
 def test_random_construct_deterministic(tmp_path, capsys):
     args = [
         "construct", "random", "--d", "1", "--t", "4", "--n", "5",

@@ -1,5 +1,9 @@
+import hashlib
+
+import numpy as np
 import pytest
 
+from disjunct import constructions
 from disjunct import (
     affine_plane_matrix,
     affine_plane_spec,
@@ -9,7 +13,7 @@ from disjunct import (
     max_disjunct_order,
     random_disjunct_corpus,
 )
-from conftest import CORPUS_PARAMS
+from conftest import CORPUS_PARAMS, MIXED_PARAMS
 
 
 def test_identity_examples():
@@ -130,8 +134,44 @@ def test_corpus_parameter_validation():
     assert random_disjunct_corpus(3, 2, 5, seed=1, attempts=5) == []
 
 
-def test_corpus_sizes_are_pinned(corpus):
-    # deterministic given the seeds in conftest; a change here means the
-    # generator's sampling changed
-    for d, params in CORPUS_PARAMS.items():
-        assert len(corpus[d]) >= 100, (d, params)
+def _corpus_digest(matrices):
+    h = hashlib.sha256()
+    for m in matrices:
+        h.update(f"{m.t}:{','.join(map(str, m.masks))}\n".encode())
+    return h.hexdigest()
+
+
+# (kept, SHA-256 of every matrix's t and column masks) per conftest corpus;
+# a change here means the generator's sampling changed
+PINNED_CORPORA = {
+    ("constant", 2): (110, "f1e869ef5c9042bec5f62ce976b19048830d210424fda4a0aba1cdceda73a1e6"),
+    ("constant", 3): (110, "dde440d9d6ae8525eb85479960bf609e93bd0193b2d4c41c7db59fe519e673f1"),
+    ("constant", 4): (102, "562b9f0546ab4e923f840d7a64e8d7e4a4c5c54f743776b6fb03adc7f3f9d624"),
+    ("mixed", 3): (5, "4986a9cf434e08c53c0a4d4a7a68786dc93d656d9086030528932d5d5c29b3b5"),
+    ("mixed", 4): (1, "c3ce900edd4da0a63619273397d714478e6bbfdebf229bcadafb4a0c13f9992b"),
+}
+
+
+def test_corpus_sizes_are_pinned(corpus, mixed_corpus):
+    built = {("constant", d): corpus[d] for d in CORPUS_PARAMS}
+    built.update({("mixed", d): mixed_corpus[d] for d in MIXED_PARAMS})
+    assert {
+        key: (len(matrices), _corpus_digest(matrices))
+        for key, matrices in built.items()
+    } == PINNED_CORPORA
+
+
+def test_corpus_does_not_depend_on_the_spawn_block(monkeypatch):
+    one_shot = random_disjunct_corpus(2, 9, 8, seed=5, attempts=30)
+    monkeypatch.setattr(constructions, "_SPAWN_BLOCK", 7)
+    assert random_disjunct_corpus(2, 9, 8, seed=5, attempts=30) == one_shot
+    seeds = constructions._attempt_seeds(np.random.SeedSequence(5), 30)
+    keys = [child.spawn_key for child in seeds]
+    assert keys == [child.spawn_key for child in np.random.SeedSequence(5).spawn(30)]
+
+
+def test_attempt_seeds_spawn_one_block_at_a_time():
+    root = np.random.SeedSequence(5)
+    seeds = constructions._attempt_seeds(root, 10**12)
+    next(seeds)
+    assert root.n_children_spawned == constructions._SPAWN_BLOCK

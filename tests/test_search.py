@@ -1,12 +1,19 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from disjunct import exhaustive_T, is_d_disjunct, search
-from oracles import antichain_exists, brute_is_d_disjunct, passes_incremental
+from oracles import (
+    antichain_exists,
+    brute_is_d_disjunct,
+    passes_incremental,
+    reference_search_one,
+)
 
 # (t, found, exhausted, nodes, column masks) per certificate, recorded from
-# the search that re-ran a cover search on every chosen column at every node
+# the double-lex DFS; the d=1 certificates match the former DFS exactly
 GOLDEN = {
     (1, 7, 2_000_000): [
         (1, False, True, 0, None),
@@ -22,8 +29,8 @@ GOLDEN = {
         (2, False, True, 0, None),
         (3, False, True, 0, None),
         (4, False, True, 3, None),
-        (5, False, True, 349, None),
-        (6, False, True, 18842, None),
+        (5, False, True, 63, None),
+        (6, False, True, 670, None),
     ],
     (3, 7, 2_000_000): [
         (1, False, True, 0, None),
@@ -31,18 +38,18 @@ GOLDEN = {
         (3, False, True, 0, None),
         (4, False, True, 0, None),
         (5, False, True, 3, None),
-        (6, False, True, 951, None),
-        (7, False, True, 87140, None),
+        (6, False, True, 98, None),
+        (7, False, True, 1138, None),
     ],
     (2, 8, 150_000): [
         (1, False, True, 0, None),
         (2, False, True, 0, None),
         (3, False, True, 0, None),
         (4, False, True, 3, None),
-        (5, False, True, 349, None),
-        (6, False, True, 18842, None),
-        (7, False, False, 130806, None),
-        (8, False, False, 0, None),
+        (5, False, True, 63, None),
+        (6, False, True, 670, None),
+        (7, False, True, 9340, None),
+        (8, False, False, 139924, None),
     ],
     (4, 8, 1000): [
         (1, False, True, 0, None),
@@ -51,8 +58,8 @@ GOLDEN = {
         (4, False, True, 0, None),
         (5, False, True, 0, None),
         (6, False, True, 3, None),
-        (7, False, False, 997, None),
-        (8, False, False, 0, None),
+        (7, False, True, 142, None),
+        (8, False, False, 855, None),
     ],
 }
 
@@ -191,19 +198,104 @@ def test_no_pool_once_the_budget_is_spent(monkeypatch):
         (2, False, True, 0, None),
         (3, False, True, 0, None),
         (4, False, True, 3, None),
-        (5, False, True, 349, None),
-        (6, False, False, 648, None),
-        (7, False, False, 0, None),
+        (5, False, True, 63, None),
+        (6, False, True, 670, None),
+        (7, False, False, 264, None),
         (8, False, False, 0, None),
         (9, True, False, 0, AFFINE_3),
         (10, False, False, 0, None),
         (11, False, False, 0, None),
         (12, False, False, 0, None),
     ]
-    assert built == [4, 5, 6]  # t <= 3 has fewer than t+1 candidates
+    assert built == [4, 5, 6, 7]  # t <= 3 has fewer than t+1 candidates
 
     built.clear()
     assert _summary(exhaustive_T(2, 20, budget=0)) == [
         (t, t == 9, t < 4, 0, AFFINE_3 if t == 9 else None) for t in range(1, 21)
     ]
     assert built == []
+
+
+# (d, t_max): found versus exhausted per t must match the former DFS,
+# which visits every row permutation of every candidate matrix
+DIFFERENTIAL = [(1, 7), (2, 6), (3, 7), (4, 7)]
+
+
+@pytest.mark.parametrize("d, t_max", DIFFERENTIAL)
+def test_double_lex_search_agrees_with_reference(d, t_max):
+    for t in range(1, t_max + 1):
+        matrix, exhausted, nodes = search._search_one(d, t, search._Budget(10**7))
+        ref_matrix, ref_exhausted, ref_nodes = reference_search_one(
+            d, t, search._Budget(10**7)
+        )
+        assert exhausted and ref_exhausted
+        assert (matrix is None) == (ref_matrix is None), (d, t)
+        assert nodes <= ref_nodes
+        for found in (matrix, ref_matrix):
+            if found is not None:
+                assert found.n == t + 1
+                assert is_d_disjunct(found, d).is_disjunct
+                assert brute_is_d_disjunct(list(found.masks), d)
+
+
+def _double_lex(t, columns):
+    """Sort columns ascending and rows with row 0 lex-largest until stable.
+
+    A row is read across the columns in order, the first column most
+    significant; a column is read as an integer, row t-1 most significant.
+    """
+    cols = sorted(columns)
+    while True:
+        rows = sorted(
+            range(t), key=lambda r: [c >> r & 1 for c in cols], reverse=True
+        )
+        permuted = sorted(
+            sum((c >> r & 1) << i for i, r in enumerate(rows)) for c in cols
+        )
+        if permuted == cols:
+            return cols
+        cols = permuted
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 9).flatmap(
+        lambda t: st.tuples(
+            st.just(t),
+            st.sets(st.integers(1, (1 << t) - 1), min_size=1, max_size=12),
+        )
+    )
+)
+def test_every_column_set_has_an_ordering_the_search_accepts(case):
+    t, columns = case
+    cols = _double_lex(t, columns)
+    assert sorted(c.bit_count() for c in cols) == sorted(
+        c.bit_count() for c in columns
+    )
+    tied = (1 << (t - 1)) - 1
+    for c in cols:
+        tied = search._lex_child(tied, c)
+        assert tied >= 0, (t, sorted(columns), cols)
+
+
+def test_t2_is_settled_at_nine():
+    certs = exhaustive_T(2, 9)
+    assert [(c.t, c.found, c.exhausted) for c in certs] == [
+        (t, t == 9, t < 9) for t in range(1, 10)
+    ]
+    assert certs[7].nodes == 269_433
+    assert list(certs[8].matrix.masks) == AFFINE_3
+    # without the seed the search meets t=9 as well
+    matrix, _, nodes = search._search_one(2, 9, search._Budget(2_000_000))
+    assert (list(matrix.masks), nodes) == (
+        [7, 25, 42, 52, 76, 146, 193, 289, 322, 388],
+        332_856,
+    )
+    assert brute_is_d_disjunct(list(matrix.masks), 2)
+
+
+def test_d3_is_exhausted_through_nine():
+    certs = exhaustive_T(3, 9)
+    assert [(c.t, c.found, c.exhausted) for c in certs] == [
+        (t, False, True) for t in range(1, 10)
+    ]
