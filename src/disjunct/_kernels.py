@@ -26,6 +26,44 @@ def intersection_counts(words: np.ndarray, col: np.ndarray) -> np.ndarray:
     return np.bitwise_count(words & col).sum(axis=1, dtype=np.int64)
 
 
+# cells of the (columns, n) intersection table held at once by
+# min_cover_sizes: 256 KB per uint64 intermediate
+_COVER_BLOCK = 1 << 15
+
+
+def min_cover_sizes(words: np.ndarray, limit: int) -> np.ndarray:
+    """Lower bound on the number of other columns needed to cover each column.
+
+    For column j: the fewest k such that the k largest intersections
+    |c_j & c_i| (i != j) add up to at least |c_j|, or ``limit + 1`` when
+    no k <= ``limit`` does; 0 for an empty column.  k columns whose union
+    holds c_j meet it in at least |c_j| rows between them, so no cover of
+    c_j has fewer columns than this.
+    """
+    n, num_words = words.shape
+    weights = column_weights(words)
+    rows = np.ascontiguousarray(words.T)  # (W, n): word a of every column
+    # the narrowest types that hold one count, and the sum of n of them
+    count_type = np.min_scalar_type(64 * num_words)
+    reach_type = np.min_scalar_type(64 * num_words * n)
+    out = np.empty(n, dtype=np.int64)
+    block = max(1, _COVER_BLOCK // n)
+    for lo in range(0, n, block):
+        hi = min(n, lo + block)
+        counts = np.zeros((hi - lo, n), dtype=count_type)
+        for a in range(num_words):
+            counts += np.bitwise_count(rows[a, lo:hi, None] & rows[a, None, :])
+        counts[np.arange(hi - lo), np.arange(lo, hi)] = 0
+        counts.sort(axis=1)
+        # reach[:, k-1] is the sum of the k largest intersections
+        reach = counts[:, ::-1].cumsum(axis=1, dtype=reach_type)
+        out[lo:hi] = np.count_nonzero(reach < weights[lo:hi, None], axis=1) + 1
+    # a column that all n - 1 others together cannot reach reads n + 1
+    out[out > min(limit, n - 1)] = limit + 1
+    out[weights == 0] = 0
+    return out
+
+
 def row_degrees(words: np.ndarray, t: int) -> np.ndarray:
     """Number of columns containing each row, from packed columns."""
     degrees = np.zeros(t, dtype=np.int64)

@@ -1,11 +1,17 @@
 """Exact d-disjunctness verification, isolated-column peeling and deletion.
 
 A matrix is d-disjunct when no column is contained in the union of d other
-columns.  The checker decides this exactly per column: every other column
-is restricted to its trace on the candidate column, dominated traces are
-dropped, and the remaining cover problem is solved by depth-bounded
-branch and bound.  Greedy covering would give false positives, so there
-is deliberately no heuristic shortcut.
+columns.  The checker decides this exactly per column.  A counting bound
+comes first (Kautz and Singleton, 1964): k columns whose union holds
+column j meet it in at least |c_j| rows between them, so when the k
+largest intersections |c_j & c_i| add up to less than |c_j| for every
+k <= d, no cover of at most d columns exists and the column is cleared
+without a search.  The bound only clears columns that have no such
+cover, so it never changes a verdict or a witness.  For every other
+column, the other columns are restricted to their traces on it,
+dominated traces are dropped, and the remaining cover problem is solved
+by depth-bounded branch and bound.  Greedy covering would give false
+positives, so no column is refuted without a concrete cover.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import _kernels
 from .matrix import BinaryMatrix, _iter_bits
 
 
@@ -142,9 +149,10 @@ def is_d_disjunct(matrix: BinaryMatrix, d: int) -> DisjunctVerdict:
         raise ValueError("d must be >= 1")
     if d >= matrix.n:
         return DisjunctVerdict(True, vacuous=True)
-    masks = matrix.masks
-    for j in range(matrix.n):
-        cover = _cover_search(masks, j, (d,))
+    # a column whose counting bound exceeds d has no cover to search for
+    bounds = _kernels.min_cover_sizes(matrix.words, d)
+    for j in np.flatnonzero(bounds <= d).tolist():
+        cover = _cover_search(matrix.masks, j, (d,))
         if cover is not None:
             return DisjunctVerdict(False, Witness(j, tuple(cover)))
     return DisjunctVerdict(True)
@@ -156,14 +164,17 @@ def max_disjunct_order(matrix: BinaryMatrix) -> int:
     0 means some column is contained in another.  Equivalent to running
     the checker for increasing d, but each column's minimum cover size is
     found by one iteratively deepened search over its trace table, up to
-    the best order found so far (larger covers cannot lower it).
+    the best order found so far (larger covers cannot lower it).  A column
+    whose counting bound exceeds that order is skipped unsearched.
     """
-    masks = matrix.masks
     best = matrix.n - 1
-    for j in range(matrix.n):
+    bounds = _kernels.min_cover_sizes(matrix.words, best).tolist()
+    for j, bound in enumerate(bounds):
         if best == 0:
             break
-        cover = _cover_search(masks, j, range(1, best + 1))
+        if bound > best:
+            continue  # no cover of at most best columns
+        cover = _cover_search(matrix.masks, j, range(1, best + 1))
         if cover is not None:
             best = min(best, max(1, len(cover)) - 1)
     return best

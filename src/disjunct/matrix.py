@@ -275,14 +275,15 @@ def read_matrix(text: str) -> BinaryMatrix:
 
     Raises :class:`DmatFormatError` naming the offending line on any
     deviation, including a missing trailing newline and a header whose
-    t * n exceeds ``DENSE_LIMIT``.
+    t * n exceeds ``DENSE_LIMIT``.  Rows are validated and packed 64 at a
+    time straight into the column words, so the only full-size copies
+    held are ``text`` and its lines.
     """
-    _check_header_size(text.partition("\n")[0])
+    end = text.find("\n")
+    _check_header_size(text if end < 0 else text[:end])
     if not text.endswith("\n"):
         raise DmatFormatError(max(1, text.count("\n") + 1), "missing trailing newline")
     lines = text.split("\n")[:-1]
-    if not lines:
-        raise DmatFormatError(1, "empty input")
     header = _HEADER_RE.match(lines[0])
     if header is None:
         raise DmatFormatError(1, f"malformed header {lines[0]!r}")
@@ -294,16 +295,21 @@ def read_matrix(text: str) -> BinaryMatrix:
         raise DmatFormatError(len(lines) + 1, f"expected {t} rows, got {actual}")
     if actual > t:
         raise DmatFormatError(t + 2, f"expected {t} rows, got {actual}")
-    rows = lines[1:]
-    for i, row in enumerate(rows):
-        if not _ROW_RE.match(row):
-            bad = next(ch for ch in row if ch not in "01")
-            raise DmatFormatError(i + 2, f"invalid character {bad!r}")
-        if len(row) != n:
-            raise DmatFormatError(i + 2, f"expected {n} characters, got {len(row)}")
-    # built only from validated rows, so its size is bounded by the input's
-    body = np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8)
-    return BinaryMatrix.from_dense((body == ord("1")).reshape(t, n))
+    words = np.zeros((n, _num_words(t)), dtype=np.uint64)
+    octets = words.view(np.uint8)  # row i is bit i & 7 of octet i >> 3
+    for lo in range(0, t, WORD_BITS):
+        rows = lines[lo + 1 : lo + 1 + WORD_BITS]
+        for i, row in enumerate(rows, lo + 2):
+            if not _ROW_RE.match(row):
+                bad = next(ch for ch in row if ch not in "01")
+                raise DmatFormatError(i, f"invalid character {bad!r}")
+            if len(row) != n:
+                raise DmatFormatError(i, f"expected {n} characters, got {len(row)}")
+        body = np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8)
+        bits = (body == ord("1")).reshape(len(rows), n)
+        packed = np.packbits(bits, axis=0, bitorder="little")
+        octets[:, lo // 8 : lo // 8 + packed.shape[0]] = packed.T
+    return BinaryMatrix(t, words)
 
 
 def write_matrix(matrix: BinaryMatrix) -> str:
@@ -319,9 +325,9 @@ def write_matrix(matrix: BinaryMatrix) -> str:
 def load_matrix(path) -> BinaryMatrix:
     """Read a .dmat file; an oversize header is refused before the body is read."""
     with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline()
-        _check_header_size(header.rstrip("\n"))
-        return read_matrix(header + fh.read())
+        _check_header_size(fh.readline().rstrip("\n"))
+        fh.seek(0)
+        return read_matrix(fh.read())
 
 
 def save_matrix(matrix: BinaryMatrix, path) -> None:

@@ -8,7 +8,12 @@ cannot hide in the oracle.
 from itertools import combinations
 from math import comb
 
-from disjunct.disjunctness import _cover_search, is_d_disjunct
+from disjunct.disjunctness import (
+    DisjunctVerdict,
+    Witness,
+    _cover_search,
+    is_d_disjunct,
+)
 from disjunct.matrix import BinaryMatrix
 from disjunct.search import _Budget, _candidate_pool, _PathUnions
 
@@ -38,6 +43,48 @@ def brute_max_disjunct_order(masks):
         if not brute_is_d_disjunct(masks, d):
             return d - 1
     return n - 1
+
+
+def brute_min_cover_size(masks, j, limit):
+    """Fewest other columns whose union holds column j, or limit + 1."""
+    others = [k for k in range(len(masks)) if k != j]
+    for size in range(0, limit + 1):
+        for group in combinations(others, size):
+            union = 0
+            for k in group:
+                union |= masks[k]
+            if masks[j] & ~union == 0:
+                return size
+    return limit + 1
+
+
+def reference_is_d_disjunct(matrix, d):
+    """The checker's former per-column loop, kept as the reference for its
+    counting bound: one cover search for every column, in index order."""
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    if d >= matrix.n:
+        return DisjunctVerdict(True, vacuous=True)
+    masks = matrix.masks
+    for j in range(matrix.n):
+        cover = _cover_search(masks, j, (d,))
+        if cover is not None:
+            return DisjunctVerdict(False, Witness(j, tuple(cover)))
+    return DisjunctVerdict(True)
+
+
+def reference_max_disjunct_order(matrix):
+    """``max_disjunct_order``'s former loop: every column searched, up to
+    the best order found so far."""
+    masks = matrix.masks
+    best = matrix.n - 1
+    for j in range(matrix.n):
+        if best == 0:
+            break
+        cover = _cover_search(masks, j, range(1, best + 1))
+        if cover is not None:
+            best = min(best, max(1, len(cover)) - 1)
+    return best
 
 
 def brute_matching_number(edges):

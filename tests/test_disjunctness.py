@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from disjunct import (
     BinaryMatrix,
+    Witness,
+    affine_plane_matrix,
     delete_column_and_rows,
     find_isolated_columns,
     identity_matrix,
@@ -15,7 +17,12 @@ from disjunct import (
     peel_isolated,
     peel_to_core,
 )
-from oracles import brute_is_d_disjunct, brute_max_disjunct_order
+from oracles import (
+    brute_is_d_disjunct,
+    brute_max_disjunct_order,
+    reference_is_d_disjunct,
+    reference_max_disjunct_order,
+)
 
 
 def random_masks(rng, t, n):
@@ -303,3 +310,131 @@ def test_min_weight_without_isolated_columns(corpus):
     for d, matrices in corpus.items():
         for m in matrices[:20]:
             assert int(m.weights().min()) >= d + 1
+
+
+# -- the counting bound against the former per-column loop -------------
+
+
+def assert_same_as_reference(m, ds):
+    for d in ds:
+        assert is_d_disjunct(m, d) == reference_is_d_disjunct(m, d), (m.masks, d)
+    assert max_disjunct_order(m) == reference_max_disjunct_order(m), m.masks
+
+
+def test_bound_agrees_with_reference_on_pinned_corpora(corpus, mixed_corpus):
+    for corpora in (corpus, mixed_corpus):
+        for d, matrices in corpora.items():
+            for m in matrices:
+                assert_same_as_reference(m, (d - 1, d, d + 1))
+
+
+def plane_mutants(q, rng):
+    """AG(2, q) and one-point mutants: points deleted from and added to
+    lines at both ends of the column order and one between."""
+    plane = affine_plane_matrix(q)
+    t = plane.t
+    yield plane
+    for j in (0, rng.randrange(plane.n), plane.n - 1):
+        masks = list(plane.masks)
+        masks[j] &= ~(1 << rng.choice(sorted(plane.column_support(j).rows)))
+        yield BinaryMatrix.from_masks(t, masks)
+        masks = list(plane.masks)
+        outside = [r for r in range(t) if not masks[j] >> r & 1]
+        masks[j] |= 1 << rng.choice(outside)
+        yield BinaryMatrix.from_masks(t, masks)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
+def test_bound_agrees_with_reference_on_planes(q):
+    rng = random.Random(q)
+    for m in plane_mutants(q, rng):
+        assert_same_as_reference(m, sorted({max(1, q - 2), q - 1, q}))
+
+
+@st.composite
+def small_matrices(draw):
+    """Small matrices with empty, duplicate, nested and union columns,
+    single-column ones and t on both sides of one 64-bit word."""
+    t = draw(st.one_of(st.integers(1, 10), st.integers(60, 130)))
+    n = draw(st.integers(1, 8))
+    masks = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["random", "empty", "copy", "union", "subset"]))
+        if kind == "empty" or not masks and kind != "random":
+            masks.append(0)
+            continue
+        if kind == "random":
+            masks.append(draw(st.integers(0, (1 << t) - 1)))
+            continue
+        picks = draw(st.lists(st.sampled_from(masks), min_size=1, max_size=3))
+        union = 0
+        for mask in picks:
+            union |= mask
+        if kind == "copy":
+            union = picks[0]
+        elif kind == "subset":
+            union &= draw(st.integers(0, (1 << t) - 1))
+        masks.append(union)
+    return BinaryMatrix.from_masks(t, masks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_matrices(), st.integers(1, 10))
+def test_bound_agrees_with_reference_hypothesis(m, d):
+    # d runs past n - 1 into the vacuous regime
+    assert_same_as_reference(m, (d,))
+
+
+# -- metamorphic properties ------------------------------------------
+
+
+def permute(m, row_perm, col_perm):
+    """Row r moves to row_perm[r]; new column i is old column col_perm[i]."""
+    masks = []
+    for j in col_perm:
+        mask = 0
+        for r in m.column_support(j).rows:
+            mask |= 1 << row_perm[r]
+        masks.append(mask)
+    return BinaryMatrix.from_masks(m.t, masks)
+
+
+def assert_brute_witness(masks, d, witness):
+    union = 0
+    for k in witness.covering:
+        union |= masks[k]
+    assert witness.column not in witness.covering
+    assert len(set(witness.covering)) == len(witness.covering) <= d
+    assert masks[witness.column] & ~union == 0
+    assert not brute_is_d_disjunct(masks, d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_matrices(), st.integers(1, 6), st.randoms(use_true_random=False))
+def test_checker_invariant_under_row_and_column_permutations(m, d, rng):
+    row_perm = list(range(m.t))
+    col_perm = list(range(m.n))
+    rng.shuffle(row_perm)
+    rng.shuffle(col_perm)
+    p = permute(m, row_perm, col_perm)
+    assert max_disjunct_order(p) == max_disjunct_order(m)
+    verdict, permuted = is_d_disjunct(m, d), is_d_disjunct(p, d)
+    assert (permuted.is_disjunct, permuted.vacuous) == (verdict.is_disjunct, verdict.vacuous)
+    if not permuted.is_disjunct:
+        # the permuted witness, mapped back to the original column ids
+        witness = permuted.witness
+        back = Witness(
+            col_perm[witness.column], tuple(col_perm[k] for k in witness.covering)
+        )
+        assert_brute_witness(list(m.masks), d, back)
+        assert_brute_witness(list(p.masks), d, witness)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_matrices())
+def test_delete_column_and_rows_lowers_the_order_by_at_most_one(m):
+    if m.n < 2:
+        return
+    order = max_disjunct_order(m)
+    for j in range(m.n):
+        assert max_disjunct_order(delete_column_and_rows(m, j)) >= order - 1

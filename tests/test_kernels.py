@@ -4,6 +4,7 @@ import pytest
 from disjunct import _kernels
 from disjunct.matrix import BinaryMatrix
 from disjunct.pairs import complete_graph_matchings
+from oracles import brute_min_cover_size
 
 def random_words(rng, n, t):
     masks = []
@@ -40,6 +41,43 @@ def test_intersection_counts():
         m, masks = random_words(rng, 9, t)
         got = _kernels.intersection_counts(m.words, m.words[0])
         assert got.tolist() == [(mask & masks[0]).bit_count() for mask in masks]
+
+
+def counting_bound(masks, j, limit):
+    """The definition, by hand: fewest k whose k largest intersections
+    with column j reach its weight, or limit + 1; 0 for an empty column."""
+    weight = masks[j].bit_count()
+    if weight == 0:
+        return 0
+    meets = sorted(
+        ((masks[j] & m).bit_count() for i, m in enumerate(masks) if i != j),
+        reverse=True,
+    )
+    reach = 0
+    for k, meet in enumerate(meets[:limit], 1):
+        reach += meet
+        if reach >= weight:
+            return k
+    return limit + 1
+
+
+@pytest.mark.parametrize("block", [20, 1 << 15])
+def test_min_cover_sizes(monkeypatch, block):
+    # a small block puts several column blocks, and a partial one, in a call
+    monkeypatch.setattr(_kernels, "_COVER_BLOCK", block)
+    rng = np.random.default_rng(5)
+    for t in (1, 6, 64, 70, 130):
+        for n in (1, 2, 5, 9):
+            for limit in sorted({0, 1, 3, n - 1}):
+                m, masks = random_words(rng, n, t)
+                masks[rng.integers(n)] = 0
+                masks[0] |= masks[-1]  # a column holding another
+                m = BinaryMatrix.from_masks(t, masks)
+                got = _kernels.min_cover_sizes(m.words, limit).tolist()
+                assert got == [counting_bound(masks, j, limit) for j in range(n)]
+                for j in range(n):
+                    # a lower bound: no cover has fewer columns
+                    assert got[j] <= brute_min_cover_size(masks, j, limit)
 
 
 def test_row_degrees():

@@ -201,6 +201,36 @@ def test_parse_errors(text, line, fragment):
     assert fragment in str(exc.value)
 
 
+@pytest.mark.parametrize("t", [63, 64, 65, 127, 128, 130, 200])
+def test_round_trip_across_words(t):
+    # rows are packed 64 at a time; the last block may be partial
+    rng = np.random.default_rng(t)
+    dense = rng.integers(0, 2, size=(t, 7)).astype(bool)
+    dense[t - 1, 0] = dense[0, 1] = True
+    text = write_matrix(BinaryMatrix.from_dense(dense))
+    m = read_matrix(text)
+    assert m == BinaryMatrix.from_dense(dense)
+    assert np.array_equal(m.dense(), dense)
+    assert write_matrix(m) == text
+
+
+def test_parse_errors_past_the_first_word():
+    rows = ["1010"] * 130
+    rows[99] = "1x10"
+    rows[120] = "101"
+    with pytest.raises(DmatFormatError) as exc:
+        read_matrix("130 4\n" + "\n".join(rows) + "\n")
+    assert exc.value.line == 101 and "invalid character 'x'" in str(exc.value)
+    rows[99] = "1010"
+    with pytest.raises(DmatFormatError) as exc:
+        read_matrix("130 4\n" + "\n".join(rows) + "\n")
+    assert exc.value.line == 122 and "expected 4 characters, got 3" in str(exc.value)
+    # the row count is checked before any row
+    with pytest.raises(DmatFormatError) as exc:
+        read_matrix("131 4\n" + "\n".join(rows) + "\n")
+    assert exc.value.line == 132 and "expected 131 rows, got 130" in str(exc.value)
+
+
 def test_concurrent_queries_are_consistent():
     from concurrent.futures import ThreadPoolExecutor
 
