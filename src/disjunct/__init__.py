@@ -52,10 +52,7 @@ from .group_testing import (
 )
 from .matrix import (
     BinaryMatrix,
-    ColumnSupport,
     DmatFormatError,
-    boolean_sum,
-    contains,
     load_matrix,
     read_matrix,
     save_matrix,
@@ -87,7 +84,6 @@ __all__ = [
     "BinaryMatrix",
     "BoundReport",
     "BudgetExceededError",
-    "ColumnSupport",
     "DisjunctVerdict",
     "DmatFormatError",
     "IdentificationReport",
@@ -104,11 +100,9 @@ __all__ = [
     "Witness",
     "affine_plane_matrix",
     "affine_plane_spec",
-    "boolean_sum",
     "ceil_kappa_times",
     "classify_pairs",
     "complete_graph_matchings",
-    "contains",
     "delete_column_and_rows",
     "erdos_gallai_bound",
     "exhaustive_T",

@@ -181,12 +181,20 @@ def max_disjunct_order(matrix: BinaryMatrix) -> int:
 
 
 def _drop(matrix: BinaryMatrix, j: int, rows: list[int]) -> BinaryMatrix:
-    """``matrix`` without column j and ``rows``, survivors in order."""
-    keep_rows = np.ones(matrix.t, dtype=bool)
-    keep_rows[rows] = False
-    keep_cols = np.ones(matrix.n, dtype=bool)
-    keep_cols[j] = False
-    return BinaryMatrix.from_dense(matrix.dense()[keep_rows][:, keep_cols])
+    """``matrix`` without column j and the ascending ``rows``, survivors in
+    order: each run of kept rows moves down past the rows dropped below it."""
+    runs = []  # (first row, mask of its length, rows dropped below) per run
+    start = 0
+    for dropped, r in enumerate(rows + [matrix.t]):
+        if r > start:
+            runs.append((start, (1 << (r - start)) - 1, dropped))
+        start = r + 1
+    masks = [
+        sum((mask >> lo & run) << (lo - dropped) for lo, run, dropped in runs)
+        for k, mask in enumerate(matrix.masks)
+        if k != j
+    ]
+    return BinaryMatrix.from_masks(matrix.t - len(rows), masks)
 
 
 def find_isolated_columns(matrix: BinaryMatrix) -> frozenset[int]:

@@ -1,16 +1,17 @@
 """Bit-packed binary incidence matrices and the .dmat text format.
 
 A ``BinaryMatrix`` is a t x n 0/1 matrix stored column-major: each column
-is the bit-packed set of row indices it contains.  Rows are tests, columns
-are items; all analysis code iterates over columns and intersects them, so
-the column-major packing is the natural layout.  Matrices are immutable
-after construction and safe to share between threads.
+is the bit-packed set of row indices it contains, held twice: as uint64
+words for the numpy kernels and as int bitmasks for the cover search,
+sampler and search.  Rows are tests, columns are items; all analysis code
+iterates over columns and intersects them, so the column-major packing is
+the natural layout.  Matrices are immutable after construction and safe to
+share between threads.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -43,41 +44,6 @@ def _words_to_mask(words: np.ndarray) -> int:
     return int.from_bytes(np.ascontiguousarray(words).tobytes(), "little")
 
 
-@dataclass(frozen=True)
-class ColumnSupport:
-    """A column viewed as its set of row indices, packed into one int.
-
-    ``mask`` has bit i set iff row i is in the column; ``t`` is the number
-    of rows of the owning matrix (0 is allowed for the empty sum).
-    """
-
-    t: int
-    mask: int = 0
-
-    def __post_init__(self):
-        if self.t < 0:
-            raise ValueError("row count must be >= 0")
-        if self.mask < 0 or self.mask >> self.t:
-            raise ValueError("support contains row indices >= t")
-
-    @classmethod
-    def from_rows(cls, t: int, rows: Iterable[int]) -> "ColumnSupport":
-        mask = 0
-        for r in rows:
-            if not 0 <= r < t:
-                raise ValueError(f"row index {r} out of range for t={t}")
-            mask |= 1 << r
-        return cls(t, mask)
-
-    @property
-    def rows(self) -> frozenset[int]:
-        return frozenset(_iter_bits(self.mask))
-
-    @property
-    def weight(self) -> int:
-        return self.mask.bit_count()
-
-
 def _iter_bits(mask: int):
     while mask:
         low = mask & -mask
@@ -85,29 +51,8 @@ def _iter_bits(mask: int):
         mask ^= low
 
 
-def boolean_sum(cols: Sequence[ColumnSupport]) -> ColumnSupport:
-    """Union of column supports (the componentwise boolean OR)."""
-    cols = list(cols)
-    if not cols:
-        return ColumnSupport(0, 0)
-    t = cols[0].t
-    mask = 0
-    for c in cols:
-        if c.t != t:
-            raise ValueError("boolean_sum over columns with different row counts")
-        mask |= c.mask
-    return ColumnSupport(t, mask)
-
-
-def contains(a: ColumnSupport, b: ColumnSupport) -> bool:
-    """True iff the support of ``b`` is a subset of the support of ``a``."""
-    if a.t != b.t:
-        raise ValueError("containment between columns with different row counts")
-    return b.mask & ~a.mask == 0
-
-
-# analysis operations are specified at desk scale; densifying above this
-# many cells is almost certainly a mistake
+# analysis operations are specified at desk scale; a matrix of more cells
+# than this (a .dmat text over 256 MB) is refused when read or built
 DENSE_LIMIT = 1 << 28
 
 
@@ -119,7 +64,7 @@ class BinaryMatrix:
     than refusing the input).
     """
 
-    __slots__ = ("t", "n", "_words", "_masks", "_row_degrees", "_dense_cache")
+    __slots__ = ("t", "n", "_words", "_masks", "_row_degrees")
 
     def __init__(self, t: int, words: np.ndarray):
         # t == 0 is a legal degenerate case: deleting all rows intersecting
@@ -146,7 +91,6 @@ class BinaryMatrix:
         self._words = words
         self._masks: tuple[int, ...] | None = None
         self._row_degrees: np.ndarray | None = None
-        self._dense_cache: np.ndarray | None = None
 
     # -- constructors -------------------------------------------------
 
@@ -154,7 +98,14 @@ class BinaryMatrix:
     def from_columns(
         cls, t: int, columns: Iterable[Iterable[int]]
     ) -> "BinaryMatrix":
-        masks = [ColumnSupport.from_rows(t, rows).mask for rows in columns]
+        masks = []
+        for rows in columns:
+            mask = 0
+            for r in rows:
+                if not 0 <= r < t:
+                    raise ValueError(f"row index {r} out of range for t={t}")
+                mask |= 1 << r
+            masks.append(mask)
         return cls.from_masks(t, masks)
 
     @classmethod
@@ -166,19 +117,6 @@ class BinaryMatrix:
                 raise ValueError(f"column {j} contains row indices >= t")
             words[j] = _mask_to_words(mask, w)
         return cls(t, words)
-
-    @classmethod
-    def from_dense(cls, array) -> "BinaryMatrix":
-        dense = np.asarray(array)
-        if dense.ndim != 2:
-            raise ValueError("dense input must be 2-dimensional")
-        dense = dense.astype(bool)
-        t, n = dense.shape
-        w = _num_words(t)
-        packed = np.packbits(dense.T, axis=1, bitorder="little")
-        padded = np.zeros((n, w * 8), dtype=np.uint8)
-        padded[:, : packed.shape[1]] = packed
-        return cls(t, padded.view(np.uint64))
 
     # -- accessors ----------------------------------------------------
 
@@ -199,9 +137,6 @@ class BinaryMatrix:
     def column_mask(self, j: int) -> int:
         return self.masks[j]
 
-    def column_support(self, j: int) -> ColumnSupport:
-        return ColumnSupport(self.t, self.masks[j])
-
     def weight(self, j: int) -> int:
         return self.masks[j].bit_count()
 
@@ -221,19 +156,6 @@ class BinaryMatrix:
             self._row_degrees = _kernels.row_degrees(self._words, self.t)
             self._row_degrees.setflags(write=False)
         return self._row_degrees
-
-    def dense(self) -> np.ndarray:
-        """Read-only (t, n) bool view; for desk-scale matrices only."""
-        if self._dense_cache is None:
-            if self.t * self.n > DENSE_LIMIT:
-                raise ValueError("matrix too large to densify")
-            bits = np.unpackbits(
-                self._words.view(np.uint8), axis=1, bitorder="little", count=self.t
-            )
-            dense = bits.T.astype(bool)
-            dense.setflags(write=False)
-            self._dense_cache = dense
-        return self._dense_cache
 
     # -- dunder -------------------------------------------------------
 
@@ -313,13 +235,27 @@ def read_matrix(text: str) -> BinaryMatrix:
 
 
 def write_matrix(matrix: BinaryMatrix) -> str:
-    """Serialize to canonical .dmat text (round-trips with read_matrix)."""
-    if matrix.t == 0:
+    """Serialize to canonical .dmat text (round-trips with read_matrix).
+
+    The text is laid out in one uint8 buffer, the header then t rows of
+    n digits and a newline, filled from the column words 64 rows at a
+    time; the buffer and the returned string are the only full-size
+    copies held.
+    """
+    t, n = matrix.t, matrix.n
+    if t == 0:
         raise ValueError("cannot serialize a 0-row matrix")
-    dense = matrix.dense()
-    body = (dense.astype(np.uint8) + ord("0")).tobytes().decode("ascii")
-    rows = [body[i * matrix.n : (i + 1) * matrix.n] for i in range(matrix.t)]
-    return f"{matrix.t} {matrix.n}\n" + "\n".join(rows) + "\n"
+    header = f"{t} {n}\n".encode("ascii")
+    text = np.empty(len(header) + t * (n + 1), dtype=np.uint8)
+    text[: len(header)] = np.frombuffer(header, dtype=np.uint8)
+    rows = text[len(header) :].reshape(t, n + 1)
+    rows[:, n] = ord("\n")
+    for w, lo in enumerate(range(0, t, WORD_BITS)):
+        octets = np.ascontiguousarray(matrix.words[:, w : w + 1]).view(np.uint8)
+        count = min(WORD_BITS, t - lo)
+        bits = np.unpackbits(octets, axis=1, count=count, bitorder="little")
+        np.bitwise_or(bits.T, ord("0"), out=rows[lo : lo + count, :n])
+    return str(text.data, "ascii")
 
 
 def load_matrix(path) -> BinaryMatrix:

@@ -8,6 +8,8 @@ cannot hide in the oracle.
 from itertools import combinations
 from math import comb
 
+import numpy as np
+
 from disjunct.disjunctness import (
     DisjunctVerdict,
     Witness,
@@ -178,6 +180,38 @@ def reference_search_one(d, t, budget: _Budget):
     dfs(0, _PathUnions(d))
     nodes = start_nodes - budget.remaining
     return found, not ran_out, nodes
+
+
+def column_rows(matrix, j):
+    """Row indices of column j, read one bit at a time off its mask."""
+    mask = matrix.column_mask(j)
+    return frozenset(i for i in range(matrix.t) if mask >> i & 1)
+
+
+def dense_of(matrix):
+    """The t x n bool array of ``matrix``, entry (i, j) set iff row i is in
+    ``column_rows(matrix, j)``; the library's word packing is not read."""
+    dense = np.zeros((matrix.t, matrix.n), dtype=bool)
+    for j in range(matrix.n):
+        for i in column_rows(matrix, j):
+            dense[i, j] = True
+    return dense
+
+
+def matrix_from_dense(array):
+    """The matrix whose column j holds the rows i with ``array[i, j]`` set."""
+    dense = np.asarray(array, dtype=bool)
+    t, n = dense.shape
+    return BinaryMatrix.from_columns(
+        t, ([i for i in range(t) if dense[i, j]] for j in range(n))
+    )
+
+
+def dmat_text(matrix):
+    """Canonical .dmat text of ``matrix``, one character per entry of
+    ``dense_of(matrix)``."""
+    rows = ("".join("1" if bit else "0" for bit in row) for row in dense_of(matrix))
+    return f"{matrix.t} {matrix.n}\n" + "".join(row + "\n" for row in rows)
 
 
 def brute_private_pairs(dense, j):

@@ -10,7 +10,7 @@ from disjunct import (
 from disjunct import cli
 from disjunct import matrix as matrix_module
 from disjunct.cli import main
-from oracles import brute_matching_number, brute_private_pairs
+from oracles import brute_matching_number, brute_private_pairs, dense_of
 
 
 @pytest.fixture()
@@ -110,7 +110,7 @@ def test_analyze_nonprivate_pairs_match_oracles(mixed_corpus, tmp_path, capsys):
     assert code == 0
     lines = stdout.splitlines()
     assert len(lines) == matrix.n + 1
-    dense = matrix.dense()
+    dense = dense_of(matrix)
     for j, line in enumerate(lines[:-1]):
         fields = dict(item.split("=") for item in line.split())
         private, nonprivate = brute_private_pairs(dense, j)
@@ -185,7 +185,7 @@ def test_analyze_skips_checks_when_vacuous(mixed_corpus, tmp_path, capsys, extra
     assert code == 0 and stderr == ""
     lines = stdout.splitlines()
     assert lines[0] == f"note=d={d} >= n=16 is vacuous; pair-bound checks skipped"
-    dense = matrix.dense()
+    dense = dense_of(matrix)
     for j, line in enumerate(lines[1:-1]):
         fields = dict(item.split("=") for item in line.split())
         _, nonprivate = brute_private_pairs(dense, j)

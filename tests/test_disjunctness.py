@@ -20,6 +20,7 @@ from disjunct import (
 from oracles import (
     brute_is_d_disjunct,
     brute_max_disjunct_order,
+    column_rows,
     reference_is_d_disjunct,
     reference_max_disjunct_order,
 )
@@ -200,7 +201,7 @@ def test_max_order_planes_and_vertical_line_mutants(ag, q):
     assert max_disjunct_order(plane) == q - 1
     # the first vertical line; with one point gone, q-1 lines cover it
     j = q * q
-    for row in sorted(plane.column_support(j).rows):
+    for row in sorted(column_rows(plane, j)):
         masks = list(plane.masks)
         masks[j] &= ~(1 << row)
         assert max_disjunct_order(BinaryMatrix.from_masks(q * q, masks)) == q - 2
@@ -336,7 +337,7 @@ def plane_mutants(q, rng):
     yield plane
     for j in (0, rng.randrange(plane.n), plane.n - 1):
         masks = list(plane.masks)
-        masks[j] &= ~(1 << rng.choice(sorted(plane.column_support(j).rows)))
+        masks[j] &= ~(1 << rng.choice(sorted(column_rows(plane, j))))
         yield BinaryMatrix.from_masks(t, masks)
         masks = list(plane.masks)
         outside = [r for r in range(t) if not masks[j] >> r & 1]
@@ -393,7 +394,7 @@ def permute(m, row_perm, col_perm):
     masks = []
     for j in col_perm:
         mask = 0
-        for r in m.column_support(j).rows:
+        for r in column_rows(m, j):
             mask |= 1 << row_perm[r]
         masks.append(mask)
     return BinaryMatrix.from_masks(m.t, masks)

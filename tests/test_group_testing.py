@@ -14,7 +14,7 @@ from disjunct import (
     outcomes,
     verify_identification,
 )
-from oracles import brute_decode, brute_verify_identification
+from oracles import brute_decode, brute_verify_identification, dense_of
 
 
 def test_outcome_vector_bitstring_round_trip():
@@ -59,7 +59,7 @@ def test_decode_matches_bruteforce():
         mask = rng.randrange(0, 1 << t)
         got = naive_decode(m, OutcomeVector(t, mask))
         rows = {i for i in range(t) if mask >> i & 1}
-        assert got == brute_decode(m.dense(), rows)
+        assert got == brute_decode(dense_of(m), rows)
 
 
 def test_decoder_superset_property():

@@ -5,41 +5,45 @@ from hypothesis import strategies as st
 
 from disjunct import (
     BinaryMatrix,
-    ColumnSupport,
     DmatFormatError,
-    boolean_sum,
-    contains,
+    OutcomeVector,
+    naive_decode,
+    outcomes,
     read_matrix,
     write_matrix,
 )
-
-
-def support(t, rows):
-    return ColumnSupport.from_rows(t, rows)
+from oracles import column_rows, dense_of, dmat_text, matrix_from_dense
 
 
 def test_column_support_basics():
-    c = support(5, [0, 3])
-    assert c.weight == 2
-    assert c.rows == frozenset({0, 3})
+    m = BinaryMatrix.from_columns(5, [[0, 3]])
+    assert m.weight(0) == 2
+    assert m.column_mask(0) == 0b01001
+    assert column_rows(m, 0) == frozenset({0, 3})
+    with pytest.raises(ValueError, match="row index 3 out of range for t=3"):
+        BinaryMatrix.from_columns(3, [[3]])
+    with pytest.raises(ValueError, match="row index -1"):
+        BinaryMatrix.from_columns(3, [[0], [-1]])
     with pytest.raises(ValueError):
-        support(3, [3])
-    with pytest.raises(ValueError):
-        ColumnSupport(3, 1 << 4)
+        BinaryMatrix.from_masks(3, [1 << 4])
+
+
+# the boolean sum of columns is the outcome vector of their items, and
+# column containment is what the naive decoder tests
 
 
 def test_boolean_sum_examples():
-    empty = boolean_sum([])
-    assert empty.weight == 0 and empty.rows == frozenset()
-    s = boolean_sum([support(3, {0, 1}), support(3, {1, 2})])
-    assert s.rows == frozenset({0, 1, 2})
+    m = BinaryMatrix.from_columns(3, [[0, 1], [1, 2]])
+    empty = outcomes(m, [])
+    assert empty.mask == 0 and empty.positives == frozenset()
+    assert outcomes(m, [0, 1]).positives == frozenset({0, 1, 2})
     with pytest.raises(ValueError):
-        boolean_sum([support(3, {0}), support(4, {0})])
+        outcomes(m, [2])
 
 
 def test_boolean_sum_weight_subadditive():
-    a, b = support(6, {0, 1, 2}), support(6, {2, 3})
-    assert boolean_sum([a, b]).weight <= a.weight + b.weight
+    m = BinaryMatrix.from_columns(6, [[0, 1, 2], [2, 3]])
+    assert outcomes(m, [0, 1]).mask.bit_count() <= m.weight(0) + m.weight(1)
 
 
 def test_boolean_sum_lines_through_a_point(ag):
@@ -47,47 +51,54 @@ def test_boolean_sum_lines_through_a_point(ag):
     m = ag(3)
     through = sorted(m.row_support(0))
     assert len(through) == 4
-    s = boolean_sum([m.column_support(j) for j in through])
-    assert s.weight == 1 + 4 * 2 == 9
+    assert outcomes(m, through).mask.bit_count() == 1 + 4 * 2 == 9
 
 
 @given(
     st.integers(min_value=1, max_value=8).flatmap(
         lambda t: st.tuples(
             st.just(t),
-            st.lists(st.integers(min_value=0, max_value=(1 << t) - 1), max_size=5),
+            st.lists(
+                st.integers(min_value=0, max_value=(1 << t) - 1),
+                min_size=1,
+                max_size=5,
+            ),
         )
     )
 )
 def test_boolean_sum_algebra(tm):
     t, masks = tm
-    cols = [ColumnSupport(t, m) for m in masks]
-    total = boolean_sum(cols)
+    m = BinaryMatrix.from_masks(t, masks)
+    items = list(range(m.n))
+    total = outcomes(m, items)
+    assert total.positives == frozenset().union(*(column_rows(m, j) for j in items))
     # idempotent, commutative, associative: all collapse to the set union
-    assert boolean_sum(cols + cols).mask == total.mask
-    assert boolean_sum(list(reversed(cols))).mask == total.mask
-    if len(cols) >= 2:
-        left = boolean_sum([boolean_sum(cols[:1]), boolean_sum(cols[1:])])
-        assert left.mask == total.mask
+    assert outcomes(m, items + items) == total
+    assert outcomes(m, items[::-1]) == total
+    if len(items) >= 2:
+        left = outcomes(m, items[:1]).mask | outcomes(m, items[1:]).mask
+        assert left == total.mask
 
 
 def test_contains_examples():
-    assert contains(support(3, {0, 1, 2}), support(3, {0, 2}))
-    assert not contains(support(3, {0, 1}), support(3, {2}))
-    c = support(4, {1, 3})
-    assert contains(c, c)
+    m = BinaryMatrix.from_columns(3, [[0, 2], [2], [0, 1, 2]])
+    assert naive_decode(m, OutcomeVector(3, 0b111)) == frozenset({0, 1, 2})
+    assert naive_decode(m, OutcomeVector(3, 0b011)) == frozenset()
+    assert naive_decode(m, OutcomeVector(3, 0b101)) == frozenset({0, 1})
+    for j in range(m.n):
+        assert j in naive_decode(m, outcomes(m, [j]))  # c contains c
     with pytest.raises(ValueError):
-        contains(support(3, {0}), support(4, {0}))
+        naive_decode(m, OutcomeVector(4, 0))
 
 
 def test_matrix_construction_equivalence():
     dense = np.array([[1, 0, 1], [0, 1, 1], [0, 0, 0]], dtype=bool)
-    a = BinaryMatrix.from_dense(dense)
+    a = matrix_from_dense(dense)
     b = BinaryMatrix.from_columns(3, [[0], [1], [0, 1]])
     c = BinaryMatrix.from_masks(3, [1, 2, 3])
     assert a == b == c
     assert a.weights().tolist() == [1, 1, 2]
-    assert np.array_equal(a.dense(), dense)
+    assert np.array_equal(dense_of(a), dense)
 
 
 def test_matrix_validation():
@@ -109,7 +120,7 @@ def test_transpose_consistency():
     m = BinaryMatrix.from_masks(5, [0b10101, 0b00110, 0b11000])
     for i in range(m.t):
         for j in range(m.n):
-            assert (j in m.row_support(i)) == (i in m.column_support(j).rows)
+            assert (j in m.row_support(i)) == (i in column_rows(m, j))
 
 
 def test_ones_counted_both_ways():
@@ -125,7 +136,7 @@ def test_ones_counted_both_ways():
 def test_row_degrees_match_dense():
     m = BinaryMatrix.from_masks(70, [(1 << 70) - 1, 1 | 1 << 69, 0])
     assert m.words.shape[1] == 2
-    assert m.row_degrees().tolist() == m.dense().sum(axis=1).tolist()
+    assert m.row_degrees().tolist() == dense_of(m).sum(axis=1).tolist()
 
 
 def test_large_dimensions_supported():
@@ -207,11 +218,28 @@ def test_round_trip_across_words(t):
     rng = np.random.default_rng(t)
     dense = rng.integers(0, 2, size=(t, 7)).astype(bool)
     dense[t - 1, 0] = dense[0, 1] = True
-    text = write_matrix(BinaryMatrix.from_dense(dense))
+    text = write_matrix(matrix_from_dense(dense))
+    assert text == dmat_text(matrix_from_dense(dense))
     m = read_matrix(text)
-    assert m == BinaryMatrix.from_dense(dense)
-    assert np.array_equal(m.dense(), dense)
+    assert m == matrix_from_dense(dense)
+    assert np.array_equal(dense_of(m), dense)
     assert write_matrix(m) == text
+
+
+@pytest.mark.parametrize("q", [5, 7, 11, 13, 17, 19, 23])
+def test_round_trip_planes(ag, q):
+    text = write_matrix(ag(q))
+    assert text == dmat_text(ag(q))
+    assert read_matrix(text) == ag(q)
+    assert write_matrix(read_matrix(text)) == text
+
+
+def test_round_trip_pinned_corpora(corpus, mixed_corpus):
+    for matrices in [*corpus.values(), *mixed_corpus.values()]:
+        for m in matrices:
+            text = write_matrix(m)
+            assert text == dmat_text(m)
+            assert write_matrix(read_matrix(text)) == text
 
 
 def test_parse_errors_past_the_first_word():

@@ -2,7 +2,6 @@ import random
 from itertools import combinations
 from math import comb
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +20,13 @@ from disjunct import (
     private_pair_budget,
     verify_lemma3,
 )
-from oracles import brute_matching_number, brute_max_edges_nu_at_most, brute_private_pairs
+from oracles import (
+    brute_matching_number,
+    brute_max_edges_nu_at_most,
+    brute_private_pairs,
+    column_rows,
+    dense_of,
+)
 
 
 # -- classification ---------------------------------------------------
@@ -56,7 +61,7 @@ def test_classification_matches_bruteforce():
         t, n = rng.randint(2, 8), rng.randint(1, 8)
         masks = [rng.randrange(0, 1 << t) for _ in range(n)]
         m = BinaryMatrix.from_masks(t, masks)
-        dense = np.asarray(m.dense())
+        dense = dense_of(m)
         for j in range(n):
             cls = classify_pairs(m, j)
             private, nonprivate = brute_private_pairs(dense, j)
@@ -356,5 +361,5 @@ def test_budget_always_holds():
 
 def test_pair_graph_carries_column_support(ag):
     g = pair_graph(ag(3), 0)
-    assert g.vertices == ag(3).column_support(0).rows
+    assert g.vertices == column_rows(ag(3), 0)
     assert g.edges == frozenset()

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from disjunct import exhaustive_T, is_d_disjunct, search
+from disjunct import BinaryMatrix, exhaustive_T, is_d_disjunct, search
 from oracles import (
     antichain_exists,
     brute_is_d_disjunct,
@@ -268,6 +268,14 @@ def _double_lex(t, columns):
 )
 def test_every_column_set_has_an_ordering_the_search_accepts(case):
     t, columns = case
+    _assert_search_accepts(t, columns)
+
+
+def _assert_search_accepts(t, columns):
+    """The double-lex form of ``columns`` keeps the search's row order, and
+    for d = 1, 2, when the columns are d-disjunct with weight >= d+1, the
+    admission check takes each of its columns in turn, so the DFS can
+    reach it."""
     cols = _double_lex(t, columns)
     assert sorted(c.bit_count() for c in cols) == sorted(
         c.bit_count() for c in columns
@@ -276,6 +284,29 @@ def test_every_column_set_has_an_ordering_the_search_accepts(case):
     for c in cols:
         tied = search._lex_child(tied, c)
         assert tied >= 0, (t, sorted(columns), cols)
+    for d in (1, 2):
+        light = min(c.bit_count() for c in cols) < d + 1
+        if light or not brute_is_d_disjunct(list(columns), d):
+            continue
+        path = search._PathUnions(d)
+        for c in cols:
+            assert path.admits(c), (d, t, cols)
+            path = path.push(c)
+
+
+def test_row_permuted_found_matrices_are_accepted():
+    rng = random.Random(6)
+    found = [cert.matrix for cert in exhaustive_T(1, 6) if cert.found]
+    assert [m.t for m in found] == [4, 5, 6]
+    for m in found:
+        for _ in range(20):
+            rows = rng.sample(range(m.t), m.t)
+            masks = [
+                sum(1 << rows[r] for r in range(m.t) if mask >> r & 1)
+                for mask in m.masks
+            ]
+            assert is_d_disjunct(BinaryMatrix.from_masks(m.t, masks), 1).is_disjunct
+            _assert_search_accepts(m.t, set(masks))
 
 
 def test_t2_is_settled_at_nine():
