@@ -4,10 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .disjunctness import find_isolated_columns, is_d_disjunct, peel_to_core
-from .matrix import BinaryMatrix
+from .matrix import BinaryMatrix, _iter_bits
 
 
 @dataclass(frozen=True)
@@ -87,8 +85,103 @@ def affine_plane_matrix(q: int) -> BinaryMatrix:
     return BinaryMatrix.from_columns(q * q, spec.lines)
 
 
+# -- the attempt stream ---------------------------------------------------
+# Attempt i of a corpus with seed s draws from the stream numpy gives as
+# default_rng(SeedSequence(s, spawn_key=(i,))): the SeedSequence hash
+# (numpy's bit_generator.pyx), PCG64 XSL-RR 128/64 (O'Neill 2014)
+# read as 32-bit halves, low half first, and Lemire's bounded draw with
+# its rejection step (Lemire 2019).  Defined here, the corpora do not
+# depend on the numpy version and numpy's random module is never loaded.
+
+_M32 = (1 << 32) - 1
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _words32(n: int) -> list[int]:
+    """The 32-bit words of n >= 0, least significant first (0 is one word)."""
+    words = [n & _M32]
+    while n >> 32:
+        n >>= 32
+        words.append(n & _M32)
+    return words
+
+
+def _seed_state(seed: int, index: int) -> tuple[int, int]:
+    """PCG64's (initstate, initseq) from SeedSequence(seed, spawn_key=(index,))."""
+    run = _words32(seed)
+    entropy = run + [0] * (4 - len(run)) + _words32(index)
+    hash_a = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_a
+        value ^= hash_a
+        hash_a = hash_a * 0x931E8875 & _M32
+        value = value * hash_a & _M32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return value ^ value >> 16
+
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_b = 0x8B51F9DD
+    state = 0  # generate_state(4, uint64) as one little-endian 256-bit int
+    for i in range(8):
+        value = pool[i % 4] ^ hash_b
+        hash_b = hash_b * 0x58F38DED & _M32
+        value = value * hash_b & _M32
+        state |= (value ^ value >> 16) << 32 * i
+    words = [state >> 64 * k & _M64 for k in range(4)]
+    return words[0] << 64 | words[1], words[2] << 64 | words[3]
+
+
+class _Stream:
+    """Bounded draws of numpy's default_rng(SeedSequence(seed, spawn_key=(index,)))."""
+
+    __slots__ = ("_state", "_inc", "_high")
+
+    def __init__(self, seed: int, index: int):
+        initstate, initseq = _seed_state(seed, index)
+        self._inc = (initseq << 1 | 1) & _M128
+        # PCG's srandom: step from state 0, add initstate, step again
+        self._state = ((self._inc + initstate) * _PCG_MULT + self._inc) & _M128
+        self._high: int | None = None
+
+    def _next32(self) -> int:
+        if self._high is not None:
+            high, self._high = self._high, None
+            return high
+        state = self._state = (self._state * _PCG_MULT + self._inc) & _M128
+        rot = state >> 122
+        x = (state >> 64 ^ state) & _M64
+        x = (x >> rot | x << (64 - rot)) & _M64
+        self._high = x >> 32
+        return x & _M32
+
+    def below(self, k: int) -> int:
+        """A uniform draw from range(k), 1 <= k <= 2**32, as
+        ``Generator.integers(k)``; k == 1 consumes nothing."""
+        if k == 1:
+            return 0
+        m = self._next32() * k
+        if m & _M32 < k:
+            threshold = (1 << 32) % k
+            while m & _M32 < threshold:
+                m = self._next32() * k
+        return m >> 32
+
+
 def _place_column(
-    rng: np.random.Generator,
+    rng: _Stream,
     t: int,
     w: int,
     d: int,
@@ -99,47 +192,31 @@ def _place_column(
 
     Rows are chosen one at a time among those still compatible with the
     per-column intersection caps, which keeps the acceptance rate high
-    where uniform rejection sampling stalls.  Returns None after
+    where uniform rejection sampling stalls.  ``blocked`` is the union of
+    the columns whose cap is reached, so the allowed rows are the set bits
+    of ``full & ~mask & ~blocked`` in ascending order.  Returns None after
     repeated dead ends.
     """
     caps = [2 if w > d + 1 and wo > d + 1 else 1 for wo in weights]
+    full = (1 << t) - 1
     for _ in range(20):
-        mask = 0
+        mask = blocked = 0
         shares = [0] * len(masks)
         for _ in range(w):
-            allowed = [
-                r
-                for r in range(t)
-                if not mask >> r & 1
-                and all(
-                    shares[k] < caps[k] or not masks[k] >> r & 1
-                    for k in range(len(masks))
-                )
-            ]
+            allowed = list(_iter_bits(full & ~mask & ~blocked))
             if not allowed:
                 mask = 0
                 break
-            r = int(allowed[rng.integers(len(allowed))])
+            r = allowed[rng.below(len(allowed))]
             mask |= 1 << r
-            for k in range(len(masks)):
-                if masks[k] >> r & 1:
+            for k, other in enumerate(masks):
+                if other >> r & 1:
                     shares[k] += 1
+                    if shares[k] == caps[k]:
+                        blocked |= other
         if mask:
             return mask
     return None
-
-
-# seed sequences spawned per block: repeated spawn(k) calls continue the
-# same child sequence, so corpora do not depend on the block size
-_SPAWN_BLOCK = 1024
-
-
-def _attempt_seeds(root: np.random.SeedSequence, attempts: int):
-    """The first ``attempts`` children of ``root``, spawned a block at a time."""
-    while attempts > 0:
-        k = min(attempts, _SPAWN_BLOCK)
-        yield from root.spawn(k)
-        attempts -= k
 
 
 def random_disjunct_corpus(
@@ -165,24 +242,29 @@ def random_disjunct_corpus(
     Columns have constant weight d+1 unless ``mixed_weights`` draws
     weights from d+1 up to floor(5d/3).  With ``isolated_free`` each
     surviving matrix is peeled to its isolated-free core and re-verified.
-    Deterministic for a fixed seed: attempt i uses the i-th spawn of the
-    root seed sequence, so the corpus does not depend on how many
-    attempts succeed.  May return fewer than ``attempts`` matrices.
+    Deterministic for a fixed seed: attempt i draws from its own stream,
+    so the corpus does not depend on how many attempts succeed.  The
+    stream is defined in this module and is compatible with numpy's: it
+    reproduces ``default_rng(SeedSequence(seed, spawn_key=(i,)))``
+    (SeedSequence hashing, PCG64, Lemire's bounded draws) without
+    loading numpy's random module.  May return fewer than ``attempts``
+    matrices; a negative seed raises ValueError.
     """
     if d < 1 or t < 1 or n < 1 or attempts < 0:
         raise ValueError("d, t, n must be positive and attempts >= 0")
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
     if t < d + 1:
         return []
     max_weight = max(d + 1, (5 * d) // 3) if mixed_weights else d + 1
     max_weight = min(max_weight, t)
-    root = np.random.SeedSequence(seed)
     corpus: list[BinaryMatrix] = []
-    for child in _attempt_seeds(root, attempts):
-        rng = np.random.default_rng(child)
+    for i in range(attempts):
+        rng = _Stream(seed, i)
         masks: list[int] = []
         weights: list[int] = []
         for _ in range(n):
-            w = int(rng.integers(d + 1, max_weight + 1)) if mixed_weights else d + 1
+            w = d + 1 + rng.below(max_weight - d) if mixed_weights else d + 1
             mask = _place_column(rng, t, w, d, masks, weights)
             if mask is None:
                 break

@@ -40,10 +40,6 @@ def _mask_to_words(mask: int, num_words: int) -> np.ndarray:
     return np.frombuffer(mask.to_bytes(num_words * 8, "little"), dtype=np.uint64)
 
 
-def _words_to_mask(words: np.ndarray) -> int:
-    return int.from_bytes(np.ascontiguousarray(words).tobytes(), "little")
-
-
 def _iter_bits(mask: int):
     while mask:
         low = mask & -mask
@@ -116,7 +112,9 @@ class BinaryMatrix:
             if mask < 0 or mask >> t:
                 raise ValueError(f"column {j} contains row indices >= t")
             words[j] = _mask_to_words(mask, w)
-        return cls(t, words)
+        matrix = cls(t, words)
+        matrix._masks = tuple(map(int, masks))
+        return matrix
 
     # -- accessors ----------------------------------------------------
 
@@ -129,8 +127,11 @@ class BinaryMatrix:
     def masks(self) -> tuple[int, ...]:
         """Column supports as arbitrary-precision int bitmasks."""
         if self._masks is None:
+            raw = self._words.tobytes()
+            step = self._words.shape[1] * 8
             self._masks = tuple(
-                _words_to_mask(self._words[j]) for j in range(self.n)
+                int.from_bytes(raw[lo : lo + step], "little")
+                for lo in range(0, len(raw), step)
             )
         return self._masks
 

@@ -188,6 +188,13 @@ def column_rows(matrix, j):
     return frozenset(i for i in range(matrix.t) if mask >> i & 1)
 
 
+def masks_of_words(words):
+    """Column masks summed word by word from an (n, W) uint64 array."""
+    return tuple(
+        sum(int(word) << 64 * k for k, word in enumerate(column)) for column in words
+    )
+
+
 def dense_of(matrix):
     """The t x n bool array of ``matrix``, entry (i, j) set iff row i is in
     ``column_rows(matrix, j)``; the library's word packing is not read."""

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from disjunct import (
@@ -283,6 +288,37 @@ def test_random_construct_deterministic(tmp_path, capsys):
     b_files = sorted((tmp_path / "b").iterdir())
     assert [p.name for p in a_files] == [p.name for p in b_files]
     assert [p.read_text() for p in a_files] == [p.read_text() for p in b_files]
+
+
+def test_random_construct_refuses_negative_seeds(tmp_path, capsys):
+    out = tmp_path / "neg"
+    for attempts in ("0", "5"):
+        code, stdout, stderr = run(
+            capsys, "construct", "random", "--d", "2", "--t", "9", "--n", "8",
+            "--seed", "-1", "--attempts", attempts, "-o", str(out),
+        )
+        assert code == 2 and stdout == ""
+        assert stderr == "error: expected non-negative integer\n"
+    assert not out.exists()
+
+
+def test_random_construct_does_not_load_numpy_random(tmp_path):
+    script = (
+        "import sys\n"
+        "from disjunct.cli import main\n"
+        "code = main(['construct', 'random', '--d', '2', '--t', '12', '--n', '10',"
+        " '--seed', '7', '--attempts', '20', '--isolated-free', '-o', sys.argv[1]])\n"
+        "assert code == 0\n"
+        "assert 'numpy.random' not in sys.modules\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "corpus")],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.endswith("kept=20 attempts=20\n")
 
 
 def test_errors_exit_2(tmp_path, capsys):

@@ -162,17 +162,23 @@ def test_corpus_sizes_are_pinned(corpus, mixed_corpus):
     } == PINNED_CORPORA
 
 
-def test_corpus_does_not_depend_on_the_spawn_block(monkeypatch):
-    one_shot = random_disjunct_corpus(2, 9, 8, seed=5, attempts=30)
-    monkeypatch.setattr(constructions, "_SPAWN_BLOCK", 7)
-    assert random_disjunct_corpus(2, 9, 8, seed=5, attempts=30) == one_shot
-    seeds = constructions._attempt_seeds(np.random.SeedSequence(5), 30)
-    keys = [child.spawn_key for child in seeds]
-    assert keys == [child.spawn_key for child in np.random.SeedSequence(5).spawn(30)]
+@pytest.mark.parametrize("seed", [0, 1, 2**32 + 5, 2**64 + 7])
+@pytest.mark.parametrize("index", [0, 2**32 + 3])
+def test_stream_matches_numpy_generator(seed, index):
+    # numpy is the reference only here: the library never loads numpy.random
+    reference = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+    stream = constructions._Stream(seed, index)
+    ks = [1, 2, 17, 2**31 + 1, 2**32 - 1, 2**32, 3, 1, 25]
+    for i in range(120):
+        k = ks[i % len(ks)]
+        if i % 3 == 2:
+            assert i + stream.below(k) == int(reference.integers(i, i + k))
+        else:
+            assert stream.below(k) == int(reference.integers(k))
 
 
-def test_attempt_seeds_spawn_one_block_at_a_time():
-    root = np.random.SeedSequence(5)
-    seeds = constructions._attempt_seeds(root, 10**12)
-    next(seeds)
-    assert root.n_children_spawned == constructions._SPAWN_BLOCK
+def test_corpus_refuses_negative_seeds():
+    with pytest.raises(ValueError, match="non-negative"):
+        random_disjunct_corpus(2, 9, 8, seed=-1, attempts=0)
+    with pytest.raises(ValueError, match="non-negative"):
+        random_disjunct_corpus(3, 2, 5, seed=-(2**40), attempts=5)

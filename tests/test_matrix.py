@@ -12,7 +12,7 @@ from disjunct import (
     read_matrix,
     write_matrix,
 )
-from oracles import column_rows, dense_of, dmat_text, matrix_from_dense
+from oracles import column_rows, dense_of, dmat_text, masks_of_words, matrix_from_dense
 
 
 def test_column_support_basics():
@@ -240,6 +240,33 @@ def test_round_trip_pinned_corpora(corpus, mixed_corpus):
             text = write_matrix(m)
             assert text == dmat_text(m)
             assert write_matrix(read_matrix(text)) == text
+
+
+def _assert_masks_match_words(m):
+    expected = masks_of_words(m.words)
+    assert type(m.masks) is tuple and all(type(mask) is int for mask in m.masks)
+    assert m.masks == expected
+    # a matrix built from the words alone derives the same tuple
+    assert BinaryMatrix(m.t, m.words).masks == expected
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13, 17, 19, 23])
+def test_masks_match_the_words_planes(ag, q):
+    _assert_masks_match_words(ag(q))
+
+
+def test_masks_match_the_words_pinned_corpora(corpus, mixed_corpus):
+    for matrices in [*corpus.values(), *mixed_corpus.values()]:
+        for m in matrices:
+            _assert_masks_match_words(m)
+
+
+def test_from_masks_keeps_its_masks():
+    masks = [0b101, 1 << 69, 0, (1 << 130) - 1]
+    m = BinaryMatrix.from_masks(130, masks)
+    # kept from the call, before any read of .masks could derive them
+    assert m._masks == tuple(masks)
+    _assert_masks_match_words(m)
 
 
 def test_parse_errors_past_the_first_word():
