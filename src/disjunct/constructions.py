@@ -180,6 +180,28 @@ class _Stream:
         return m >> 32
 
 
+def _nth_bit(mask: int, k: int) -> int:
+    """Index of the set bit of ``mask`` that has k set bits below it.
+
+    Halves the span still holding that bit, counting the set bits of its
+    lower half: O(log t) big-int operations, and no list of the bits.
+    """
+    low = 0
+    width = mask.bit_length()
+    while width > 1:
+        half = width >> 1
+        below = mask & ((1 << half) - 1)
+        count = below.bit_count()
+        if k < count:
+            mask, width = below, half
+        else:
+            k -= count
+            mask >>= half
+            low += half
+            width -= half
+    return low
+
+
 def _place_column(
     rng: _Stream,
     t: int,
@@ -187,33 +209,40 @@ def _place_column(
     d: int,
     masks: list[int],
     weights: list[int],
+    holders: dict[int, list[int]],
 ) -> int | None:
     """Draw a weight-w support meeting each existing column in few rows.
 
     Rows are chosen one at a time among those still compatible with the
     per-column intersection caps, which keeps the acceptance rate high
-    where uniform rejection sampling stalls.  ``blocked`` is the union of
-    the columns whose cap is reached, so the allowed rows are the set bits
-    of ``full & ~mask & ~blocked`` in ascending order.  Returns None after
+    where uniform rejection sampling stalls.  ``holders[r]`` lists the
+    existing columns that hold row r (rows no column holds are absent),
+    so a drawn row updates the shares of those columns only.  ``free``
+    holds the allowed rows, ``full & ~mask & ~blocked`` with ``blocked``
+    the union of the columns whose cap is reached.  The next row is the
+    set bit of ``free`` with ``rng.below(free.bit_count())`` set bits
+    below it, found by halving (:func:`_nth_bit`): the row the same draw
+    picks from the ascending list of allowed rows.  Returns None after
     repeated dead ends.
     """
     caps = [2 if w > d + 1 and wo > d + 1 else 1 for wo in weights]
     full = (1 << t) - 1
     for _ in range(20):
-        mask = blocked = 0
+        mask = 0
+        free = full
         shares = [0] * len(masks)
         for _ in range(w):
-            allowed = list(_iter_bits(full & ~mask & ~blocked))
-            if not allowed:
+            if not free:
                 mask = 0
                 break
-            r = allowed[rng.below(len(allowed))]
-            mask |= 1 << r
-            for k, other in enumerate(masks):
-                if other >> r & 1:
-                    shares[k] += 1
-                    if shares[k] == caps[k]:
-                        blocked |= other
+            r = _nth_bit(free, rng.below(free.bit_count()))
+            bit = 1 << r
+            mask |= bit
+            free ^= bit
+            for k in holders.get(r, ()):
+                shares[k] += 1
+                if shares[k] == caps[k]:
+                    free &= ~masks[k]
         if mask:
             return mask
     return None
@@ -263,11 +292,14 @@ def random_disjunct_corpus(
         rng = _Stream(seed, i)
         masks: list[int] = []
         weights: list[int] = []
+        holders: dict[int, list[int]] = {}
         for _ in range(n):
             w = d + 1 + rng.below(max_weight - d) if mixed_weights else d + 1
-            mask = _place_column(rng, t, w, d, masks, weights)
+            mask = _place_column(rng, t, w, d, masks, weights, holders)
             if mask is None:
                 break
+            for r in _iter_bits(mask):
+                holders.setdefault(r, []).append(len(masks))
             masks.append(mask)
             weights.append(w)
         if len(masks) < n:

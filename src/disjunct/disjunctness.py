@@ -199,11 +199,10 @@ def _drop(matrix: BinaryMatrix, j: int, rows: list[int]) -> BinaryMatrix:
 
 def find_isolated_columns(matrix: BinaryMatrix) -> frozenset[int]:
     """Columns owning a private row (a row contained in no other column)."""
-    degrees = matrix.row_degrees()
-    isolated: set[int] = set()
-    for i in np.nonzero(degrees == 1)[0]:
-        isolated.update(matrix.row_support(int(i)))
-    return frozenset(isolated)
+    private = matrix.private_rows
+    if not private:
+        return frozenset()
+    return frozenset(j for j, mask in enumerate(matrix.masks) if mask & private)
 
 
 def peel_isolated(matrix: BinaryMatrix, j: int) -> PeelResult:
@@ -216,9 +215,7 @@ def peel_isolated(matrix: BinaryMatrix, j: int) -> PeelResult:
         raise ValueError(f"column index {j} out of range")
     if matrix.n < 2:
         raise ValueError("cannot peel the last column")
-    degrees = matrix.row_degrees()
-    col = matrix.column_mask(j)
-    private = [r for r in _iter_bits(col) if degrees[r] == 1]
+    private = list(_iter_bits(matrix.column_mask(j) & matrix.private_rows))
     if not private:
         raise ValueError(f"column {j} is not isolated")
     return PeelResult(

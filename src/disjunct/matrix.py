@@ -60,7 +60,7 @@ class BinaryMatrix:
     than refusing the input).
     """
 
-    __slots__ = ("t", "n", "_words", "_masks", "_row_degrees")
+    __slots__ = ("t", "n", "_words", "_masks", "_row_degrees", "_private_rows")
 
     def __init__(self, t: int, words: np.ndarray):
         # t == 0 is a legal degenerate case: deleting all rows intersecting
@@ -87,6 +87,7 @@ class BinaryMatrix:
         self._words = words
         self._masks: tuple[int, ...] | None = None
         self._row_degrees: np.ndarray | None = None
+        self._private_rows: int | None = None
 
     # -- constructors -------------------------------------------------
 
@@ -106,14 +107,14 @@ class BinaryMatrix:
 
     @classmethod
     def from_masks(cls, t: int, masks: Sequence[int]) -> "BinaryMatrix":
-        w = _num_words(t)
-        words = np.empty((len(masks), w), dtype=np.uint64)
+        masks = tuple(map(int, masks))
         for j, mask in enumerate(masks):
             if mask < 0 or mask >> t:
                 raise ValueError(f"column {j} contains row indices >= t")
-            words[j] = _mask_to_words(mask, w)
-        matrix = cls(t, words)
-        matrix._masks = tuple(map(int, masks))
+        w = _num_words(t)
+        raw = b"".join(mask.to_bytes(w * 8, "little") for mask in masks)
+        matrix = cls(t, np.frombuffer(raw, dtype=np.uint64).reshape(len(masks), w))
+        matrix._masks = masks
         return matrix
 
     # -- accessors ----------------------------------------------------
@@ -157,6 +158,18 @@ class BinaryMatrix:
             self._row_degrees = _kernels.row_degrees(self._words, self.t)
             self._row_degrees.setflags(write=False)
         return self._row_degrees
+
+    @property
+    def private_rows(self) -> int:
+        """Mask of the rows that exactly one column contains: ``once``
+        gathers the rows seen in some column, ``twice`` those seen again."""
+        if self._private_rows is None:
+            once = twice = 0
+            for mask in self.masks:
+                twice |= once & mask
+                once |= mask
+            self._private_rows = once & ~twice
+        return self._private_rows
 
     # -- dunder -------------------------------------------------------
 

@@ -279,3 +279,63 @@ def brute_max_edges_nu_at_most(k, mu):
         if brute_matching_number(edges) <= mu:
             best = len(edges)
     return best
+
+
+def reference_place_column(rng, t, w, d, masks, weights):
+    """The corpus sampler's former column placement, kept as the reference
+    for its holder lists and its log-time row pick: each draw indexes the
+    ascending list of every allowed row, and each drawn row is tested
+    against every existing column."""
+    caps = [2 if w > d + 1 and wo > d + 1 else 1 for wo in weights]
+    for _ in range(20):
+        mask = blocked = 0
+        shares = [0] * len(masks)
+        for _ in range(w):
+            allowed = [r for r in range(t) if not (mask | blocked) >> r & 1]
+            if not allowed:
+                mask = 0
+                break
+            r = allowed[rng.below(len(allowed))]
+            mask |= 1 << r
+            for k, other in enumerate(masks):
+                if other >> r & 1:
+                    shares[k] += 1
+                    if shares[k] == caps[k]:
+                        blocked |= other
+        if mask:
+            return mask
+    return None
+
+
+def reference_isolated_columns(matrix):
+    """Columns holding a row of degree one, read off ``dense_of(matrix)``."""
+    dense = dense_of(matrix)
+    degrees = dense.sum(axis=1)
+    return frozenset(
+        j
+        for j in range(matrix.n)
+        if any(dense[i, j] and degrees[i] == 1 for i in range(matrix.t))
+    )
+
+
+def reference_peel_isolated(matrix, j):
+    """(reduced matrix, removed rows) of dropping column j and the rows
+    of degree one it holds, by slicing ``dense_of(matrix)``."""
+    dense = dense_of(matrix)
+    degrees = dense.sum(axis=1)
+    private = [i for i in range(matrix.t) if dense[i, j] and degrees[i] == 1]
+    rows = [i for i in range(matrix.t) if i not in private]
+    cols = [k for k in range(matrix.n) if k != j]
+    return matrix_from_dense(dense[rows][:, cols]), frozenset(private)
+
+
+def reference_peel_to_core(matrix):
+    """``peel_to_core`` through the row-degree oracles above."""
+    peeled = 0
+    while matrix.n >= 2:
+        isolated = reference_isolated_columns(matrix)
+        if not isolated:
+            break
+        matrix, _ = reference_peel_isolated(matrix, min(isolated))
+        peeled += 1
+    return matrix, peeled

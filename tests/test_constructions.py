@@ -14,7 +14,7 @@ from disjunct import (
     random_disjunct_corpus,
 )
 from conftest import CORPUS_PARAMS, MIXED_PARAMS
-from oracles import column_rows
+from oracles import column_rows, reference_place_column
 
 
 def test_identity_examples():
@@ -182,3 +182,69 @@ def test_corpus_refuses_negative_seeds():
         random_disjunct_corpus(2, 9, 8, seed=-1, attempts=0)
     with pytest.raises(ValueError, match="non-negative"):
         random_disjunct_corpus(3, 2, 5, seed=-(2**40), attempts=5)
+
+
+def _sample_in_step(t, d, seed, index):
+    """Place columns with the sampler and its reference on two copies of
+    one stream, growing the matrix by their common choice: each call must
+    return the same mask (or None) and leave the streams in step.  Returns
+    how many placements met an earlier column under a cap of two rows."""
+    span = min(max(d + 1, 5 * d // 3), t) - d
+    fast = constructions._Stream(seed, index)
+    slow = constructions._Stream(seed, index)
+    masks, weights, holders = [], [], {}
+    cap_2 = 0
+    for _ in range(60):
+        w = d + 1 + fast.below(span)
+        assert d + 1 + slow.below(span) == w
+        cap_2 += w > d + 1 and any(wo > d + 1 for wo in weights)
+        mask = constructions._place_column(fast, t, w, d, masks, weights, holders)
+        assert mask == reference_place_column(slow, t, w, d, masks, weights)
+        assert fast.below(2**32) == slow.below(2**32)
+        if mask is None:
+            break
+        for r in range(t):
+            if mask >> r & 1:
+                holders.setdefault(r, []).append(len(masks))
+        masks.append(mask)
+        weights.append(w)
+    return cap_2
+
+
+@pytest.mark.parametrize("t", [5, 12, 25, 64, 65, 130])
+def test_place_column_matches_the_list_sampler(t):
+    cap_2 = sum(
+        _sample_in_step(t, d, seed, 2**32 + t)
+        for d in range(1, 5)
+        if t >= d + 1
+        for seed in range(3)
+    )
+    # weights run from d + 1 to floor(5d/3): d = 3, 4 place columns with
+    # a cap of two shared rows against earlier heavy columns
+    assert cap_2 > 0
+
+
+@pytest.mark.parametrize("t", [5, 12, 64, 65, 130])
+def test_place_column_forced_dead_end(t):
+    # one column holds every row and is listed with weight d + 1, so it
+    # may share one row: the first draw blocks all others, and each of
+    # the 20 tries ends in a dead end
+    for d in (1, 2):
+        fast = constructions._Stream(t, d)
+        slow = constructions._Stream(t, d)
+        full = (1 << t) - 1
+        holders = {r: [0] for r in range(t)}
+        assert constructions._place_column(fast, t, d + 1, d, [full], [d + 1], holders) is None
+        assert reference_place_column(slow, t, d + 1, d, [full], [d + 1]) is None
+        assert fast.below(2**32) == slow.below(2**32)
+
+
+def test_corpus_at_a_quarter_million_rows():
+    # row picks cost O(log t) big-int operations, so 2**18 rows build in
+    # well under a second; masks digest recorded with the list sampler
+    matrices = random_disjunct_corpus(1, 2**18, 2, seed=3, attempts=2)
+    h = hashlib.sha256()
+    for m in matrices:
+        h.update(f"{m.t}:{','.join(map(hex, m.masks))}\n".encode())
+    assert len(matrices) == 2
+    assert h.hexdigest() == "a6e8dd90c843ffa02feeda1dfaa26ff85d8f7ce83f6789de8379f268e8d2b0a5"

@@ -21,8 +21,12 @@ from oracles import (
     brute_is_d_disjunct,
     brute_max_disjunct_order,
     column_rows,
+    dense_of,
     reference_is_d_disjunct,
+    reference_isolated_columns,
     reference_max_disjunct_order,
+    reference_peel_isolated,
+    reference_peel_to_core,
 )
 
 
@@ -266,6 +270,44 @@ def test_peel_preserves_disjunctness():
             if reduced.n >= 1:
                 assert is_d_disjunct(reduced, d).is_disjunct
                 checked += 1
+
+
+def odd_column_matrices(t, seed):
+    """Random t-row matrices, sparse enough to have private rows, with a
+    duplicate, an empty and a full column mixed in."""
+    rng = random.Random(seed)
+    for _ in range(12):
+        n = rng.randint(2, 7)
+        bits = max(1, t // rng.randint(2, 6))
+        masks = [
+            sum(1 << r for r in rng.sample(range(t), rng.randint(0, bits)))
+            for _ in range(n)
+        ]
+        for extra in rng.sample([masks[0], 0, (1 << t) - 1], rng.randint(0, 3)):
+            masks.insert(rng.randint(0, len(masks)), extra)
+        yield BinaryMatrix.from_masks(t, masks)
+
+
+@pytest.mark.parametrize("t", [1, 63, 64, 65, 130])
+def test_peeling_matches_the_row_degree_oracle(t):
+    for m in odd_column_matrices(t, seed=t):
+        degrees = dense_of(m).sum(axis=1)
+        assert m.private_rows == sum(1 << i for i in range(t) if degrees[i] == 1)
+        isolated = find_isolated_columns(m)
+        assert isolated == reference_isolated_columns(m)
+        for j in range(m.n):
+            if m.n < 2:
+                break
+            if j not in isolated:
+                with pytest.raises(ValueError, match=f"column {j} is not isolated"):
+                    peel_isolated(m, j)
+                continue
+            result = peel_isolated(m, j)
+            reduced, removed = reference_peel_isolated(m, j)
+            assert result.reduced == reduced
+            assert result.removed_rows == removed
+            assert result.removed_column == j
+        assert peel_to_core(m) == reference_peel_to_core(m)
 
 
 # -- delete_column_and_rows ------------------------------------------

@@ -12,6 +12,7 @@ from disjunct import (
     read_matrix,
     write_matrix,
 )
+from disjunct.matrix import _mask_to_words
 from oracles import column_rows, dense_of, dmat_text, masks_of_words, matrix_from_dense
 
 
@@ -102,10 +103,14 @@ def test_matrix_construction_equivalence():
 
 
 def test_matrix_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^matrix must have at least one column$"):
         BinaryMatrix.from_masks(2, [])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^column 0 contains row indices >= t$"):
         BinaryMatrix.from_masks(2, [1 << 2])
+    with pytest.raises(ValueError, match="^column 2 contains row indices >= t$"):
+        BinaryMatrix.from_masks(70, [1, 2, 1 << 70])
+    with pytest.raises(ValueError, match="^column 1 contains row indices >= t$"):
+        BinaryMatrix.from_masks(70, [1, -1])
     with pytest.raises(ValueError):
         BinaryMatrix.from_masks(-1, [0])
 
@@ -267,6 +272,17 @@ def test_from_masks_keeps_its_masks():
     # kept from the call, before any read of .masks could derive them
     assert m._masks == tuple(masks)
     _assert_masks_match_words(m)
+
+
+@pytest.mark.parametrize("t", [1, 63, 64, 65, 130])
+def test_from_masks_packs_like_one_column_at_a_time(t):
+    rng = np.random.default_rng(t)
+    masks = [0, (1 << t) - 1, 1 << (t - 1), 1]
+    masks += [int.from_bytes(rng.bytes(17), "little") >> (136 - t) for _ in range(6)]
+    m = BinaryMatrix.from_masks(t, masks)
+    w = (t + 63) // 64
+    assert np.array_equal(m.words, np.stack([_mask_to_words(mask, w) for mask in masks]))
+    assert m.masks == tuple(masks)
 
 
 def test_parse_errors_past_the_first_word():
