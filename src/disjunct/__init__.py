@@ -18,7 +18,6 @@ from .bounds import (
     Theorem2Audit,
     ceil_kappa_times,
     floor_kappa_times,
-    kappa_bounds,
     lower_bounds,
     t_dn_lower_bound,
     theorem1_certificate,
@@ -111,7 +110,6 @@ __all__ = [
     "formula_one",
     "identity_matrix",
     "is_d_disjunct",
-    "kappa_bounds",
     "load_matrix",
     "lower_bounds",
     "matching_number",

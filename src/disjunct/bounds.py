@@ -10,18 +10,19 @@ lower bounds are evaluated side by side:
 
 The module also replays the two counting arguments as certificates on
 concrete matrices, so the inequalities can be audited rather than trusted.
+Every comparison with kappa is exact: 24 * kappa = 15 + sqrt(33), so it
+reduces to integer square roots (``math.isqrt``) or to squaring both sides.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, isqrt
 
 from .disjunctness import find_isolated_columns, is_d_disjunct
 from .matrix import BinaryMatrix
-from .pairs import classify_pairs
+from .pairs import pair_graph
 
 KAPPA = (15 + math.sqrt(33)) / 24
 """Root of 12*x^2 - 15*x + 4 in (1/2, 1), i.e. where (3k-1)(2-2k) = k/2.
@@ -31,27 +32,15 @@ of the general bound, and lies in [6/7, 7/8].
 """
 
 
-def kappa_bounds(bits: int = 96) -> tuple[Fraction, Fraction]:
-    """Rational lower/upper bounds on kappa sharp to about 2**-bits."""
-    scale = 1 << bits
-    root = isqrt(33 * scale * scale)  # floor(sqrt(33) * scale)
-    lo = Fraction(15 * scale + root, 24 * scale)
-    hi = Fraction(15 * scale + root + 1, 24 * scale)
-    return lo, hi
-
-
 def floor_kappa_times(x: int) -> int:
-    """floor(kappa * x) for integer x >= 0, exact via rational bounds."""
-    if x == 0:
-        return 0
-    bits = 96
-    while True:
-        lo, hi = kappa_bounds(bits)
-        flo = (lo.numerator * x) // lo.denominator
-        fhi = (hi.numerator * x) // hi.denominator
-        if flo == fhi:
-            return flo
-        bits *= 2  # kappa*x irrational, so the bounds eventually agree
+    """floor(kappa * x) for integer x >= 0, exactly.
+
+    kappa * x = (15x + sqrt(33 x^2)) / 24, and flooring the root first does
+    not change the floor of an integer plus that root, divided by 24.
+    """
+    if x < 0:
+        raise ValueError("x must be >= 0")
+    return (15 * x + isqrt(33 * x * x)) // 24
 
 
 def ceil_kappa_times(x: int) -> int:
@@ -79,12 +68,18 @@ def lower_bounds(d: int) -> BoundReport:
     """All known lower bounds on T(d), plus the conjectured value."""
     if d < 1:
         raise ValueError("d must be >= 1")
+    try:
+        theorem2_real = KAPPA * d * d
+    except OverflowError:  # d itself is past the float range
+        theorem2_real = math.inf
+    if theorem2_real == math.inf:
+        raise ValueError("d too large: kappa * d^2 is not a finite float")
     bassalygo = comb(d + 2, 2)
     theorem2 = ceil_kappa_times(d * d)
     return BoundReport(
         d=d,
         bassalygo=bassalygo,
-        theorem2_real=KAPPA * d * d,
+        theorem2_real=theorem2_real,
         theorem2=theorem2,
         conjecture_strong=(d + 1) ** 2,
         combined=max(bassalygo, theorem2),
@@ -258,17 +253,16 @@ def theorem2_audit(matrix: BinaryMatrix, d: int) -> Theorem2Audit:
     if not is_d_disjunct(matrix, d).is_disjunct:
         raise ValueError(f"matrix is not {d}-disjunct")
 
-    kappa_lo, kappa_hi = kappa_bounds()
     weight_cap = floor_kappa_times(2 * d)
     d2 = d * d
     audits = []
     sum_private = 0
     all_ok = True
     for j in range(matrix.n):
-        cls = classify_pairs(matrix, j)
-        p, npairs = len(cls.private_pairs), len(cls.nonprivate_pairs)
-        sum_private += p
         weight = matrix.weight(j)
+        npairs = len(pair_graph(matrix, j).edges)
+        p = comb(weight, 2) - npairs
+        sum_private += p
         s = weight - d
         in_range = 1 <= s <= d - 1
         if weight > weight_cap:
@@ -276,13 +270,9 @@ def theorem2_audit(matrix: BinaryMatrix, d: int) -> Theorem2Audit:
             kappa_ok = None
             moderate_ok = None
         else:
-            # exact comparison 2|P| >= kappa d^2 via rational bounds
-            if Fraction(2 * p) >= kappa_hi * d2:
-                kappa_ok = True
-            elif Fraction(2 * p) < kappa_lo * d2:
-                kappa_ok = False
-            else:  # pragma: no cover - bounds are far tighter than 1/2
-                kappa_ok = None
+            # 2|P| >= kappa d^2 iff 48|P| - 15 d^2 >= sqrt(33) d^2
+            e = 48 * p - 15 * d2
+            kappa_ok = e >= 0 and e * e >= 33 * d2 * d2
             if 3 * weight <= 5 * d + 2:
                 case = "moderate"
                 moderate_ok = p >= comb(d + 1, 2)
@@ -291,7 +281,7 @@ def theorem2_audit(matrix: BinaryMatrix, d: int) -> Theorem2Audit:
             else:
                 case = "wide"
                 moderate_ok = None
-            if in_range and kappa_ok is False:
+            if in_range and not kappa_ok:
                 all_ok = False
         audits.append(
             ColumnAudit(

@@ -19,9 +19,11 @@ from . import _kernels
 from .matrix import BinaryMatrix, _iter_bits, _mask_to_words
 
 
-# Positive sets per identification_scan call: bounds the (sets, n) scratch
-# arrays whatever the total number of sets.
+# Positive sets per identification_scan call, fewer on wide matrices so
+# that its (sets, n) temporary arrays hold at most _SCAN_CELLS cells each
+# (8 MB as uint64), whatever the number of sets and columns.
 _SCAN_BLOCK = 1 << 10
+_SCAN_CELLS = 1 << 20
 
 
 class BudgetExceededError(RuntimeError):
@@ -110,12 +112,13 @@ def verify_identification(
         raise BudgetExceededError(
             f"{total} positive sets exceed the budget of {max_cases}"
         )
+    block = min(_SCAN_BLOCK, max(1, _SCAN_CELLS // n))
     checked = 0
     for k in range(0, min(d, n) + 1):
         sets = combinations(range(n), k)
         num_sets = comb(n, k)
-        for start in range(0, num_sets, _SCAN_BLOCK):
-            size = min(_SCAN_BLOCK, num_sets - start)
+        for start in range(0, num_sets, block):
+            size = min(block, num_sets - start)
             combos = np.fromiter(
                 chain.from_iterable(islice(sets, size)),
                 dtype=np.int64,

@@ -7,6 +7,10 @@ the general row lower bound: a d-disjunct matrix with no isolated columns
 cannot afford s pairwise disjoint non-private pairs inside a column of
 weight d+s.  Matching numbers come from Edmonds' blossom algorithm, in
 O(V^3) for a graph on V vertices.
+
+``pair_graph`` is the one pass that finds non-private pairs.  The two
+classes partition a column's 2-subsets, so a column of weight w has
+C(w, 2) - |E| private pairs; only ``classify_pairs`` lists them.
 """
 
 from __future__ import annotations
@@ -46,34 +50,33 @@ class PairGraph:
                 raise ValueError(f"edge ({a},{b}) has endpoint outside vertex set")
 
 
-def classify_pairs(matrix: BinaryMatrix, j: int) -> PairClassification:
-    """Split the 2-subsets of column j into private and non-private."""
+def pair_graph(matrix: BinaryMatrix, j: int) -> PairGraph:
+    """The non-private pair graph of column j.
+
+    Only columns meeting column j in at least two rows share a pair with
+    it; each contributes every pair of rows in that intersection.
+    """
     if not 0 <= j < matrix.n:
         raise ValueError(f"column index {j} out of range")
     masks = matrix.masks
     cj = masks[j]
     counts = _kernels.intersection_counts(matrix.words, matrix.words[j])
-    nonprivate: set[tuple[int, int]] = set()
-    for k in np.nonzero(counts >= 2)[0]:
-        k = int(k)
-        if k == j:
-            continue
-        shared = sorted(_iter_bits(masks[k] & cj))
-        nonprivate.update(combinations(shared, 2))
-    support = sorted(_iter_bits(cj))
-    all_pairs = set(combinations(support, 2))
+    edges: set[tuple[int, int]] = set()
+    for k in np.nonzero(counts >= 2)[0].tolist():
+        if k != j:
+            edges.update(combinations(_iter_bits(masks[k] & cj), 2))
+    return PairGraph(vertices=frozenset(_iter_bits(cj)), edges=frozenset(edges))
+
+
+def classify_pairs(matrix: BinaryMatrix, j: int) -> PairClassification:
+    """Split the 2-subsets of column j into private and non-private."""
+    graph = pair_graph(matrix, j)
+    all_pairs = frozenset(combinations(sorted(graph.vertices), 2))
     return PairClassification(
         column=j,
-        private_pairs=frozenset(all_pairs - nonprivate),
-        nonprivate_pairs=frozenset(nonprivate),
+        private_pairs=all_pairs - graph.edges,
+        nonprivate_pairs=graph.edges,
     )
-
-
-def pair_graph(matrix: BinaryMatrix, j: int) -> PairGraph:
-    """The non-private pair graph of column j."""
-    cls = classify_pairs(matrix, j)
-    support = frozenset(_iter_bits(matrix.column_mask(j)))
-    return PairGraph(vertices=support, edges=cls.nonprivate_pairs)
 
 
 def matching_number(graph: PairGraph) -> int:
@@ -244,7 +247,9 @@ def formula_one(d: int, s: int) -> int:
 
     Equals C(d+s, 2) - C(d+1, 2) for 3s <= 2d+2 and C(2s-1, 2) for
     3s >= 2d+2; computed as the max of both branches so the piecewise
-    split is a tested consequence, not an input.
+    split is a tested consequence, not an input.  It is the Erdos-Gallai
+    maximum m(d+s, 2, s-1) = erdos_gallai_bound(d+s, s-1) wherever that
+    applies (s <= d+1), and the same closed form beyond.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -311,12 +316,7 @@ def verify_lemma3(
                 f"column {j} weight {weight} gives s={s} outside 1..{d - 1}"
             )
         warning = f"hypothesis out of range: s={s} exceeds d-1={d - 1}"
-    # m(d+s, 2, s-1) needs d+s >= 2s-1, i.e. s <= d+1; beyond that fall
-    # back to the piecewise maximum the bound closes to
-    if s <= d + 1:
-        bound = erdos_gallai_bound(d + s, s - 1)
-    else:
-        bound = formula_one(d, s)
+    bound = formula_one(d, s)
     graph = pair_graph(matrix, j)
     nu = matching_number(graph)
     num_nonprivate = len(graph.edges)
@@ -350,7 +350,8 @@ def private_pair_budget(matrix: BinaryMatrix) -> PairBudget:
     true; a false value indicates an implementation bug.
     """
     total = sum(
-        len(classify_pairs(matrix, j).private_pairs) for j in range(matrix.n)
+        comb(matrix.weight(j), 2) - len(pair_graph(matrix, j).edges)
+        for j in range(matrix.n)
     )
     budget = comb(matrix.t, 2)
     return PairBudget(total=total, budget=budget, ok=total <= budget)

@@ -1,4 +1,3 @@
-from fractions import Fraction
 from math import comb
 
 import pytest
@@ -9,7 +8,6 @@ from disjunct import (
     ceil_kappa_times,
     floor_kappa_times,
     identity_matrix,
-    kappa_bounds,
     lower_bounds,
     t_dn_lower_bound,
     theorem1_certificate,
@@ -18,18 +16,24 @@ from disjunct import (
 
 
 def kappa_ceil_oracle(x):
-    """Integer-only check: v = ceil(kappa x) iff 24(v-1)-15x < x*sqrt(33) < 24v-15x.
+    """Integer-only ceil(kappa x) for x >= 0: the least v with
+    24v - 15x >= x*sqrt(33), found by bisection over 0 <= v <= x.
 
-    Squaring removes the irrationality, so the comparison is exact.
+    Squaring removes the irrationality, so each comparison is exact.
     """
-    v = 0
-    while True:
-        hi = 24 * v - 15 * x
-        if hi > 0 and 33 * x * x < hi * hi:
-            lo = 24 * (v - 1) - 15 * x
-            if lo < 0 or 33 * x * x > lo * lo:
-                return v
-        v += 1
+
+    def at_least(v):
+        gap = 24 * v - 15 * x
+        return gap >= 0 and gap * gap >= 33 * x * x
+
+    lo, hi = 0, x  # kappa < 1, so ceil(kappa x) <= x
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if at_least(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 # -- kappa -------------------------------------------------------------
@@ -38,9 +42,10 @@ def kappa_ceil_oracle(x):
 def test_kappa_value_and_interval():
     assert abs(KAPPA - 0.8643567769390845) < 1e-12
     assert 6 / 7 <= KAPPA <= 7 / 8
-    lo, hi = kappa_bounds()
-    assert lo < Fraction(7, 8) and hi > Fraction(6, 7)
-    assert float(lo) <= KAPPA <= float(hi) or (hi - lo) < Fraction(1, 10**20)
+    # exactly, with 24 kappa = 15 + sqrt(33): kappa > 6/7 iff sqrt(33) > 39/7
+    # and kappa < 7/8 iff sqrt(33) < 6
+    assert 39**2 < 33 * 7**2
+    assert 33 < 6**2
 
 
 def test_kappa_balances_the_two_regimes():
@@ -57,6 +62,21 @@ def test_kappa_rounding_matches_integer_oracle(x):
 def test_kappa_rounding_zero():
     assert ceil_kappa_times(0) == 0
     assert floor_kappa_times(0) == 0
+
+
+def test_kappa_rounding_matches_oracle_everywhere():
+    for x in [*range(3000), *(10**k for k in range(61))]:
+        expected = kappa_ceil_oracle(x)
+        assert ceil_kappa_times(x) == expected
+        # kappa x is irrational for x > 0, so floor and ceil differ by one
+        assert floor_kappa_times(x) == expected - (x > 0)
+
+
+def test_kappa_rounding_rejects_negative():
+    with pytest.raises(ValueError):
+        floor_kappa_times(-1)
+    with pytest.raises(ValueError):
+        ceil_kappa_times(-1)
 
 
 # -- lower bounds ------------------------------------------------------
@@ -81,6 +101,18 @@ def test_lower_bounds_d1():
 def test_lower_bounds_validation():
     with pytest.raises(ValueError):
         lower_bounds(0)
+
+
+def test_lower_bounds_need_a_finite_kappa_d_squared():
+    report = lower_bounds(10**154)
+    assert report.theorem2_real == 8.643567769390847e307
+    assert report.theorem2 == kappa_ceil_oracle(10**308)
+    # kappa d^2 overflows to inf; d itself overflows a float
+    for d in (2 * 10**154, 10**400):
+        with pytest.raises(ValueError, match="not a finite float"):
+            lower_bounds(d)
+        with pytest.raises(ValueError, match="not a finite float"):
+            t_dn_lower_bound(d, 5)
 
 
 def test_bound_crossover():

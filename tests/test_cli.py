@@ -236,6 +236,10 @@ def test_bounds_golden(capsys):
     assert "theorem2=14" in lines
     assert "conjecture=25" in lines
     assert "combined=15" in lines
+    # the largest power of ten whose kappa d^2 is a finite float
+    code, stdout, stderr = run(capsys, "bounds", "--d", str(10**154))
+    assert code == 0 and stderr == ""
+    assert "theorem2_real=8.643567769390847e+307" in stdout.splitlines()
 
 
 def test_bounds_with_n(capsys):
@@ -345,6 +349,11 @@ def test_errors_exit_2(tmp_path, capsys):
     )
     assert code == 2 and stdout == ""
     assert "error: t_max must be <= 1024" in stderr
+    # kappa d^2 past the float range: inf, or d itself not a float
+    for d in (2 * 10**154, 10**400):
+        code, stdout, stderr = run(capsys, "bounds", "--d", str(d))
+        assert code == 2 and stdout == ""
+        assert stderr.startswith("error:") and len(stderr.splitlines()) == 1
 
 
 def test_construct_refuses_oversize_before_building(monkeypatch, capsys):

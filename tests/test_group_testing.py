@@ -1,9 +1,10 @@
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
-from disjunct import group_testing
+from disjunct import _kernels, group_testing
 from disjunct import (
     BinaryMatrix,
     BudgetExceededError,
@@ -133,14 +134,11 @@ def _random_columns(rng, t, n):
     return masks
 
 
-def test_verify_identification_matches_oracle(monkeypatch):
-    # a tiny block size makes failures land past block boundaries too
-    block = 7
-    monkeypatch.setattr(group_testing, "_SCAN_BLOCK", block)
-    rng = random.Random(31)
-    outcomes_seen = set()
-    late_failures = 0
-    for t in (5, 63, 64, 65, 130):
+def _reports_against_oracle(rng, row_counts):
+    """Reports on random matrices with t rows for each t given, each
+    checked against brute_verify_identification."""
+    reports = []
+    for t in row_counts:
         for _ in range(20):
             masks = _random_columns(rng, t, rng.randint(3, 11))
             m = BinaryMatrix.from_masks(t, masks)
@@ -148,10 +146,51 @@ def test_verify_identification_matches_oracle(monkeypatch):
                 report = verify_identification(m, d)
                 expected = brute_verify_identification(masks, d)
                 assert (report.ok, report.cases, report.failure) == expected
-                outcomes_seen.add(report.ok)
-                late_failures += not report.ok and report.cases > block
-    assert outcomes_seen == {True, False}
-    assert late_failures > 0
+                reports.append(report)
+    assert {report.ok for report in reports} == {True, False}
+    return reports
+
+
+def test_verify_identification_matches_oracle(monkeypatch):
+    # a tiny block size makes failures land past block boundaries too
+    block = 7
+    monkeypatch.setattr(group_testing, "_SCAN_BLOCK", block)
+    reports = _reports_against_oracle(random.Random(31), (5, 63, 64, 65, 130))
+    assert any(not r.ok and r.cases > block for r in reports)
+
+
+def _spy_scan_shapes(monkeypatch):
+    """Record (positive sets, columns) of every identification_scan call."""
+    shapes = []
+    scan = _kernels.identification_scan
+
+    def spy(cols, combos):
+        shapes.append((combos.shape[0], cols.shape[0]))
+        return scan(cols, combos)
+
+    monkeypatch.setattr(_kernels, "identification_scan", spy)
+    return shapes
+
+
+def test_verify_identification_caps_scan_cells(monkeypatch):
+    # 4096 columns: 2^20 cells leave room for 256 sets per scan, not 1024
+    shapes = _spy_scan_shapes(monkeypatch)
+    words = np.random.default_rng(0).integers(
+        0, 2**64, size=(4096, 1), dtype=np.uint64
+    )
+    report = verify_identification(BinaryMatrix(64, words), 1)
+    assert report.ok and report.cases == 4097
+    assert sum(rows for rows, _ in shapes) == report.cases
+    assert max(rows for rows, _ in shapes) == 256
+    assert all(rows * n <= group_testing._SCAN_CELLS for rows, n in shapes)
+
+
+def test_verify_identification_matches_oracle_under_a_small_cell_cap(monkeypatch):
+    cells = 40
+    monkeypatch.setattr(group_testing, "_SCAN_CELLS", cells)
+    shapes = _spy_scan_shapes(monkeypatch)
+    _reports_against_oracle(random.Random(47), (5, 64, 130))
+    assert all(rows * n <= cells for rows, n in shapes)
 
 
 def test_identification_implies_weaker_disjunctness():

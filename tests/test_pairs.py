@@ -269,6 +269,13 @@ def test_formula_one_piecewise_structure():
                 assert value == second
 
 
+def test_formula_one_is_the_erdos_gallai_bound():
+    # verify_lemma3 relies on this wherever m(d+s, 2, s-1) is defined
+    for d in range(1, 61):
+        for s in range(1, d + 2):
+            assert formula_one(d, s) == erdos_gallai_bound(d + s, s - 1)
+
+
 def test_formula_one_validation():
     with pytest.raises(ValueError):
         formula_one(3, 0)
