@@ -169,6 +169,7 @@ def _cmd_verify_id(args) -> int:
 
 def _cmd_bounds(args) -> int:
     report = lower_bounds(args.d)
+    tdn = None if args.n is None else t_dn_lower_bound(args.d, args.n)
     print(f"d={report.d}")
     print(f"bassalygo={report.bassalygo}")
     print(f"theorem2_real={report.theorem2_real!r}")
@@ -176,8 +177,7 @@ def _cmd_bounds(args) -> int:
     print(f"conjecture={report.conjecture_strong}")
     print(f"combined={report.combined}")
     print(f"kappa={report.ratio!r}")
-    if args.n is not None:
-        tdn = t_dn_lower_bound(args.d, args.n)
+    if tdn is not None:
         print(f"n={tdn.n}")
         print(f"t_dn={tdn.value}")
         print(f"dominant={tdn.dominant}")

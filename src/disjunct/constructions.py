@@ -108,11 +108,10 @@ def _words32(n: int) -> list[int]:
     return words
 
 
-def _seed_state(seed: int, index: int) -> tuple[int, int]:
-    """PCG64's (initstate, initseq) from SeedSequence(seed, spawn_key=(index,))."""
-    run = _words32(seed)
-    entropy = run + [0] * (4 - len(run)) + _words32(index)
-    hash_a = 0x43B0D7E5
+def _hash_pool(words: list[int], pool=None, hash_a=0x43B0D7E5) -> tuple[list[int], int]:
+    """SeedSequence's entropy pool and hash constant after ``words``: mixed
+    into ``pool`` in place, or else into a new pool made from the first four
+    (zero-padded, as a spawn key follows).  A corpus hashes its seed once."""
 
     def hashmix(value: int) -> int:
         nonlocal hash_a
@@ -125,70 +124,79 @@ def _seed_state(seed: int, index: int) -> tuple[int, int]:
         value = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
         return value ^ value >> 16
 
-    pool = [hashmix(word) for word in entropy[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
+    if pool is None:
+        words = words + [0] * (4 - len(words))
+        pool = [hashmix(word) for word in words[:4]]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        words = words[4:]
+    for word in words:
         for dst in range(4):
             pool[dst] = mix(pool[dst], hashmix(word))
-    hash_b = 0x8B51F9DD
-    state = 0  # generate_state(4, uint64) as one little-endian 256-bit int
-    for i in range(8):
-        value = pool[i % 4] ^ hash_b
-        hash_b = hash_b * 0x58F38DED & _M32
-        value = value * hash_b & _M32
-        state |= (value ^ value >> 16) << 32 * i
-    words = [state >> 64 * k & _M64 for k in range(4)]
-    return words[0] << 64 | words[1], words[2] << 64 | words[3]
+    return pool, hash_a
 
 
 class _Stream:
-    """Bounded draws of numpy's default_rng(SeedSequence(seed, spawn_key=(index,)))."""
+    """Bounded draws of numpy's default_rng(SeedSequence(seed, spawn_key=(index,))),
+    given ``seed_pool = _hash_pool(_words32(seed))``."""
 
     __slots__ = ("_state", "_inc", "_high")
 
-    def __init__(self, seed: int, index: int):
-        initstate, initseq = _seed_state(seed, index)
+    def __init__(self, seed_pool: tuple[list[int], int], index: int):
+        pool, _ = _hash_pool(_words32(index), list(seed_pool[0]), seed_pool[1])
+        hash_b = 0x8B51F9DD
+        state = 0  # generate_state(4, uint64) as one little-endian 256-bit int
+        for i in range(8):
+            value = pool[i % 4] ^ hash_b
+            hash_b = hash_b * 0x58F38DED & _M32
+            value = value * hash_b & _M32
+            state |= (value ^ value >> 16) << 32 * i
+        words = [state >> 64 * k & _M64 for k in range(4)]
+        initstate, initseq = words[0] << 64 | words[1], words[2] << 64 | words[3]
         self._inc = (initseq << 1 | 1) & _M128
         # PCG's srandom: step from state 0, add initstate, step again
         self._state = ((self._inc + initstate) * _PCG_MULT + self._inc) & _M128
         self._high: int | None = None
-
-    def _next32(self) -> int:
-        if self._high is not None:
-            high, self._high = self._high, None
-            return high
-        state = self._state = (self._state * _PCG_MULT + self._inc) & _M128
-        rot = state >> 122
-        x = (state >> 64 ^ state) & _M64
-        x = (x >> rot | x << (64 - rot)) & _M64
-        self._high = x >> 32
-        return x & _M32
 
     def below(self, k: int) -> int:
         """A uniform draw from range(k), 1 <= k <= 2**32, as
         ``Generator.integers(k)``; k == 1 consumes nothing."""
         if k == 1:
             return 0
-        m = self._next32() * k
-        if m & _M32 < k:
-            threshold = (1 << 32) % k
-            while m & _M32 < threshold:
-                m = self._next32() * k
-        return m >> 32
+        while True:
+            if self._high is None:
+                state = self._state = (self._state * _PCG_MULT + self._inc) & _M128
+                rot = state >> 122
+                x = (state >> 64 ^ state) & _M64
+                x = (x >> rot | x << (64 - rot)) & _M64
+                self._high = x >> 32
+                m = (x & _M32) * k
+            else:
+                m, self._high = self._high * k, None
+            # Lemire: redraw while the low half falls under 2**32 mod k
+            if m & _M32 >= k or m & _M32 >= (1 << 32) % k:
+                return m >> 32
+
+
+# the set bits of every byte value, ascending: those of b + 2**bit, for
+# b < 2**bit, are those of b and then bit
+_BYTE_BITS: list[tuple[int, ...]] = [()]
+for _bit in range(8):
+    _BYTE_BITS += [bits + (_bit,) for bits in _BYTE_BITS]
 
 
 def _nth_bit(mask: int, k: int) -> int:
     """Index of the set bit of ``mask`` that has k set bits below it.
 
     Halves the span still holding that bit, counting the set bits of its
-    lower half: O(log t) big-int operations, and no list of the bits.
+    lower half, until at most 8 bits are left, then reads the bit from
+    ``_BYTE_BITS``: O(log t) big-int operations, and no list of the bits.
     """
     low = 0
     width = mask.bit_length()
-    while width > 1:
+    while width > 8:
         half = width >> 1
         below = mask & ((1 << half) - 1)
         count = below.bit_count()
@@ -199,7 +207,7 @@ def _nth_bit(mask: int, k: int) -> int:
             mask >>= half
             low += half
             width -= half
-    return low
+    return low + _BYTE_BITS[mask][k]
 
 
 def _place_column(
@@ -207,42 +215,44 @@ def _place_column(
     t: int,
     w: int,
     d: int,
-    masks: list[int],
-    weights: list[int],
-    holders: dict[int, list[int]],
+    rows_of: dict[int, int],
+    light_of: dict[int, int],
+    heavy_at: dict[int, list[int]],
 ) -> int | None:
     """Draw a weight-w support meeting each existing column in few rows.
 
     Rows are chosen one at a time among those still compatible with the
     per-column intersection caps, which keeps the acceptance rate high
-    where uniform rejection sampling stalls.  ``holders[r]`` lists the
-    existing columns that hold row r (rows no column holds are absent),
-    so a drawn row updates the shares of those columns only.  ``free``
-    holds the allowed rows, ``full & ~mask & ~blocked`` with ``blocked``
-    the union of the columns whose cap is reached.  The next row is the
-    set bit of ``free`` with ``rng.below(free.bit_count())`` set bits
-    below it, found by halving (:func:`_nth_bit`): the row the same draw
-    picks from the ascending list of allowed rows.  Returns None after
-    repeated dead ends.
+    where uniform rejection sampling stalls.  Per-row masks, keyed by the
+    rows in use: ``rows_of[r]`` is the union of the columns holding row
+    r, ``light_of[r]`` that of those of weight d+1, ``heavy_at[r]`` lists
+    the heavier ones.  ``free`` holds the allowed rows; a drawn row r
+    clears itself and ``rows_of[r]`` from it in one step, or, for a heavy
+    new column (which may share two rows with a heavy one), ``light_of[r]``
+    and the heavy holders of r that already share a drawn row.  The next
+    row is the set bit of ``free`` with ``rng.below(free.bit_count())``
+    set bits below it (:func:`_nth_bit`): the row the same draw picks
+    from the ascending list of allowed rows.  None after repeated dead ends.
     """
-    caps = [2 if w > d + 1 and wo > d + 1 else 1 for wo in weights]
+    heavy = w > d + 1
+    blocked_by = (light_of if heavy else rows_of).get
+    below = rng.below
     full = (1 << t) - 1
     for _ in range(20):
         mask = 0
         free = full
-        shares = [0] * len(masks)
         for _ in range(w):
             if not free:
                 mask = 0
                 break
-            r = _nth_bit(free, rng.below(free.bit_count()))
+            r = _nth_bit(free, below(free.bit_count()))
             bit = 1 << r
+            free &= ~(bit | blocked_by(r, 0))
+            if heavy:
+                for other in heavy_at.get(r, ()):
+                    if other & mask:
+                        free &= ~other
             mask |= bit
-            free ^= bit
-            for k in holders.get(r, ()):
-                shares[k] += 1
-                if shares[k] == caps[k]:
-                    free &= ~masks[k]
         if mask:
             return mask
     return None
@@ -271,6 +281,7 @@ def random_disjunct_corpus(
     Columns have constant weight d+1 unless ``mixed_weights`` draws
     weights from d+1 up to floor(5d/3).  With ``isolated_free`` each
     surviving matrix is peeled to its isolated-free core and re-verified.
+    Each attempt keeps per-row masks of its columns (:func:`_place_column`).
     Deterministic for a fixed seed: attempt i draws from its own stream,
     so the corpus does not depend on how many attempts succeed.  The
     stream is defined in this module and is compatible with numpy's: it
@@ -287,21 +298,26 @@ def random_disjunct_corpus(
         return []
     max_weight = max(d + 1, (5 * d) // 3) if mixed_weights else d + 1
     max_weight = min(max_weight, t)
+    seed_pool = _hash_pool(_words32(seed))
     corpus: list[BinaryMatrix] = []
     for i in range(attempts):
-        rng = _Stream(seed, i)
+        rng = _Stream(seed_pool, i)
         masks: list[int] = []
-        weights: list[int] = []
-        holders: dict[int, list[int]] = {}
+        rows_of: dict[int, int] = {}
+        light_of: dict[int, int] = {}
+        heavy_at: dict[int, list[int]] = {}
         for _ in range(n):
             w = d + 1 + rng.below(max_weight - d) if mixed_weights else d + 1
-            mask = _place_column(rng, t, w, d, masks, weights, holders)
+            mask = _place_column(rng, t, w, d, rows_of, light_of, heavy_at)
             if mask is None:
                 break
             for r in _iter_bits(mask):
-                holders.setdefault(r, []).append(len(masks))
+                rows_of[r] = rows_of.get(r, 0) | mask
+                if w > d + 1:
+                    heavy_at.setdefault(r, []).append(mask)
+                else:
+                    light_of[r] = light_of.get(r, 0) | mask
             masks.append(mask)
-            weights.append(w)
         if len(masks) < n:
             continue
         candidate = BinaryMatrix.from_masks(t, masks)

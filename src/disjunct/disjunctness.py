@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import _kernels
-from .matrix import BinaryMatrix, _iter_bits
+from .matrix import BinaryMatrix, _iter_bits, _private_rows
 
 
 @dataclass(frozen=True)
@@ -180,21 +180,21 @@ def max_disjunct_order(matrix: BinaryMatrix) -> int:
     return best
 
 
-def _drop(matrix: BinaryMatrix, j: int, rows: list[int]) -> BinaryMatrix:
-    """``matrix`` without column j and the ascending ``rows``, survivors in
-    order: each run of kept rows moves down past the rows dropped below it."""
+def _drop(t: int, masks: Sequence[int], j: int, rows: list[int]) -> tuple[int, list[int]]:
+    """(t, masks) of a matrix without column j and the ascending ``rows``,
+    survivors in order: each run of kept rows moves down past the rows
+    dropped below it."""
     runs = []  # (first row, mask of its length, rows dropped below) per run
     start = 0
-    for dropped, r in enumerate(rows + [matrix.t]):
+    for dropped, r in enumerate(rows + [t]):
         if r > start:
             runs.append((start, (1 << (r - start)) - 1, dropped))
         start = r + 1
-    masks = [
+    return t - len(rows), [
         sum((mask >> lo & run) << (lo - dropped) for lo, run, dropped in runs)
-        for k, mask in enumerate(matrix.masks)
+        for k, mask in enumerate(masks)
         if k != j
     ]
-    return BinaryMatrix.from_masks(matrix.t - len(rows), masks)
 
 
 def find_isolated_columns(matrix: BinaryMatrix) -> frozenset[int]:
@@ -219,7 +219,7 @@ def peel_isolated(matrix: BinaryMatrix, j: int) -> PeelResult:
     if not private:
         raise ValueError(f"column {j} is not isolated")
     return PeelResult(
-        reduced=_drop(matrix, j, private),
+        reduced=BinaryMatrix.from_masks(*_drop(matrix.t, matrix.masks, j, private)),
         removed_column=j,
         removed_rows=frozenset(private),
     )
@@ -230,16 +230,18 @@ def peel_to_core(matrix: BinaryMatrix) -> tuple[BinaryMatrix, int]:
 
     Returns the reduced matrix and the number of peeled columns.  Always
     peels the lowest-index isolated column first, so the result is
-    deterministic.
+    deterministic.  Peels the column masks and builds one matrix at the end.
     """
+    t, masks = matrix.t, matrix.masks
     peeled = 0
-    while matrix.n >= 2:
-        isolated = find_isolated_columns(matrix)
-        if not isolated:
+    while len(masks) >= 2:
+        private = _private_rows(masks)
+        j = next((k for k, mask in enumerate(masks) if mask & private), None)
+        if j is None:
             break
-        matrix = peel_isolated(matrix, min(isolated)).reduced
+        t, masks = _drop(t, masks, j, list(_iter_bits(masks[j] & private)))
         peeled += 1
-    return matrix, peeled
+    return (BinaryMatrix.from_masks(t, masks) if peeled else matrix), peeled
 
 
 def delete_column_and_rows(matrix: BinaryMatrix, j: int) -> BinaryMatrix:
@@ -253,4 +255,5 @@ def delete_column_and_rows(matrix: BinaryMatrix, j: int) -> BinaryMatrix:
         raise ValueError("matrix must have at least 2 columns")
     if not 0 <= j < matrix.n:
         raise ValueError(f"column index {j} out of range")
-    return _drop(matrix, j, list(_iter_bits(matrix.column_mask(j))))
+    rows = list(_iter_bits(matrix.column_mask(j)))
+    return BinaryMatrix.from_masks(*_drop(matrix.t, matrix.masks, j, rows))

@@ -106,6 +106,8 @@ def verify_identification(
     """
     if d < 0:
         raise ValueError("d must be >= 0")
+    if max_cases < 0:
+        raise ValueError("max_cases must be >= 0")
     n = matrix.n
     total = sum(comb(n, k) for k in range(0, min(d, n) + 1))
     if total > max_cases:

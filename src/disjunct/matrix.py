@@ -47,6 +47,16 @@ def _iter_bits(mask: int):
         mask ^= low
 
 
+def _private_rows(masks: Iterable[int]) -> int:
+    """Mask of the rows that exactly one of ``masks`` contains: ``once``
+    gathers the rows seen in some column, ``twice`` those seen again."""
+    once = twice = 0
+    for mask in masks:
+        twice |= once & mask
+        once |= mask
+    return once & ~twice
+
+
 # analysis operations are specified at desk scale; a matrix of more cells
 # than this (a .dmat text over 256 MB) is refused when read or built
 DENSE_LIMIT = 1 << 28
@@ -161,14 +171,9 @@ class BinaryMatrix:
 
     @property
     def private_rows(self) -> int:
-        """Mask of the rows that exactly one column contains: ``once``
-        gathers the rows seen in some column, ``twice`` those seen again."""
+        """Mask of the rows that exactly one column contains."""
         if self._private_rows is None:
-            once = twice = 0
-            for mask in self.masks:
-                twice |= once & mask
-                once |= mask
-            self._private_rows = once & ~twice
+            self._private_rows = _private_rows(self.masks)
         return self._private_rows
 
     # -- dunder -------------------------------------------------------

@@ -283,7 +283,7 @@ def brute_max_edges_nu_at_most(k, mu):
 
 def reference_place_column(rng, t, w, d, masks, weights):
     """The corpus sampler's former column placement, kept as the reference
-    for its holder lists and its log-time row pick: each draw indexes the
+    for its per-row masks and its log-time row pick: each draw indexes the
     ascending list of every allowed row, and each drawn row is tested
     against every existing column."""
     caps = [2 if w > d + 1 and wo > d + 1 else 1 for wo in weights]

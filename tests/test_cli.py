@@ -219,6 +219,16 @@ def test_verify_id_budget_error(plane_file, capsys):
     assert "budget" in stderr
 
 
+def test_verify_id_refuses_a_negative_budget(plane_file, capsys):
+    code, stdout, stderr = run(capsys, "verify-id", "--d", "2", "--max-cases", "-1", plane_file)
+    assert code == 2 and stdout == ""
+    assert stderr == "error: max_cases must be >= 0\n"
+    # a budget of 0 is legal and too small: the empty set alone is a case
+    code, stdout, stderr = run(capsys, "verify-id", "--d", "2", "--max-cases", "0", plane_file)
+    assert code == 2 and stdout == ""
+    assert "exceed the budget of 0" in stderr
+
+
 def test_verify_id_refuted(tmp_path, capsys):
     path = tmp_path / "bad.dmat"
     path.write_text("2 3\n101\n011\n")
@@ -354,6 +364,11 @@ def test_errors_exit_2(tmp_path, capsys):
         code, stdout, stderr = run(capsys, "bounds", "--d", str(d))
         assert code == 2 and stdout == ""
         assert stderr.startswith("error:") and len(stderr.splitlines()) == 1
+    # t(d, n) is refused before any bound is printed
+    for n in ("0", "-5"):
+        code, stdout, stderr = run(capsys, "bounds", "--d", "3", "--n", n)
+        assert code == 2 and stdout == ""
+        assert stderr == "error: d and n must be >= 1\n"
 
 
 def test_construct_refuses_oversize_before_building(monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import numpy as np
 import pytest
@@ -162,12 +163,62 @@ def test_corpus_sizes_are_pinned(corpus, mixed_corpus):
     } == PINNED_CORPORA
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2**32 + 5, 2**64 + 7])
+# why attempts keep nothing, per conftest corpus: (sampler dead ends,
+# checker refusals, refusals after peeling, kept); every attempt is one
+# of the four
+REJECTIONS = {
+    ("constant", 2): (0, 0, 0, 110),
+    ("constant", 3): (20, 0, 0, 110),
+    ("constant", 4): (278, 0, 0, 102),
+    ("mixed", 3): (289, 6, 0, 5),
+    ("mixed", 4): (94, 105, 0, 1),
+}
+
+
+def test_corpus_rejections_are_pinned(monkeypatch):
+    place, check = constructions._place_column, constructions.is_d_disjunct
+    dead_ends = refusals = 0
+
+    def spy_place(*args):
+        nonlocal dead_ends
+        mask = place(*args)
+        dead_ends += mask is None  # a dead end ends its attempt
+        return mask
+
+    def spy_check(matrix, d):
+        nonlocal refusals
+        verdict = check(matrix, d)
+        # the check before peeling sees all n columns; one after it sees
+        # fewer, or the same matrix again with the same verdict
+        refusals += not verdict.is_disjunct and matrix.n == params["n"]
+        return verdict
+
+    monkeypatch.setattr(constructions, "_place_column", spy_place)
+    monkeypatch.setattr(constructions, "is_d_disjunct", spy_check)
+    found = {}
+    for kind, table in (("constant", CORPUS_PARAMS), ("mixed", MIXED_PARAMS)):
+        for d, params in table.items():
+            dead_ends = refusals = 0
+            kept = len(random_disjunct_corpus(
+                d, isolated_free=True, mixed_weights=kind == "mixed", **params
+            ))
+            peel_refusals = params["attempts"] - dead_ends - refusals - kept
+            found[kind, d] = (dead_ends, refusals, peel_refusals, kept)
+    assert found == REJECTIONS
+
+
+def _stream(seed, index):
+    return constructions._Stream(constructions._hash_pool(constructions._words32(seed)), index)
+
+
+# 2**130 + 9 has five 32-bit words: the fifth is mixed into the pool
+# that every attempt of a corpus shares, before the index words
+@pytest.mark.parametrize("seed", [0, 1, 2**32 + 5, 2**64 + 7, 2**130 + 9])
 @pytest.mark.parametrize("index", [0, 2**32 + 3])
 def test_stream_matches_numpy_generator(seed, index):
     # numpy is the reference only here: the library never loads numpy.random
     reference = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
-    stream = constructions._Stream(seed, index)
+    stream = _stream(seed, index)
     ks = [1, 2, 17, 2**31 + 1, 2**32 - 1, 2**32, 3, 1, 25]
     for i in range(120):
         k = ks[i % len(ks)]
@@ -190,22 +241,26 @@ def _sample_in_step(t, d, seed, index):
     return the same mask (or None) and leave the streams in step.  Returns
     how many placements met an earlier column under a cap of two rows."""
     span = min(max(d + 1, 5 * d // 3), t) - d
-    fast = constructions._Stream(seed, index)
-    slow = constructions._Stream(seed, index)
-    masks, weights, holders = [], [], {}
+    fast, slow = _stream(seed, index), _stream(seed, index)
+    masks, weights = [], []
+    rows_of, light_of, heavy_at = {}, {}, {}  # the sampler's per-row masks
     cap_2 = 0
     for _ in range(60):
         w = d + 1 + fast.below(span)
         assert d + 1 + slow.below(span) == w
         cap_2 += w > d + 1 and any(wo > d + 1 for wo in weights)
-        mask = constructions._place_column(fast, t, w, d, masks, weights, holders)
+        mask = constructions._place_column(fast, t, w, d, rows_of, light_of, heavy_at)
         assert mask == reference_place_column(slow, t, w, d, masks, weights)
         assert fast.below(2**32) == slow.below(2**32)
         if mask is None:
             break
         for r in range(t):
             if mask >> r & 1:
-                holders.setdefault(r, []).append(len(masks))
+                rows_of[r] = rows_of.get(r, 0) | mask
+                if w > d + 1:
+                    heavy_at.setdefault(r, []).append(mask)
+                else:
+                    light_of[r] = light_of.get(r, 0) | mask
         masks.append(mask)
         weights.append(w)
     return cap_2
@@ -230,13 +285,25 @@ def test_place_column_forced_dead_end(t):
     # may share one row: the first draw blocks all others, and each of
     # the 20 tries ends in a dead end
     for d in (1, 2):
-        fast = constructions._Stream(t, d)
-        slow = constructions._Stream(t, d)
+        fast, slow = _stream(t, d), _stream(t, d)
         full = (1 << t) - 1
-        holders = {r: [0] for r in range(t)}
-        assert constructions._place_column(fast, t, d + 1, d, [full], [d + 1], holders) is None
+        rows_of = {r: full for r in range(t)}
+        assert constructions._place_column(fast, t, d + 1, d, rows_of, rows_of, {}) is None
         assert reference_place_column(slow, t, d + 1, d, [full], [d + 1]) is None
         assert fast.below(2**32) == slow.below(2**32)
+
+
+def test_nth_bit_matches_the_sorted_bits():
+    # per width, the full mask and random masks whose top bit is set; at
+    # 2**18 rows only sparse masks, so that every k stays cheap to check
+    rng = random.Random(18)
+    for width in [*range(1, 131), 2**18]:
+        densities = (1, 0.5, 0.1) if width <= 130 else (0.002, 0.0001)
+        for density in densities:
+            bits = [r for r in range(width - 1) if rng.random() < density]
+            bits.append(width - 1)
+            mask = sum(1 << r for r in bits)
+            assert [constructions._nth_bit(mask, k) for k in range(len(bits))] == bits
 
 
 def test_corpus_at_a_quarter_million_rows():

@@ -100,6 +100,8 @@ def test_verify_identification_budget():
     m = identity_matrix(30)
     with pytest.raises(BudgetExceededError):
         verify_identification(m, 4, max_cases=1000)
+    with pytest.raises(ValueError, match="max_cases must be >= 0"):
+        verify_identification(m, 0, max_cases=-1)
 
 
 def test_verify_identification_multiword_path():
