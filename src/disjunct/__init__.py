@@ -58,10 +58,11 @@ from .matrix import (
     write_matrix,
 )
 from .pairs import (
-    Lemma3Report,
-    PairBudget,
+    ColumnPairs,
+    PairAnalysis,
     PairClassification,
     PairGraph,
+    analyze_pairs,
     classify_pairs,
     complete_graph_matchings,
     erdos_gallai_bound,
@@ -70,8 +71,6 @@ from .pairs import (
     matching_numbers_all_graphs,
     max_edges_matching_bounded,
     pair_graph,
-    private_pair_budget,
-    verify_lemma3,
 )
 from .search import SearchCertificate, exhaustive_T
 
@@ -83,12 +82,12 @@ __all__ = [
     "BinaryMatrix",
     "BoundReport",
     "BudgetExceededError",
+    "ColumnPairs",
     "DisjunctVerdict",
     "DmatFormatError",
     "IdentificationReport",
-    "Lemma3Report",
     "OutcomeVector",
-    "PairBudget",
+    "PairAnalysis",
     "PairClassification",
     "PairGraph",
     "PeelResult",
@@ -99,6 +98,7 @@ __all__ = [
     "Witness",
     "affine_plane_matrix",
     "affine_plane_spec",
+    "analyze_pairs",
     "ceil_kappa_times",
     "classify_pairs",
     "complete_graph_matchings",
@@ -121,7 +121,6 @@ __all__ = [
     "pair_graph",
     "peel_isolated",
     "peel_to_core",
-    "private_pair_budget",
     "random_disjunct_corpus",
     "read_matrix",
     "save_matrix",
@@ -129,6 +128,5 @@ __all__ = [
     "theorem1_certificate",
     "theorem2_audit",
     "verify_identification",
-    "verify_lemma3",
     "write_matrix",
 ]

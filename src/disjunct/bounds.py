@@ -20,9 +20,9 @@ import math
 from dataclasses import dataclass
 from math import comb, isqrt
 
-from .disjunctness import find_isolated_columns, is_d_disjunct
+from .disjunctness import find_isolated_columns
 from .matrix import BinaryMatrix
-from .pairs import pair_graph
+from .pairs import analyze_pairs
 
 KAPPA = (15 + math.sqrt(33)) / 24
 """Root of 12*x^2 - 15*x + 4 in (1/2, 1), i.e. where (3k-1)(2-2k) = k/2.
@@ -246,23 +246,20 @@ def theorem2_audit(matrix: BinaryMatrix, d: int) -> Theorem2Audit:
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    if find_isolated_columns(matrix):
+    analysis = analyze_pairs(matrix, d)
+    if analysis.isolated:
         raise ValueError("matrix has isolated columns")
     if matrix.n <= matrix.t:
         raise ValueError(f"n > t required, got n={matrix.n}, t={matrix.t}")
-    if not is_d_disjunct(matrix, d).is_disjunct:
+    if not analysis.disjunct:
         raise ValueError(f"matrix is not {d}-disjunct")
 
     weight_cap = floor_kappa_times(2 * d)
     d2 = d * d
     audits = []
-    sum_private = 0
     all_ok = True
-    for j in range(matrix.n):
-        weight = matrix.weight(j)
-        npairs = len(pair_graph(matrix, j).edges)
-        p = comb(weight, 2) - npairs
-        sum_private += p
+    for column in analysis.columns:
+        weight, p = column.weight, column.private
         s = weight - d
         in_range = 1 <= s <= d - 1
         if weight > weight_cap:
@@ -285,18 +282,18 @@ def theorem2_audit(matrix: BinaryMatrix, d: int) -> Theorem2Audit:
                 all_ok = False
         audits.append(
             ColumnAudit(
-                column=j,
+                column=column.column,
                 weight=weight,
                 s=s,
                 num_private=p,
-                num_nonprivate=npairs,
+                num_nonprivate=column.nonprivate,
                 case=case,
                 in_lemma3_range=in_range,
                 kappa_ok=kappa_ok,
                 moderate_ok=moderate_ok,
             )
         )
-    budget = comb(matrix.t, 2)
+    sum_private, budget = analysis.private_total, analysis.pair_budget
     budget_ok = sum_private <= budget
     t_bound = ceil_kappa_times(d2)
     t_ok = matrix.t >= t_bound

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from math import comb
 from pathlib import Path
 
 from .bounds import lower_bounds, t_dn_lower_bound
 from .constructions import affine_plane_matrix, identity_matrix, random_disjunct_corpus
-from .disjunctness import find_isolated_columns, is_d_disjunct, max_disjunct_order
+from .disjunctness import is_d_disjunct, max_disjunct_order
 from .group_testing import (
     BudgetExceededError,
     OutcomeVector,
@@ -30,7 +29,7 @@ from .matrix import (
     save_matrix,
     write_matrix,
 )
-from .pairs import matching_number, pair_graph, verify_lemma3
+from .pairs import analyze_pairs
 from .search import exhaustive_T
 
 
@@ -103,47 +102,33 @@ def _cmd_check(args) -> int:
 def _cmd_analyze(args) -> int:
     matrix = load_matrix(args.file)
     d = args.d
-    isolated = find_isolated_columns(matrix)
-    verdict = is_d_disjunct(matrix, d)
-    checks_valid = verdict.is_disjunct and not verdict.vacuous and not isolated
-    if verdict.vacuous:
+    analysis = analyze_pairs(matrix, d)
+    if analysis.vacuous:
         print(f"note=d={d} >= n={matrix.n} is vacuous; pair-bound checks skipped")
-    elif not verdict.is_disjunct:
+    elif not analysis.disjunct:
         print(f"note=matrix is not {d}-disjunct; pair-bound checks skipped")
-    if isolated:
-        print(f"note={len(isolated)} isolated columns; pair-bound checks skipped")
+    if analysis.isolated:
+        count = len(analysis.isolated)
+        print(f"note={count} isolated columns; pair-bound checks skipped")
     refuted = False
-    private_total = 0
-    for j in range(matrix.n):
-        if checks_valid:
-            report = verify_lemma3(
-                matrix, j, d, allow_out_of_range=True, check_disjunct=False
-            )
-            nonprivate, nu = report.num_nonprivate, report.matching
-            ok = report.bound_ok and report.matching_ok
-            status = "pass" if ok else "fail"
-            if not report.in_range:
+    for c in analysis.columns:
+        if c.bound is None:
+            bound, status = "-", "n/a"
+        else:
+            ok = c.bound_ok and c.matching_ok
+            bound, status = str(c.bound), "pass" if ok else "fail"
+            if not c.in_range:
                 status += "-out-of-range"
             elif not ok:
                 refuted = True
-            bound = str(report.bound)
-        else:
-            graph = pair_graph(matrix, j)
-            nonprivate, nu = len(graph.edges), matching_number(graph)
-            status = "n/a"
-            bound = "-"
-        # private and non-private pairs partition the column's 2-subsets
-        weight = matrix.weight(j)
-        private = comb(weight, 2) - nonprivate
-        private_total += private
         print(
-            f"column={j} weight={weight} private={private}"
-            f" nonprivate={nonprivate} matching={nu} bound={bound} lemma3={status}"
+            f"column={c.column} weight={c.weight} private={c.private}"
+            f" nonprivate={c.nonprivate} matching={c.matching}"
+            f" bound={bound} lemma3={status}"
         )
-    pair_budget = comb(matrix.t, 2)
     print(
-        f"private_total={private_total} pair_budget={pair_budget}"
-        f" budget_ok={_bool(private_total <= pair_budget)}"
+        f"private_total={analysis.private_total} pair_budget={analysis.pair_budget}"
+        f" budget_ok={_bool(analysis.private_total <= analysis.pair_budget)}"
     )
     return 1 if refuted else 0
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .disjunctness import find_isolated_columns, is_d_disjunct, peel_to_core
+from .disjunctness import is_d_disjunct, peel_to_core
 from .matrix import BinaryMatrix, _iter_bits
 
 
@@ -324,8 +324,9 @@ def random_disjunct_corpus(
         if not is_d_disjunct(candidate, d).is_disjunct:
             continue
         if isolated_free:
+            # the core of two or more columns has no isolated column left
             candidate, _ = peel_to_core(candidate)
-            if candidate.n < 2 or find_isolated_columns(candidate):
+            if candidate.n < 2:
                 continue
             if not is_d_disjunct(candidate, d).is_disjunct:
                 continue

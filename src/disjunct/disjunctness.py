@@ -199,7 +199,7 @@ def _drop(t: int, masks: Sequence[int], j: int, rows: list[int]) -> tuple[int, l
 
 def find_isolated_columns(matrix: BinaryMatrix) -> frozenset[int]:
     """Columns owning a private row (a row contained in no other column)."""
-    private = matrix.private_rows
+    private = _private_rows(matrix.masks)
     if not private:
         return frozenset()
     return frozenset(j for j, mask in enumerate(matrix.masks) if mask & private)
@@ -215,7 +215,7 @@ def peel_isolated(matrix: BinaryMatrix, j: int) -> PeelResult:
         raise ValueError(f"column index {j} out of range")
     if matrix.n < 2:
         raise ValueError("cannot peel the last column")
-    private = list(_iter_bits(matrix.column_mask(j) & matrix.private_rows))
+    private = list(_iter_bits(matrix.column_mask(j) & _private_rows(matrix.masks)))
     if not private:
         raise ValueError(f"column {j} is not isolated")
     return PeelResult(

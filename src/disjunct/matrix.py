@@ -70,7 +70,7 @@ class BinaryMatrix:
     than refusing the input).
     """
 
-    __slots__ = ("t", "n", "_words", "_masks", "_row_degrees", "_private_rows")
+    __slots__ = ("t", "n", "_words", "_masks", "_row_degrees")
 
     def __init__(self, t: int, words: np.ndarray):
         # t == 0 is a legal degenerate case: deleting all rows intersecting
@@ -97,7 +97,6 @@ class BinaryMatrix:
         self._words = words
         self._masks: tuple[int, ...] | None = None
         self._row_degrees: np.ndarray | None = None
-        self._private_rows: int | None = None
 
     # -- constructors -------------------------------------------------
 
@@ -168,13 +167,6 @@ class BinaryMatrix:
             self._row_degrees = _kernels.row_degrees(self._words, self.t)
             self._row_degrees.setflags(write=False)
         return self._row_degrees
-
-    @property
-    def private_rows(self) -> int:
-        """Mask of the rows that exactly one column contains."""
-        if self._private_rows is None:
-            self._private_rows = _private_rows(self.masks)
-        return self._private_rows
 
     # -- dunder -------------------------------------------------------
 

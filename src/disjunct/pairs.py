@@ -11,6 +11,10 @@ O(V^3) for a graph on V vertices.
 ``pair_graph`` is the one pass that finds non-private pairs.  The two
 classes partition a column's 2-subsets, so a column of weight w has
 C(w, 2) - |E| private pairs; only ``classify_pairs`` lists them.
+``analyze_pairs`` is the one pass over a whole matrix: it decides the
+matrix-wide preconditions of that bound (Lemma 3 of the paper) once,
+then counts and checks every column, and totals the private pairs
+against the C(t, 2) budget they share.
 """
 
 from __future__ import annotations
@@ -259,99 +263,69 @@ def formula_one(d: int, s: int) -> int:
 
 
 @dataclass(frozen=True)
-class Lemma3Report:
-    """Non-private pair bound check for one column of a d-disjunct matrix."""
+class ColumnPairs:
+    """Pair counts of one column; the Lemma 3 fields are None where the
+    lemma does not apply to the matrix."""
 
     column: int
     weight: int
-    s: int
-    in_range: bool
-    bound: int
-    num_nonprivate: int
+    private: int
+    nonprivate: int
     matching: int
-    bound_ok: bool
-    matching_ok: bool
-    warning: str | None = None
-
-
-def verify_lemma3(
-    matrix: BinaryMatrix,
-    j: int,
-    d: int,
-    *,
-    allow_out_of_range: bool = False,
-    check_disjunct: bool = True,
-) -> Lemma3Report:
-    """Check |N(c)| <= m(d+s, 2, s-1) and nu(N(c)) <= s-1 for column j.
-
-    Requires a d-disjunct matrix with no isolated columns and a column of
-    weight d+s with 1 <= s <= d-1.  With ``allow_out_of_range`` the bound
-    is still evaluated for s >= d, with a warning instead of an error;
-    ``check_disjunct=False`` skips the (expensive) disjunctness
-    precondition, e.g. to demonstrate the contrapositive on a known
-    non-disjunct matrix.
-    """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if not 0 <= j < matrix.n:
-        raise ValueError(f"column index {j} out of range")
-    isolated = find_isolated_columns(matrix)
-    if isolated:
-        raise ValueError(
-            f"matrix has isolated columns (e.g. column {min(isolated)})"
-        )
-    if check_disjunct and not is_d_disjunct(matrix, d).is_disjunct:
-        raise ValueError(f"matrix is not {d}-disjunct")
-    weight = matrix.weight(j)
-    s = weight - d
-    if s < 1:
-        raise ValueError(
-            f"column {j} has weight {weight} <= d={d}; no s >= 1 applies"
-        )
-    in_range = s <= d - 1
-    warning = None
-    if not in_range:
-        if not allow_out_of_range:
-            raise ValueError(
-                f"column {j} weight {weight} gives s={s} outside 1..{d - 1}"
-            )
-        warning = f"hypothesis out of range: s={s} exceeds d-1={d - 1}"
-    bound = formula_one(d, s)
-    graph = pair_graph(matrix, j)
-    nu = matching_number(graph)
-    num_nonprivate = len(graph.edges)
-    return Lemma3Report(
-        column=j,
-        weight=weight,
-        s=s,
-        in_range=in_range,
-        bound=bound,
-        num_nonprivate=num_nonprivate,
-        matching=nu,
-        bound_ok=num_nonprivate <= bound,
-        matching_ok=nu <= s - 1,
-        warning=warning,
-    )
+    bound: int | None = None  # m(d+s, 2, s-1) for s = weight - d
+    in_range: bool | None = None  # s <= d-1, the lemma's hypothesis
+    bound_ok: bool | None = None  # nonprivate <= bound
+    matching_ok: bool | None = None  # matching <= s-1
 
 
 @dataclass(frozen=True)
-class PairBudget:
-    """Total private pairs across columns against the global C(t,2) budget."""
+class PairAnalysis:
+    """Private-pair analysis of a whole matrix at one order d."""
 
-    total: int
-    budget: int
-    ok: bool
+    vacuous: bool  # d >= n
+    disjunct: bool
+    isolated: frozenset[int]
+    columns: tuple[ColumnPairs, ...]
+    private_total: int
+    pair_budget: int  # C(t, 2)
 
 
-def private_pair_budget(matrix: BinaryMatrix) -> PairBudget:
-    """Sum of |P(c)| over all columns, bounded by C(t, 2).
+def analyze_pairs(matrix: BinaryMatrix, d: int) -> PairAnalysis:
+    """Count every column's private and non-private pairs and, where
+    Lemma 3 applies, check |N(c)| <= m(d+s, 2, s-1) and nu(N(c)) <= s-1.
 
-    A private pair belongs to exactly one column, so ``ok`` is always
-    true; a false value indicates an implementation bug.
+    The lemma applies to a non-vacuous d-disjunct matrix with no isolated
+    columns.  There every column has weight d+s with s >= 1: the rows of
+    a column of weight <= d lie in at most d other columns.  The lemma's
+    hypothesis asks for s <= d-1; beyond it the bound is still evaluated
+    and ``in_range`` is false.  A private pair belongs to exactly one
+    column, so ``private_total`` never exceeds ``pair_budget``.
     """
-    total = sum(
-        comb(matrix.weight(j), 2) - len(pair_graph(matrix, j).edges)
-        for j in range(matrix.n)
+    isolated = find_isolated_columns(matrix)
+    verdict = is_d_disjunct(matrix, d)
+    applies = verdict.is_disjunct and not verdict.vacuous and not isolated
+    columns = []
+    for j in range(matrix.n):
+        graph = pair_graph(matrix, j)
+        weight, nonprivate = len(graph.vertices), len(graph.edges)
+        nu = matching_number(graph)
+        lemma = {}
+        if applies:
+            s = weight - d
+            bound = formula_one(d, s)
+            lemma = dict(
+                bound=bound,
+                in_range=s <= d - 1,
+                bound_ok=nonprivate <= bound,
+                matching_ok=nu <= s - 1,
+            )
+        private = comb(weight, 2) - nonprivate
+        columns.append(ColumnPairs(j, weight, private, nonprivate, nu, **lemma))
+    return PairAnalysis(
+        vacuous=verdict.vacuous,
+        disjunct=verdict.is_disjunct,
+        isolated=isolated,
+        columns=tuple(columns),
+        private_total=sum(c.private for c in columns),
+        pair_budget=comb(matrix.t, 2),
     )
-    budget = comb(matrix.t, 2)
-    return PairBudget(total=total, budget=budget, ok=total <= budget)

@@ -16,6 +16,7 @@ from disjunct import (
     KAPPA,
     PairGraph,
     affine_plane_matrix,
+    analyze_pairs,
     delete_column_and_rows,
     erdos_gallai_bound,
     exhaustive_T,
@@ -25,10 +26,8 @@ from disjunct import (
     is_d_disjunct,
     matching_number,
     max_edges_matching_bounded,
-    private_pair_budget,
     theorem1_certificate,
     verify_identification,
-    verify_lemma3,
 )
 from oracles import antichain_exists, brute_matching_number
 
@@ -95,15 +94,16 @@ def test_05_lemma3_corpus(corpus, mixed_corpus):
         total += len(ms)
         for m in ms:
             assert find_isolated_columns(m) == frozenset()
-            for j in range(m.n):
-                s = m.weight(j) - d
+            analysis = analyze_pairs(m, d)
+            assert analysis.disjunct and not analysis.vacuous and not analysis.isolated
+            for c in analysis.columns:
+                s = c.weight - d
                 if not 1 <= s <= d - 1:
                     continue
                 in_range_columns += 1
-                # the corpus generator already ran the exact checker
-                report = verify_lemma3(m, j, d, check_disjunct=False)
-                assert report.bound_ok, (d, j)
-                assert report.matching_ok, (d, j)
+                assert c.in_range, (d, c.column)
+                assert c.bound_ok, (d, c.column)
+                assert c.matching_ok, (d, c.column)
     _report(5, "pair-bound-corpus", f"{total} matrices, {in_range_columns} columns")
 
 
@@ -162,9 +162,11 @@ def test_08_private_pair_budget(corpus, mixed_corpus):
             BinaryMatrix.from_masks(t, [rng.randrange(0, 1 << t) for _ in range(n)])
         )
     for m in matrices:
-        assert private_pair_budget(m).ok
-    tight = private_pair_budget(affine_plane_matrix(3))
-    assert tight.total == tight.budget == 36
+        analysis = analyze_pairs(m, 1)
+        assert analysis.pair_budget == comb(m.t, 2)
+        assert analysis.private_total <= analysis.pair_budget
+    tight = analyze_pairs(affine_plane_matrix(3), 2)
+    assert tight.private_total == tight.pair_budget == 36
     _report(8, "private-pair-budget", f"{len(matrices)} matrices, AG(2,3) tight")
 
 

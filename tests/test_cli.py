@@ -107,6 +107,26 @@ def test_analyze_golden_out_of_range(tmp_path, capsys):
     assert lines[-1] == "private_total=300 pair_budget=300 budget_ok=true"
 
 
+def test_analyze_runs_the_matrix_wide_checks_once(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "p5.dmat"
+    save_matrix(affine_plane_matrix(5), path)
+    calls = {"find_isolated_columns": 0, "is_d_disjunct": 0}
+    for module in [m for name, m in sys.modules.items() if name.startswith("disjunct.")]:
+        for name in calls:
+            fn = getattr(module, name, None)
+            if fn is None:
+                continue
+
+            def spy(*args, _fn=fn, _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, spy)
+    code, _, _ = run(capsys, "analyze", "--d", "4", str(path))
+    assert code == 0
+    assert calls == {"find_isolated_columns": 1, "is_d_disjunct": 1}
+
+
 def test_analyze_nonprivate_pairs_match_oracles(mixed_corpus, tmp_path, capsys):
     matrix = mixed_corpus[4][0]
     path = tmp_path / "m4.dmat"

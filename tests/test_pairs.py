@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from disjunct import (
     BinaryMatrix,
     PairGraph,
+    analyze_pairs,
     classify_pairs,
     erdos_gallai_bound,
     formula_one,
@@ -16,16 +17,17 @@ from disjunct import (
     matching_number,
     matching_numbers_all_graphs,
     max_edges_matching_bounded,
+    is_d_disjunct,
     pair_graph,
-    private_pair_budget,
-    verify_lemma3,
 )
 from oracles import (
+    brute_is_d_disjunct,
     brute_matching_number,
     brute_max_edges_nu_at_most,
     brute_private_pairs,
     column_rows,
     dense_of,
+    reference_isolated_columns,
 )
 
 
@@ -270,7 +272,7 @@ def test_formula_one_piecewise_structure():
 
 
 def test_formula_one_is_the_erdos_gallai_bound():
-    # verify_lemma3 relies on this wherever m(d+s, 2, s-1) is defined
+    # analyze_pairs relies on this wherever m(d+s, 2, s-1) is defined
     for d in range(1, 61):
         for s in range(1, d + 2):
             assert formula_one(d, s) == erdos_gallai_bound(d + s, s - 1)
@@ -287,45 +289,45 @@ def test_formula_one_validation():
 
 
 def test_lemma3_on_affine_plane(ag):
-    m = ag(5)
-    report = verify_lemma3(m, 0, 4)
-    assert report.s == 1 and report.in_range
-    assert report.bound == 0 and report.num_nonprivate == 0
-    assert report.matching == 0
-    assert report.bound_ok and report.matching_ok
-    assert report.warning is None
+    analysis = analyze_pairs(ag(5), 4)
+    assert analysis.disjunct and not analysis.vacuous and not analysis.isolated
+    for c in analysis.columns:
+        assert c.weight - 4 == 1 and c.in_range
+        assert c.bound == 0 and c.nonprivate == 0
+        assert c.matching == 0
+        assert c.bound_ok and c.matching_ok
 
 
 def test_lemma3_weight_d_plus_one_forces_no_shared_pairs(corpus):
     for m in corpus[2][:10]:
-        for j in range(m.n):
-            if m.weight(j) == 3:
-                report = verify_lemma3(m, j, 2, check_disjunct=False)
-                assert report.num_nonprivate == 0
+        for c in analyze_pairs(m, 2).columns:
+            if c.weight == 3:
+                assert c.nonprivate == 0
 
 
-def test_lemma3_errors_name_precondition():
-    with pytest.raises(ValueError, match="isolated"):
-        verify_lemma3(identity_matrix(4), 0, 1)
-    not_disjunct = BinaryMatrix.from_masks(3, [0b011, 0b011, 0b110, 0b101])
-    with pytest.raises(ValueError, match="not 2-disjunct"):
-        verify_lemma3(not_disjunct, 0, 2)
+def test_lemma3_flags_name_precondition():
+    isolated = analyze_pairs(identity_matrix(4), 1)
+    assert isolated.isolated == frozenset(range(4))
+    not_disjunct = analyze_pairs(
+        BinaryMatrix.from_masks(3, [0b011, 0b011, 0b110, 0b101]), 2
+    )
+    assert not not_disjunct.disjunct and not not_disjunct.isolated
+    for analysis in (isolated, not_disjunct):
+        assert all(c.bound is None for c in analysis.columns)
+        assert all(c.in_range is None for c in analysis.columns)
 
 
 def test_lemma3_out_of_range_flag(ag):
     # affine plane lines have s = 1; build weight d+s with s >= d via q=5, d=2
-    m = ag(5)
-    with pytest.raises(ValueError, match="outside"):
-        verify_lemma3(m, 0, 2)
-    report = verify_lemma3(m, 0, 2, allow_out_of_range=True)
-    assert not report.in_range
-    assert report.warning is not None
-    assert report.s == 3
+    c = analyze_pairs(ag(5), 2).columns[0]
+    assert not c.in_range
+    assert c.weight - 2 == 3
+    assert c.bound == formula_one(2, 3) == 10
 
 
 def test_lemma3_contrapositive():
     # s disjoint shared pairs + coverable remainder means not d-disjunct:
-    # build it by hand and watch the booleans fail
+    # build it by hand and watch the matching exceed what the lemma allows
     d, s = 3, 2
     # column 0 has weight d+s = 5: rows 0..4; pairs (0,1) and (2,3) are
     # shared with columns 1 and 2; row 4 is shared with column 3
@@ -337,25 +339,64 @@ def test_lemma3_contrapositive():
         0b1100000,
     ]
     m = BinaryMatrix.from_masks(7, masks)
-    from disjunct import is_d_disjunct
-
     assert not is_d_disjunct(m, d).is_disjunct
-    report = verify_lemma3(m, 0, d, check_disjunct=False)
-    assert report.matching == 2  # nu = s, one more than the lemma allows
-    assert not report.matching_ok
+    analysis = analyze_pairs(m, d)
+    assert not analysis.disjunct
+    c = analysis.columns[0]
+    assert c.weight == d + s
+    assert c.matching == 2 > s - 1  # nu = s, one more than the lemma allows
+
+
+# the two smallest isolated-free 2-disjunct designs with more than two
+# columns: the Fano plane and the dual of K4 (rows are its edges)
+FANO = [0b0001011, 0b0010110, 0b0101100, 0b1011000, 0b0110001, 0b1100010, 0b1000101]
+K4_DUAL = [0b000111, 0b011001, 0b101010, 0b110100]
+
+
+def _small_matrix(rng):
+    """A uniform random matrix, or a few columns of FANO or K4_DUAL with
+    random columns added and up to two cells flipped."""
+    if rng.random() < 0.5:
+        t, n = rng.randint(1, 7), rng.randint(1, 8)
+        return BinaryMatrix.from_masks(t, [rng.randrange(1 << t) for _ in range(n)])
+    t, masks = rng.choice([(7, FANO), (6, K4_DUAL)])
+    masks = rng.sample(masks, rng.randint(2, len(masks)))
+    masks += [rng.randrange(1 << t) for _ in range(rng.randint(0, 8 - len(masks)))]
+    for _ in range(rng.randint(0, 2)):
+        masks[rng.randrange(len(masks))] ^= 1 << rng.randrange(t)
+    return BinaryMatrix.from_masks(t, masks)
+
+
+def test_lemma3_applies_to_every_column():
+    # on a non-vacuous isolated-free d-disjunct matrix the rows of a column
+    # of weight <= d lie in at most d other columns, so every s is >= 1
+    rng = random.Random(13)
+    applied = {1: 0, 2: 0}
+    for _ in range(1500):
+        m = _small_matrix(rng)
+        if reference_isolated_columns(m):
+            continue
+        for d in applied:
+            if d >= m.n or not brute_is_d_disjunct(m.masks, d):
+                continue
+            applied[d] += 1
+            assert all(m.weight(j) >= d + 1 for j in range(m.n))
+            assert all(c.bound is not None for c in analyze_pairs(m, d).columns)
+    assert all(applied.values()), applied
 
 
 # -- private pair budget ----------------------------------------------
 
 
 def test_budget_tight_on_affine_plane(ag):
-    budget = private_pair_budget(ag(3))
-    assert budget.total == 36 and budget.budget == 36 and budget.ok
+    analysis = analyze_pairs(ag(3), 2)
+    assert analysis.private_total == 36 and analysis.pair_budget == 36
 
 
 def test_budget_identity():
-    budget = private_pair_budget(identity_matrix(6))
-    assert budget.total == 0 and budget.ok
+    analysis = analyze_pairs(identity_matrix(6), 1)
+    assert analysis.private_total == 0
+    assert analysis.private_total <= analysis.pair_budget
 
 
 def test_budget_always_holds():
@@ -363,7 +404,9 @@ def test_budget_always_holds():
     for _ in range(60):
         t, n = rng.randint(1, 8), rng.randint(1, 8)
         m = BinaryMatrix.from_masks(t, [rng.randrange(0, 1 << t) for _ in range(n)])
-        assert private_pair_budget(m).ok
+        analysis = analyze_pairs(m, 1)
+        assert analysis.pair_budget == comb(t, 2)
+        assert analysis.private_total <= analysis.pair_budget
 
 
 def test_pair_graph_carries_column_support(ag):
