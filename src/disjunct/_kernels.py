@@ -3,7 +3,8 @@
 Packing convention: a column over rows ``{0, .., t-1}`` is an array of
 ``ceil(t/64)`` uint64 words, row ``i`` stored at bit ``i & 63`` of word
 ``i >> 6``.  Bits at positions >= t are always zero.  The column kernels
-take packed ``(n, W)`` arrays and handle any word count W.
+take packed ``(n, W)`` arrays and handle any word count W; the
+identification scan reads :func:`row_tables`, a row view of them.
 """
 
 from __future__ import annotations
@@ -101,22 +102,80 @@ def matching_numbers_table(
     return out
 
 
-def identification_scan(cols: np.ndarray, combos: np.ndarray) -> int:
+def row_tables(cols: np.ndarray, t: int, cells: int) -> np.ndarray:
+    """Column sets of groups of rows, for :func:`identification_scan`.
+
+    Splits the t rows of the packed ``(n, W)`` columns into groups of g
+    consecutive rows, g the largest of 8, 4, 2 and 1 whose tables hold at
+    most ``cells`` words, or 2 if none does: those tables, about twice the
+    matrix's packed size, are as small as single rows' and need half the
+    lookups.  ``out[i, v]`` packs, column j at bit ``j & 63`` of word
+    ``j >> 6``, the columns that contain a row ``i*g + b`` for some bit b
+    of v.
+    """
+    n, col_words = cols.shape
+    num_words = -(-n // 64)
+    sizes = (8, 4, 2, 1)
+    g = next((g for g in sizes if (-(-t // g) << g) * num_words <= cells), 2)
+    groups = -(-t // g)
+    tables = np.zeros((groups, 1 << g, num_words), dtype=np.uint64)
+    table_bytes, col_bytes = tables.view(np.uint8), cols.view(np.uint8)
+    # row i*g + b is entry 1 << b of group i; the rows are transposed in
+    # tiles of whole bytes of columns and of rows, unpacked to at most
+    # cells bits (64 at the least)
+    singles = 1 << np.arange(g)
+    span = max(8, min(n, cells // 8) // 8 * 8)
+    byte_span = max(1, cells // (8 * span))
+    for lo in range(0, n, span):
+        for a in range(0, -(-t // 8), byte_span):
+            tile = col_bytes[lo : lo + span, a : a + byte_span]
+            bits = np.unpackbits(tile, axis=1, bitorder="little").T
+            # packbits is many times faster along a contiguous axis
+            bits = np.ascontiguousarray(bits)
+            packed = np.packbits(bits, axis=1, bitorder="little")
+            # rows 8a on, past the last group's dropped, in groups of g
+            packed = packed[: groups * g - 8 * a].reshape(-1, g, packed.shape[1])
+            i, j = 8 * a // g, lo // 8
+            table_bytes[i : i + len(packed), singles, j : j + packed.shape[2]] = packed
+    for b in range(1, g):
+        # entry (1 << b) + v is entry v and the single row b
+        out = tables[:, (1 << b) + 1 : 2 << b]
+        np.bitwise_or(tables[:, 1 : 1 << b], tables[:, 1 << b, None], out=out)
+    return tables
+
+
+def identification_scan(
+    tables: np.ndarray, unions: np.ndarray, n: int, k: int, cells: int
+) -> int:
     """Check the naive decoder over many positive sets at once.
 
-    ``cols`` are packed ``(n, W)`` columns and each row of ``combos`` is a
-    sorted positive set of k distinct columns.  Returns the index of the
-    first positive set the decoder fails to recover exactly, or -1.
+    ``tables`` are the :func:`row_tables` of n columns and each row of
+    ``unions`` is the packed union of a positive set of k distinct
+    columns.  Returns the index of the first positive set the decoder
+    fails to recover exactly, or -1.  Its lookups hold at most ``cells``
+    words at a time, or one group's for every set if that is more.
 
-    Column j is decoded iff it lies inside the union of the positive
-    columns, word by word.  Every positive column does, so a set is
-    recovered exactly iff exactly k columns are decoded.
+    A column is decoded iff it meets no negative row, and every positive
+    column is, so a set is recovered exactly iff its negative rows, one
+    table entry per row group, meet exactly n - k columns.
     """
-    num_cases, k = combos.shape
-    decoded = np.ones((num_cases, cols.shape[0]), dtype=bool)
-    for a in range(cols.shape[1]):
-        word = cols[:, a]
-        union = np.bitwise_or.reduce(word[combos], axis=1)
-        decoded &= (word & ~union[:, None]) == 0
-    bad = np.count_nonzero(decoded, axis=1) != k
+    groups, entries, num_words = tables.shape
+    g = entries.bit_length() - 1
+    # byte a of a union holds the bits of rows 8a .. 8a + 7
+    union_bytes = np.ascontiguousarray(unions).view(np.uint8)
+    missed = np.zeros((unions.shape[0], num_words), dtype=np.uint64)
+    # look up a span of groups at once, as many as fit in cells, so that a
+    # tall matrix's many groups do not cost a numpy call each
+    span = max(1, cells // max(1, missed.size))
+    for lo in range(0, groups, span):
+        at = np.arange(lo, min(groups, lo + span))
+        # row i: the negative rows of group at[i] in every set
+        values = ~union_bytes[:, at * g >> 3].T
+        if g < 8:
+            shifts = (at * g & 7).astype(np.uint8)
+            values = (values >> shifts[:, None]) & (entries - 1)
+        flat = tables[lo : lo + span].reshape(-1, num_words)
+        picked = np.take(flat, values + (at - lo)[:, None] * entries, axis=0)
+        missed |= np.bitwise_or.reduce(picked, axis=0)
+    bad = np.bitwise_count(missed).sum(axis=1) != n - k
     return int(np.argmax(bad)) if bad.any() else -1

@@ -246,11 +246,12 @@ def theorem2_audit(matrix: BinaryMatrix, d: int) -> Theorem2Audit:
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    analysis = analyze_pairs(matrix, d)
-    if analysis.isolated:
+    # the cheap preconditions first: the pair pass runs the exact check
+    if find_isolated_columns(matrix):
         raise ValueError("matrix has isolated columns")
     if matrix.n <= matrix.t:
         raise ValueError(f"n > t required, got n={matrix.n}, t={matrix.t}")
+    analysis = analyze_pairs(matrix, d)
     if not analysis.disjunct:
         raise ValueError(f"matrix is not {d}-disjunct")
 

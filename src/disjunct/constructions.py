@@ -280,7 +280,8 @@ def random_disjunct_corpus(
 
     Columns have constant weight d+1 unless ``mixed_weights`` draws
     weights from d+1 up to floor(5d/3).  With ``isolated_free`` each
-    surviving matrix is peeled to its isolated-free core and re-verified.
+    surviving matrix is peeled to its isolated-free core, re-verified if
+    peeling removed anything.
     Each attempt keeps per-row masks of its columns (:func:`_place_column`).
     Deterministic for a fixed seed: attempt i draws from its own stream,
     so the corpus does not depend on how many attempts succeed.  The
@@ -325,10 +326,11 @@ def random_disjunct_corpus(
             continue
         if isolated_free:
             # the core of two or more columns has no isolated column left
-            candidate, _ = peel_to_core(candidate)
+            candidate, peeled = peel_to_core(candidate)
             if candidate.n < 2:
                 continue
-            if not is_d_disjunct(candidate, d).is_disjunct:
+            # with nothing peeled the candidate is the matrix checked above
+            if peeled and not is_d_disjunct(candidate, d).is_disjunct:
                 continue
         corpus.append(candidate)
     return corpus

@@ -4,12 +4,18 @@ A test is positive iff it contains a positive item, so the outcome vector
 is the boolean sum of the positive columns.  The naive decoder returns
 every item appearing in no negative test; on a d-disjunct matrix it
 recovers any positive set of size at most d exactly.
+
+:func:`verify_identification` checks that guarantee exhaustively.  It
+decodes from a row view of the matrix: tables that give, for a group of
+rows, the columns meeting any selected row (``_kernels.row_tables``),
+so a positive set's decoded count is one table lookup per row group.
+The sets of each size are built in numpy blocks as the sets one smaller
+(their prefixes) times a last element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
 from math import comb
 from typing import Iterable
 
@@ -19,11 +25,12 @@ from . import _kernels
 from .matrix import BinaryMatrix, _iter_bits, _mask_to_words
 
 
-# Positive sets per identification_scan call, fewer on wide matrices so
-# that its (sets, n) temporary arrays hold at most _SCAN_CELLS cells each
-# (8 MB as uint64), whatever the number of sets and columns.
-_SCAN_BLOCK = 1 << 10
-_SCAN_CELLS = 1 << 20
+# The one memory cap of the identification scan: its row tables, each
+# block of positive sets across its arrays and each batch of lookups hold
+# at most _SCAN_CELLS cells (256 KB as uint64) whatever the number of rows,
+# columns and sets; only tables of row pairs, about twice the packed
+# matrix, may exceed it.
+_SCAN_CELLS = 1 << 15
 
 
 class BudgetExceededError(RuntimeError):
@@ -114,24 +121,65 @@ def verify_identification(
         raise BudgetExceededError(
             f"{total} positive sets exceed the budget of {max_cases}"
         )
-    block = min(_SCAN_BLOCK, max(1, _SCAN_CELLS // n))
-    checked = 0
-    for k in range(0, min(d, n) + 1):
-        sets = combinations(range(n), k)
-        num_sets = comb(n, k)
-        for start in range(0, num_sets, block):
-            size = min(block, num_sets - start)
-            combos = np.fromiter(
-                chain.from_iterable(islice(sets, size)),
-                dtype=np.int64,
-                count=size * k,
-            ).reshape(size, k)
-            bad = _kernels.identification_scan(matrix.words, combos)
+    tables = _kernels.row_tables(matrix.words, matrix.t, _SCAN_CELLS)
+    empty = np.zeros((1, matrix.words.shape[1]), dtype=np.uint64)
+    if _kernels.identification_scan(tables, empty, n, 0, _SCAN_CELLS) != -1:
+        return IdentificationReport(ok=False, cases=1, failure=())
+    checked = 1
+    # words a set's union and the columns it misses take
+    words = matrix.words.shape[1] + tables.shape[2]
+    for k in range(1, min(d, n) + 1):
+        # a set's cells in its block: prefix, parent and last element, and
+        # its words, each with one temporary copy
+        size = max(1, _SCAN_CELLS // (k + 2 + 2 * words))
+        for prefixes, parent, last, unions in _lex_blocks(matrix.words, k, size):
+            bad = _kernels.identification_scan(tables, unions, n, k, _SCAN_CELLS)
             if bad != -1:
                 return IdentificationReport(
                     ok=False,
                     cases=checked + bad + 1,
-                    failure=tuple(combos[bad].tolist()),
+                    failure=(*prefixes[parent[bad]].tolist(), int(last[bad])),
                 )
-            checked += size
+            checked += len(unions)
     return IdentificationReport(ok=True, cases=checked)
+
+
+def _lex_blocks(cols: np.ndarray, k: int, size: int):
+    """Every nonempty k-subset of the packed columns in lex order, with
+    the union of its columns.
+
+    A k-set is a (k-1)-set, its prefix, and a last element past the
+    prefix's last.  Yields ``(prefixes, parent, last, unions)`` blocks of
+    at most ``size`` sets, set r being ``prefixes[parent[r]]`` then
+    ``last[r]``; a block of prefixes expands to the runs of last elements
+    that follow each prefix, split across as many blocks as they fill.
+    """
+    n, num_words = cols.shape
+    if k == 1:
+        # the empty prefix, whose "last element" -1 lets every column follow
+        empty = np.zeros((1, num_words), dtype=np.uint64)
+        blocks = [(np.zeros((1, 0), dtype=np.int64), np.array([-1]), empty)]
+    else:
+        blocks = (
+            (np.column_stack((head[parent], last)), last, unions)
+            for head, parent, last, unions in _lex_blocks(cols, k - 1, size)
+        )
+    for prefixes, prefix_last, prefix_unions in blocks:
+        # prefix p's run fills positions ends[p] - runs[p] .. ends[p] - 1
+        runs = n - 1 - prefix_last
+        ends = np.cumsum(runs)
+        total = int(ends[-1])
+        for lo in range(0, total, size):
+            hi = min(lo + size, total)
+            first = np.searchsorted(ends, lo, side="right")
+            stop = np.searchsorted(ends, hi - 1, side="right") + 1
+            ends_here = ends[first:stop]
+            starts_here = ends_here - runs[first:stop]
+            taken = np.minimum(ends_here, hi) - np.maximum(starts_here, lo)
+            parent = np.repeat(np.arange(first, stop), taken)
+            # the run of prefix p ends with column n - 1 at position ends[p] - 1
+            last = np.repeat(n - ends_here, taken)
+            last += np.arange(lo, hi)
+            unions = prefix_unions[parent]
+            unions |= cols[last]
+            yield prefixes, parent, last, unions

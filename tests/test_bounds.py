@@ -234,3 +234,17 @@ def test_theorem2_audit_preconditions():
     bad = BinaryMatrix.from_masks(3, [0b011, 0b011, 0b110, 0b101])
     with pytest.raises(ValueError, match="not 1-disjunct"):
         theorem2_audit(bad, 1)
+
+
+def test_theorem2_audit_refuses_before_the_pair_pass(monkeypatch):
+    from disjunct import BinaryMatrix, bounds
+
+    passes = []
+    monkeypatch.setattr(bounds, "analyze_pairs", lambda *args: passes.append(args))
+    # isolated columns and n <= t: the isolation error comes first
+    with pytest.raises(ValueError, match="isolated"):
+        theorem2_audit(identity_matrix(3), 1)
+    m = BinaryMatrix.from_masks(4, [0b0011, 0b0110, 0b1100, 0b1001])
+    with pytest.raises(ValueError, match="n > t"):
+        theorem2_audit(m, 1)
+    assert passes == []

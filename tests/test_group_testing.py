@@ -154,45 +154,119 @@ def _reports_against_oracle(rng, row_counts):
 
 
 def test_verify_identification_matches_oracle(monkeypatch):
-    # a tiny block size makes failures land past block boundaries too
-    block = 7
-    monkeypatch.setattr(group_testing, "_SCAN_BLOCK", block)
+    # a tiny cap makes failures land past block boundaries too
+    cells = 21
+    monkeypatch.setattr(group_testing, "_SCAN_CELLS", cells)
     reports = _reports_against_oracle(random.Random(31), (5, 63, 64, 65, 130))
-    assert any(not r.ok and r.cases > block for r in reports)
+    assert any(not r.ok and r.cases > cells for r in reports)
 
 
-def _spy_scan_shapes(monkeypatch):
-    """Record (positive sets, columns) of every identification_scan call."""
-    shapes = []
+def _spy_scans(monkeypatch):
+    """Record, for every identification_scan call, the cells of its
+    tables, its positive sets and the widest per-set row of its block:
+    the set, its union or the columns it misses."""
+    calls = []
     scan = _kernels.identification_scan
 
-    def spy(cols, combos):
-        shapes.append((combos.shape[0], cols.shape[0]))
-        return scan(cols, combos)
+    def spy(tables, unions, n, k, cells):
+        width = max(k, unions.shape[1], tables.shape[2])
+        calls.append((tables.size, len(unions), width))
+        return scan(tables, unions, n, k, cells)
 
     monkeypatch.setattr(_kernels, "identification_scan", spy)
-    return shapes
+    return calls
+
+
+def _within(calls, cells):
+    return all(size <= cells and rows * width <= cells for size, rows, width in calls)
 
 
 def test_verify_identification_caps_scan_cells(monkeypatch):
-    # 4096 columns: 2^20 cells leave room for 256 sets per scan, not 1024
-    shapes = _spy_scan_shapes(monkeypatch)
+    # 4096 columns: a set takes 133 cells in a block (the set, its parent,
+    # its last column and two copies of its word and of its 64 missed
+    # words), so 2^15 cells leave room for 246 sets per scan, and for the
+    # tables of 4-row groups (16 x 16 x 64 words) but not 8-row ones
+    assert group_testing._SCAN_CELLS == 1 << 15
+    calls = _spy_scans(monkeypatch)
     words = np.random.default_rng(0).integers(
         0, 2**64, size=(4096, 1), dtype=np.uint64
     )
     report = verify_identification(BinaryMatrix(64, words), 1)
     assert report.ok and report.cases == 4097
-    assert sum(rows for rows, _ in shapes) == report.cases
-    assert max(rows for rows, _ in shapes) == 256
-    assert all(rows * n <= group_testing._SCAN_CELLS for rows, n in shapes)
+    assert sum(rows for _, rows, _ in calls) == report.cases
+    assert max(rows for _, rows, _ in calls) == 246
+    assert {size for size, _, _ in calls} == {16 * 16 * 64}
+    assert _within(calls, group_testing._SCAN_CELLS)
 
 
 def test_verify_identification_matches_oracle_under_a_small_cell_cap(monkeypatch):
-    cells = 40
+    # the tables of 130 rows need 65 x 4 x 1 cells
+    cells = 260
     monkeypatch.setattr(group_testing, "_SCAN_CELLS", cells)
-    shapes = _spy_scan_shapes(monkeypatch)
+    calls = _spy_scans(monkeypatch)
     _reports_against_oracle(random.Random(47), (5, 64, 130))
-    assert all(rows * n <= cells for rows, n in shapes)
+    assert _within(calls, cells)
+
+
+def _wide_columns(rng, t, n, size, plant):
+    """Random columns over t rows; if ``plant``, column j inside the union
+    of columns a < b, a's run of pairs split by a block of ``size`` pairs
+    where it can be, and now and then an empty or a repeated column."""
+    masks = [sum(1 << i for i in range(t) if rng.random() < 0.35) for _ in range(n)]
+    if not plant:
+        return masks
+    # a's pairs (a, b), b > a, take positions start(a) .. start(a) + n - 2 - a
+    start = lambda a: a * (2 * n - a - 1) // 2
+    late = range(n // 2, n - 2)
+    split = [a for a in late if start(a) // size != (start(a) + n - 2 - a) // size]
+    a = rng.choice(split or late)
+    b, j = rng.sample(range(a + 1, n), 2)
+    # j lies inside a | b but holds neither: six rows of each left out
+    # keep a and b from being decoded beside j and any one other column
+    only_a = [i for i in range(t) if masks[a] >> i & 1 and not masks[b] >> i & 1]
+    only_b = [i for i in range(t) if masks[b] >> i & 1 and not masks[a] >> i & 1]
+    masks[j] = masks[a] | masks[b]
+    for i in only_a[:6] + only_b[:6]:
+        masks[j] &= ~(1 << i)
+    if rng.random() < 0.2:
+        masks[rng.randrange(n)] = 0
+    if rng.random() < 0.2:
+        i, k = rng.sample(range(n), 2)
+        masks[k] = masks[i]
+    return masks
+
+
+def test_verify_identification_multiword_columns_match_oracle(monkeypatch):
+    # n > 64 packs each union and each missed set into two or three words;
+    # 800 cells hold the tables of 130 rows by 140 columns (65 x 4 x 3)
+    cells = 800
+    monkeypatch.setattr(group_testing, "_SCAN_CELLS", cells)
+    calls = _spy_scans(monkeypatch)
+    rng = random.Random(53)
+    split = passed = 0
+    for t in (7, 63, 64, 65, 130):
+        for plant in (True, True, True, False):
+            n = rng.randint(60, 140)
+            # pairs per block: a pair, its parent and last column, and two
+            # copies of its union and of its missed columns
+            size = cells // (4 + 2 * (-(-t // 64) + -(-n // 64)))
+            masks = _wide_columns(rng, t, n, size, plant)
+            m = BinaryMatrix.from_masks(t, masks)
+            for d in (1, 2):
+                report = verify_identification(m, d)
+                expected = brute_verify_identification(masks, d)
+                assert (report.ok, report.cases, report.failure) == expected
+                passed += report.ok and d == 2
+                if d == 2 and report.failure and len(report.failure) == 2:
+                    # past its size's first block, in a run that a block splits
+                    a = report.failure[0]
+                    start = a * (2 * n - a - 1) // 2
+                    split += (
+                        report.cases - 2 - n >= size
+                        and start // size != (start + n - 2 - a) // size
+                    )
+    assert split > 0 and passed > 0
+    assert _within(calls, cells)
 
 
 def test_identification_implies_weaker_disjunctness():
