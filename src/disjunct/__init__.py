@@ -24,9 +24,7 @@ from .bounds import (
     theorem2_audit,
 )
 from .constructions import (
-    AffinePlaneSpec,
     affine_plane_matrix,
-    affine_plane_spec,
     identity_matrix,
     random_disjunct_corpus,
 )
@@ -60,12 +58,9 @@ from .matrix import (
 from .pairs import (
     ColumnPairs,
     PairAnalysis,
-    PairClassification,
     PairGraph,
     analyze_pairs,
-    classify_pairs,
     complete_graph_matchings,
-    erdos_gallai_bound,
     formula_one,
     matching_number,
     matching_numbers_all_graphs,
@@ -78,7 +73,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "KAPPA",
-    "AffinePlaneSpec",
     "BinaryMatrix",
     "BoundReport",
     "BudgetExceededError",
@@ -88,7 +82,6 @@ __all__ = [
     "IdentificationReport",
     "OutcomeVector",
     "PairAnalysis",
-    "PairClassification",
     "PairGraph",
     "PeelResult",
     "SearchCertificate",
@@ -97,13 +90,10 @@ __all__ = [
     "Theorem2Audit",
     "Witness",
     "affine_plane_matrix",
-    "affine_plane_spec",
     "analyze_pairs",
     "ceil_kappa_times",
-    "classify_pairs",
     "complete_graph_matchings",
     "delete_column_and_rows",
-    "erdos_gallai_bound",
     "exhaustive_T",
     "find_isolated_columns",
     "floor_kappa_times",

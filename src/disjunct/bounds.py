@@ -20,6 +20,9 @@ import math
 from dataclasses import dataclass
 from math import comb, isqrt
 
+import numpy as np
+
+from . import _kernels
 from .disjunctness import find_isolated_columns
 from .matrix import BinaryMatrix
 from .pairs import analyze_pairs
@@ -162,14 +165,13 @@ def theorem1_certificate(matrix: BinaryMatrix, d: int) -> Theorem1Certificate:
     if matrix.n <= matrix.t:
         raise ValueError(f"n > t required, got n={matrix.n}, t={matrix.t}")
 
-    degrees = matrix.row_degrees()
-    candidates = [i for i in range(matrix.t) if degrees[i] >= d + 2]
+    degrees = _kernels.row_degrees(matrix.words, matrix.t)
     # counting the 1s guarantees such a row exists when n > t
-    row = candidates[0]
-    cols = sorted(matrix.row_support(row))
-    masks = matrix.masks
-    failure = None
+    row = int(np.flatnonzero(degrees >= d + 2)[0])
     point = 1 << row
+    masks = matrix.masks
+    cols = [j for j, mask in enumerate(masks) if mask & point]
+    failure = None
     for a in range(len(cols)):
         for b in range(a + 1, len(cols)):
             if masks[cols[a]] & masks[cols[b]] != point:

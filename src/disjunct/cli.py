@@ -22,9 +22,9 @@ from .group_testing import (
     verify_identification,
 )
 from .matrix import (
-    DENSE_LIMIT,
     BinaryMatrix,
     DmatFormatError,
+    check_size,
     load_matrix,
     save_matrix,
     write_matrix,
@@ -45,24 +45,18 @@ def _write_output(matrix: BinaryMatrix, target: str) -> None:
         print(f"wrote={target} t={matrix.t} n={matrix.n}")
 
 
-def _refuse_oversize(t: int, n: int) -> None:
-    """Refuse an unwritable t x n build up front; builders report sizes < 1."""
-    if t > 0 and n > 0 and t * n > DENSE_LIMIT:
-        raise ValueError("matrix too large to densify")
-
-
 def _cmd_construct(args) -> int:
     if args.kind == "affine":
         q = max(args.q, 0)
-        _refuse_oversize(q * q, q * q + q)
+        check_size(q * q, q * q + q)
         matrix = affine_plane_matrix(args.q)
         _write_output(matrix, args.output)
     elif args.kind == "identity":
-        _refuse_oversize(args.n, args.n)
+        check_size(args.n, args.n)
         matrix = identity_matrix(args.n)
         _write_output(matrix, args.output)
     else:  # random
-        _refuse_oversize(args.t, args.n)
+        check_size(args.t, args.n)
         corpus = random_disjunct_corpus(
             args.d,
             args.t,

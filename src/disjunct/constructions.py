@@ -2,30 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .disjunctness import is_d_disjunct, peel_to_core
 from .matrix import BinaryMatrix, _iter_bits
-
-
-@dataclass(frozen=True)
-class AffinePlaneSpec:
-    """The affine plane of prime order q as points and parallel line classes.
-
-    ``points[i]`` is the (x, y) coordinate of row i; ``parallel_classes``
-    holds q+1 classes of q mutually disjoint lines each (slopes 0..q-1,
-    verticals last), every line given as its sorted row indices.
-    Flattening the classes in order yields the column order of
-    :func:`affine_plane_matrix`.
-    """
-
-    q: int
-    points: tuple[tuple[int, int], ...]
-    parallel_classes: tuple[tuple[tuple[int, ...], ...], ...]
-
-    @property
-    def lines(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(line for group in self.parallel_classes for line in group)
 
 
 def _is_prime(q: int) -> bool:
@@ -46,30 +24,6 @@ def identity_matrix(n: int) -> BinaryMatrix:
     return BinaryMatrix.from_masks(n, [1 << i for i in range(n)])
 
 
-def affine_plane_spec(q: int) -> AffinePlaneSpec:
-    """Points and lines of the affine plane of prime order q over Z_q.
-
-    Point (x, y) gets row index x*q + y.  The line of slope m and
-    intercept b is {(x, m*x + b) : x in Z_q}; slope classes come first
-    (slope-major, intercepts ascending), the vertical class {(x0, y)} last.
-    """
-    if not _is_prime(q):
-        raise ValueError(f"q must be prime, got {q}")
-    points = tuple((x, y) for x in range(q) for y in range(q))
-    classes = []
-    for m in range(q):
-        classes.append(
-            tuple(
-                tuple(sorted(x * q + (m * x + b) % q for x in range(q)))
-                for b in range(q)
-            )
-        )
-    classes.append(
-        tuple(tuple(x0 * q + y for y in range(q)) for x0 in range(q))
-    )
-    return AffinePlaneSpec(q=q, points=points, parallel_classes=tuple(classes))
-
-
 def affine_plane_matrix(q: int) -> BinaryMatrix:
     """Point-line incidence matrix of the affine plane of prime order q.
 
@@ -78,11 +32,23 @@ def affine_plane_matrix(q: int) -> BinaryMatrix:
     and more columns (q^2+q) than rows (q^2): it attains the (d+1)^2 row
     bound with equality for d = q - 1.
 
+    Point (x, y) of Z_q^2 is row x*q + y.  The columns come in q+1
+    parallel classes of q lines each: first the lines {(x, m*x + b)} of
+    slope m = 0..q-1, intercepts b ascending, then the verticals
+    {(x0, y)}, x0 ascending.
+
     Only prime q is supported; prime-power orders would need polynomial
     field arithmetic that nothing downstream exercises.
     """
-    spec = affine_plane_spec(q)
-    return BinaryMatrix.from_columns(q * q, spec.lines)
+    if not _is_prime(q):
+        raise ValueError(f"q must be prime, got {q}")
+    sloped = [
+        sum(1 << (x * q + (m * x + b) % q) for x in range(q))
+        for m in range(q)
+        for b in range(q)
+    ]
+    vertical = [((1 << q) - 1) << (x0 * q) for x0 in range(q)]
+    return BinaryMatrix.from_masks(q * q, sloped + vertical)
 
 
 # -- the attempt stream ---------------------------------------------------

@@ -20,7 +20,7 @@ from . import _kernels
 
 WORD_BITS = 64
 
-_HEADER_RE = re.compile(r"^(\d+) (\d+)$")
+_HEADER_RE = re.compile(r"^([0-9]+) ([0-9]+)$")
 _ROW_RE = re.compile(r"^[01]*$")
 
 
@@ -62,6 +62,13 @@ def _private_rows(masks: Iterable[int]) -> int:
 DENSE_LIMIT = 1 << 28
 
 
+def check_size(t: int, n: int) -> None:
+    """Refuse a t x n matrix of more than DENSE_LIMIT cells; sizes below 1
+    are left for the caller to report."""
+    if t > 0 and n > 0 and t * n > DENSE_LIMIT:
+        raise ValueError(f"matrix too large to densify: t*n = {t * n} > {DENSE_LIMIT}")
+
+
 class BinaryMatrix:
     """Immutable t x n binary matrix with bit-packed columns.
 
@@ -70,7 +77,7 @@ class BinaryMatrix:
     than refusing the input).
     """
 
-    __slots__ = ("t", "n", "_words", "_masks", "_row_degrees")
+    __slots__ = ("t", "n", "_words", "_masks")
 
     def __init__(self, t: int, words: np.ndarray):
         # t == 0 is a legal degenerate case: deleting all rows intersecting
@@ -96,7 +103,6 @@ class BinaryMatrix:
         self.n = words.shape[0]
         self._words = words
         self._masks: tuple[int, ...] | None = None
-        self._row_degrees: np.ndarray | None = None
 
     # -- constructors -------------------------------------------------
 
@@ -154,20 +160,6 @@ class BinaryMatrix:
     def weights(self) -> np.ndarray:
         return _kernels.column_weights(self._words)
 
-    def row_support(self, i: int) -> frozenset[int]:
-        """Set of columns with a 1 in row ``i``."""
-        if not 0 <= i < self.t:
-            raise ValueError(f"row index {i} out of range")
-        bits = (self._words[:, i >> 6] >> np.uint64(i & 63)) & np.uint64(1)
-        return frozenset(np.nonzero(bits)[0].tolist())
-
-    def row_degrees(self) -> np.ndarray:
-        """Number of columns containing each row."""
-        if self._row_degrees is None:
-            self._row_degrees = _kernels.row_degrees(self._words, self.t)
-            self._row_degrees.setflags(write=False)
-        return self._row_degrees
-
     # -- dunder -------------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -196,11 +188,10 @@ def _check_header_size(line: str) -> None:
     other header fault is reported by read_matrix in its usual order."""
     header = _HEADER_RE.match(line)
     if header is not None:
-        cells = int(header.group(1)) * int(header.group(2))
-        if cells > DENSE_LIMIT:
-            raise DmatFormatError(
-                1, f"matrix too large to densify: t*n = {cells} > {DENSE_LIMIT}"
-            )
+        try:
+            check_size(int(header.group(1)), int(header.group(2)))
+        except ValueError as exc:
+            raise DmatFormatError(1, str(exc)) from None
 
 
 def read_matrix(text: str) -> BinaryMatrix:

@@ -1,4 +1,4 @@
-"""Private 2-subset classification and the matching-number machinery.
+"""Private 2-subsets and the matching-number machinery.
 
 A 2-subset of rows inside a column is private when no other column
 contains both rows, non-private otherwise.  The non-private pairs of a
@@ -9,8 +9,9 @@ weight d+s.  Matching numbers come from Edmonds' blossom algorithm, in
 O(V^3) for a graph on V vertices.
 
 ``pair_graph`` is the one pass that finds non-private pairs.  The two
-classes partition a column's 2-subsets, so a column of weight w has
-C(w, 2) - |E| private pairs; only ``classify_pairs`` lists them.
+classes partition a column's 2-subsets, so a column's private pairs are
+the 2-subsets of its support that are not edges, C(w, 2) - |E| of them
+for weight w.
 ``analyze_pairs`` is the one pass over a whole matrix: it decides the
 matrix-wide preconditions of that bound (Lemma 3 of the paper) once,
 then counts and checks every column, and totals the private pairs
@@ -28,15 +29,6 @@ import numpy as np
 from . import _kernels
 from .disjunctness import find_isolated_columns, is_d_disjunct
 from .matrix import BinaryMatrix, _iter_bits
-
-
-@dataclass(frozen=True)
-class PairClassification:
-    """Partition of the 2-subsets of one column into private/non-private."""
-
-    column: int
-    private_pairs: frozenset[tuple[int, int]]
-    nonprivate_pairs: frozenset[tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -70,17 +62,6 @@ def pair_graph(matrix: BinaryMatrix, j: int) -> PairGraph:
         if k != j:
             edges.update(combinations(_iter_bits(masks[k] & cj), 2))
     return PairGraph(vertices=frozenset(_iter_bits(cj)), edges=frozenset(edges))
-
-
-def classify_pairs(matrix: BinaryMatrix, j: int) -> PairClassification:
-    """Split the 2-subsets of column j into private and non-private."""
-    graph = pair_graph(matrix, j)
-    all_pairs = frozenset(combinations(sorted(graph.vertices), 2))
-    return PairClassification(
-        column=j,
-        private_pairs=all_pairs - graph.edges,
-        nonprivate_pairs=graph.edges,
-    )
 
 
 def matching_number(graph: PairGraph) -> int:
@@ -180,19 +161,6 @@ def _augment(root: int, adjacency: list[list[int]], mate: list[int]) -> bool:
     return False
 
 
-def erdos_gallai_bound(k: int, mu: int) -> int:
-    """Maximum edges of a graph on k vertices with matching number <= mu.
-
-    The Erdos-Gallai bound max{C(2*mu+1, 2), C(k, 2) - C(k-mu, 2)}, valid
-    for k >= 2*mu + 1.
-    """
-    if mu < 0:
-        raise ValueError("mu must be >= 0")
-    if k < 2 * mu + 1:
-        raise ValueError(f"bound requires k >= 2*mu+1, got k={k}, mu={mu}")
-    return max(comb(2 * mu + 1, 2), comb(k, 2) - comb(k - mu, 2))
-
-
 def complete_graph_matchings(k: int) -> tuple[np.ndarray, np.ndarray]:
     """All matchings of the complete graph on k vertices, as edge bitmasks.
 
@@ -252,8 +220,10 @@ def formula_one(d: int, s: int) -> int:
     Equals C(d+s, 2) - C(d+1, 2) for 3s <= 2d+2 and C(2s-1, 2) for
     3s >= 2d+2; computed as the max of both branches so the piecewise
     split is a tested consequence, not an input.  It is the Erdos-Gallai
-    maximum m(d+s, 2, s-1) = erdos_gallai_bound(d+s, s-1) wherever that
-    applies (s <= d+1), and the same closed form beyond.
+    maximum m(k, 2, mu) = max{C(2*mu+1, 2), C(k, 2) - C(k-mu, 2)} of the
+    edges of a graph on k vertices with matching number <= mu, taken at
+    k = d+s and mu = s-1, wherever that bound applies (k >= 2*mu+1, that
+    is s <= d+1), and the same closed form beyond.
     """
     if d < 1:
         raise ValueError("d must be >= 1")

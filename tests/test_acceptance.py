@@ -18,7 +18,6 @@ from disjunct import (
     affine_plane_matrix,
     analyze_pairs,
     delete_column_and_rows,
-    erdos_gallai_bound,
     exhaustive_T,
     find_isolated_columns,
     formula_one,
@@ -66,7 +65,7 @@ def test_03_erdos_gallai_oracle():
     for k in range(2, 8):
         for mu in range(0, (k - 1) // 2 + 1):
             brute = max_edges_matching_bounded(k, mu)
-            bound = erdos_gallai_bound(k, mu)
+            bound = formula_one(k - mu - 1, mu + 1)  # m(k, 2, mu)
             assert brute <= bound, (k, mu)
             assert brute == bound, (k, mu)  # the bound is attained
             checked += 1

@@ -1,11 +1,15 @@
+import random
 from math import comb
 
+import numpy as np
 import pytest
 
 from disjunct import (
     KAPPA,
+    BinaryMatrix,
     affine_plane_matrix,
     ceil_kappa_times,
+    find_isolated_columns,
     floor_kappa_times,
     identity_matrix,
     lower_bounds,
@@ -13,6 +17,7 @@ from disjunct import (
     theorem1_certificate,
     theorem2_audit,
 )
+from oracles import dense_of
 
 
 def kappa_ceil_oracle(x):
@@ -154,6 +159,36 @@ def test_theorem1_certificate_on_planes(q):
     assert cert.row_degree == q + 1 == d + 2
     assert cert.union_weight == 1 + (d + 2) * d == (d + 1) ** 2 == m.t
     assert cert.failure is None
+
+
+def _uneven_constant_weight(rng):
+    """A random isolated-free matrix of constant column weight d + 1 and
+    n > t; row 0 is left out of every column about half the time."""
+    while True:
+        d = rng.randint(1, 6)
+        t = rng.choice([rng.randint(d + 2, 20), rng.randint(65, 140)])
+        rows = range(rng.randint(0, 1), t)
+        n = t + rng.randint(1, 12)
+        masks = [sum(1 << r for r in rng.sample(rows, d + 1)) for _ in range(n)]
+        m = BinaryMatrix.from_masks(t, masks)
+        if not find_isolated_columns(m):
+            return m, d
+
+
+def test_theorem1_picks_the_first_heavy_row():
+    # every row of an affine plane has degree d + 2, so only uneven row
+    # degrees show which row the certificate takes
+    rng = random.Random(21)
+    wide = light_first = 0
+    for _ in range(60):
+        m, d = _uneven_constant_weight(rng)
+        degrees = dense_of(m).sum(axis=1)
+        row = int(np.flatnonzero(degrees >= d + 2)[0])
+        cert = theorem1_certificate(m, d)
+        assert (cert.row, cert.row_degree) == (row, degrees[row])
+        wide += m.t > 64
+        light_first += row > 0
+    assert wide >= 10 and light_first >= 10, (wide, light_first)
 
 
 def test_theorem1_preconditions():

@@ -428,6 +428,18 @@ def test_dmat_header_above_the_size_limit(monkeypatch, plane_file, capsys):
     assert code == 0 and stdout == "DISJUNCT d=2\n"
 
 
+def test_construct_above_the_size_limit(monkeypatch, capsys):
+    # construct and the .dmat reader share one limit: no file is written
+    # that check would then refuse
+    monkeypatch.setattr(matrix_module, "DENSE_LIMIT", 107)
+    code, stdout, stderr = run(capsys, "construct", "affine", "--q", "3", "-o", "-")
+    assert code == 2 and stdout == ""
+    assert stderr == "error: matrix too large to densify: t*n = 108 > 107\n"
+    monkeypatch.setattr(matrix_module, "DENSE_LIMIT", 108)
+    code, stdout, _ = run(capsys, "construct", "affine", "--q", "3", "-o", "-")
+    assert code == 0 and stdout.startswith("9 12\n")
+
+
 def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check", "p.dmat"])  # neither --d nor --max

@@ -7,7 +7,6 @@ import pytest
 from disjunct import constructions
 from disjunct import (
     affine_plane_matrix,
-    affine_plane_spec,
     find_isolated_columns,
     identity_matrix,
     is_d_disjunct,
@@ -15,7 +14,7 @@ from disjunct import (
     random_disjunct_corpus,
 )
 from conftest import CORPUS_PARAMS, MIXED_PARAMS
-from oracles import column_rows, reference_place_column
+from oracles import column_rows, dense_of, reference_place_column
 
 
 def test_identity_examples():
@@ -34,7 +33,7 @@ def test_affine_plane_shape_and_structure(q):
     m = affine_plane_matrix(q)
     assert (m.t, m.n) == (q * q, q * q + q)
     assert set(m.weights().tolist()) == {q}
-    assert set(m.row_degrees().tolist()) == {q + 1}
+    assert set(dense_of(m).sum(axis=1).tolist()) == {q + 1}
     assert find_isolated_columns(m) == frozenset()
     # two lines meet in at most one point
     masks = m.masks
@@ -45,23 +44,22 @@ def test_affine_plane_shape_and_structure(q):
 
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_affine_plane_spec_structure(q):
-    spec = affine_plane_spec(q)
-    assert len(spec.points) == q * q
-    assert len(spec.parallel_classes) == q + 1
-    for group in spec.parallel_classes:
-        assert len(group) == q
+    # the columns are q + 1 parallel classes of q lines in turn
+    m = affine_plane_matrix(q)
+    for lo in range(0, m.n, q):
+        group = [column_rows(m, j) for j in range(lo, lo + q)]
+        assert all(len(line) == q for line in group)
         # each class partitions the point set
         covered = sorted(r for line in group for r in line)
         assert covered == list(range(q * q))
-    assert len(spec.lines) == q * q + q
-    assert all(len(line) == q for line in spec.lines)
 
 
 def test_affine_plane_two_points_one_line():
     m = affine_plane_matrix(3)
     for p in range(m.t):
         for r in range(p + 1, m.t):
-            through = m.row_support(p) & m.row_support(r)
+            both = 1 << p | 1 << r
+            through = [j for j, mask in enumerate(m.masks) if mask & both == both]
             assert len(through) == 1
 
 
@@ -188,8 +186,8 @@ def test_corpus_rejections_are_pinned(monkeypatch):
     def spy_check(matrix, d):
         nonlocal refusals
         verdict = check(matrix, d)
-        # the check before peeling sees all n columns; one after it sees
-        # fewer, or the same matrix again with the same verdict
+        # the check before peeling sees all n columns; one after it runs
+        # only when a column was peeled, so it sees fewer
         refusals += not verdict.is_disjunct and matrix.n == params["n"]
         return verdict
 

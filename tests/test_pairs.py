@@ -10,8 +10,6 @@ from disjunct import (
     BinaryMatrix,
     PairGraph,
     analyze_pairs,
-    classify_pairs,
-    erdos_gallai_bound,
     formula_one,
     identity_matrix,
     matching_number,
@@ -34,27 +32,33 @@ from oracles import (
 # -- classification ---------------------------------------------------
 
 
+def _private(graph):
+    """A column's private pairs: the 2-subsets of its support that are
+    not non-private edges."""
+    return frozenset(combinations(sorted(graph.vertices), 2)) - graph.edges
+
+
 def test_affine_lines_all_private(ag):
     m = ag(3)
     for j in range(m.n):
-        cls = classify_pairs(m, j)
-        assert len(cls.private_pairs) == comb(3, 2) == 3
-        assert not cls.nonprivate_pairs
+        graph = pair_graph(m, j)
+        assert len(_private(graph)) == comb(3, 2) == 3
+        assert not graph.edges
 
 
 def test_identical_columns_share_everything():
     m = BinaryMatrix.from_masks(3, [0b011, 0b011])
     for j in range(2):
-        cls = classify_pairs(m, j)
-        assert cls.private_pairs == frozenset()
-        assert cls.nonprivate_pairs == frozenset({(0, 1)})
+        graph = pair_graph(m, j)
+        assert _private(graph) == frozenset()
+        assert graph.edges == frozenset({(0, 1)})
 
 
 def test_single_column_all_private():
     m = BinaryMatrix.from_masks(4, [0b1111])
-    cls = classify_pairs(m, 0)
-    assert len(cls.private_pairs) == comb(4, 2)
-    assert not cls.nonprivate_pairs
+    graph = pair_graph(m, 0)
+    assert len(_private(graph)) == comb(4, 2)
+    assert not graph.edges
 
 
 def test_classification_matches_bruteforce():
@@ -65,27 +69,30 @@ def test_classification_matches_bruteforce():
         m = BinaryMatrix.from_masks(t, masks)
         dense = dense_of(m)
         for j in range(n):
-            cls = classify_pairs(m, j)
+            graph = pair_graph(m, j)
             private, nonprivate = brute_private_pairs(dense, j)
-            assert set(cls.private_pairs) == private
-            assert set(cls.nonprivate_pairs) == nonprivate
+            assert set(_private(graph)) == private
+            assert set(graph.edges) == nonprivate
 
 
 def test_partition_invariant(corpus):
+    # the edges are 2-subsets of the column, so the private count that
+    # analyze_pairs reports is what remains of C(w, 2)
     for d, matrices in corpus.items():
         for m in matrices[:10]:
-            for j in range(m.n):
-                cls = classify_pairs(m, j)
+            for j, c in enumerate(analyze_pairs(m, d).columns):
+                graph = pair_graph(m, j)
                 w = m.weight(j)
-                assert len(cls.private_pairs) + len(cls.nonprivate_pairs) == comb(w, 2)
-                assert not cls.private_pairs & cls.nonprivate_pairs
+                assert graph.edges <= frozenset(combinations(sorted(graph.vertices), 2))
+                assert (c.weight, c.nonprivate) == (w, len(graph.edges))
+                assert c.private + c.nonprivate == comb(w, 2)
 
 
 def test_private_pairs_disjoint_across_columns(ag, corpus):
     for m in [ag(3), *corpus[2][:5], *corpus[3][:5]]:
         seen = set()
         for j in range(m.n):
-            mine = classify_pairs(m, j).private_pairs
+            mine = _private(pair_graph(m, j))
             assert not (seen & mine)
             seen |= mine
 
@@ -206,22 +213,17 @@ def test_matching_invariant_under_relabelling(graph):
 
 
 # -- Erdos-Gallai bound ------------------------------------------------
+# m(k, 2, mu), the most edges on k vertices with matching number <= mu,
+# is formula_one(k - mu - 1, mu + 1) for k >= 2*mu + 1 and k >= 2
 
 
 def test_erdos_gallai_examples():
-    assert erdos_gallai_bound(7, 1) == 6  # the star on 7 vertices
-    for mu in range(0, 4):
+    assert formula_one(7 - 1 - 1, 1 + 1) == 6  # the star on 7 vertices
+    for mu in range(1, 4):
         k = 2 * mu + 1
-        assert erdos_gallai_bound(k, mu) == comb(k, 2)
-    for k in range(1, 9):
-        assert erdos_gallai_bound(k, 0) == 0
-
-
-def test_erdos_gallai_validation():
-    with pytest.raises(ValueError):
-        erdos_gallai_bound(4, 2)
-    with pytest.raises(ValueError):
-        erdos_gallai_bound(3, -1)
+        assert formula_one(k - mu - 1, mu + 1) == comb(k, 2)
+    for k in range(2, 9):
+        assert formula_one(k - 1, 1) == 0
 
 
 def test_max_edges_vs_slow_bruteforce():
@@ -273,9 +275,10 @@ def test_formula_one_piecewise_structure():
 
 def test_formula_one_is_the_erdos_gallai_bound():
     # analyze_pairs relies on this wherever m(d+s, 2, s-1) is defined
-    for d in range(1, 61):
-        for s in range(1, d + 2):
-            assert formula_one(d, s) == erdos_gallai_bound(d + s, s - 1)
+    for k in range(2, 122):
+        for mu in range(0, (k - 1) // 2 + 1):
+            bound = max(comb(2 * mu + 1, 2), comb(k, 2) - comb(k - mu, 2))
+            assert formula_one(k - mu - 1, mu + 1) == bound
 
 
 def test_formula_one_validation():
