@@ -10,8 +10,11 @@ lower bounds are evaluated side by side:
 
 The module also replays the two counting arguments as certificates on
 concrete matrices, so the inequalities can be audited rather than trusted.
-Every comparison with kappa is exact: 24 * kappa = 15 + sqrt(33), so it
-reduces to integer square roots (``math.isqrt``) or to squaring both sides.
+The audit of the general bound is a reading of one ``analyze_pairs`` pass:
+its per-column pair bound is Lemma 3's ``bound_ok``, and its kappa tests
+go through ``floor_kappa_times`` and ``ceil_kappa_times``.  Those two are
+the only place kappa is compared exactly: 24 * kappa = 15 + sqrt(33), so
+rounding kappa * x reduces to an integer square root (``math.isqrt``).
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 from . import _kernels
 from .disjunctness import find_isolated_columns
 from .matrix import BinaryMatrix
-from .pairs import analyze_pairs
+from .pairs import PairAnalysis, analyze_pairs
 
 KAPPA = (15 + math.sqrt(33)) / 24
 """Root of 12*x^2 - 15*x + 4 in (1/2, 1), i.e. where (3k-1)(2-2k) = k/2.
@@ -64,7 +67,6 @@ class BoundReport:
     theorem2: int
     conjecture_strong: int
     combined: int
-    ratio: float
 
 
 def lower_bounds(d: int) -> BoundReport:
@@ -86,7 +88,6 @@ def lower_bounds(d: int) -> BoundReport:
         theorem2=theorem2,
         conjecture_strong=(d + 1) ** 2,
         combined=max(bassalygo, theorem2),
-        ratio=KAPPA,
     )
 
 
@@ -98,8 +99,6 @@ class TDNBound:
     n: int
     value: int
     dominant: str  # "bassalygo", "theorem2" or "n"
-    bassalygo_term: int
-    theorem2_term: int
 
 
 def t_dn_lower_bound(d: int, n: int) -> TDNBound:
@@ -107,23 +106,13 @@ def t_dn_lower_bound(d: int, n: int) -> TDNBound:
     if d < 1 or n < 1:
         raise ValueError("d and n must be >= 1")
     report = lower_bounds(d)
-    term_b = min(report.bassalygo, n)
-    term_t = min(report.theorem2, n)
-    value = max(term_b, term_t)
-    if value == n and n < max(report.bassalygo, report.theorem2):
+    if n < report.combined:
         dominant = "n"
     elif report.bassalygo >= report.theorem2:
         dominant = "bassalygo"
     else:
         dominant = "theorem2"
-    return TDNBound(
-        d=d,
-        n=n,
-        value=value,
-        dominant=dominant,
-        bassalygo_term=term_b,
-        theorem2_term=term_t,
-    )
+    return TDNBound(d=d, n=n, value=min(report.combined, n), dominant=dominant)
 
 
 @dataclass(frozen=True)
@@ -138,8 +127,6 @@ class Theorem1Certificate:
     row: int
     row_degree: int
     union_weight: int
-    expected_union_weight: int
-    bound: int
     t: int
     ok: bool
     failure: str | None = None
@@ -185,20 +172,16 @@ def theorem1_certificate(matrix: BinaryMatrix, d: int) -> Theorem1Certificate:
     for c in cols:
         union |= masks[c]
     union_weight = union.bit_count()
-    expected = 1 + len(cols) * d
-    bound = (d + 1) ** 2
     ok = (
         failure is None
-        and union_weight == expected
-        and union_weight >= bound
+        and union_weight == 1 + len(cols) * d
+        and union_weight >= (d + 1) ** 2
         and matrix.t >= union_weight
     )
     return Theorem1Certificate(
         row=row,
         row_degree=len(cols),
         union_weight=union_weight,
-        expected_union_weight=expected,
-        bound=bound,
         t=matrix.t,
         ok=ok,
         failure=failure,
@@ -206,32 +189,13 @@ def theorem1_certificate(matrix: BinaryMatrix, d: int) -> Theorem1Certificate:
 
 
 @dataclass(frozen=True)
-class ColumnAudit:
-    column: int
-    weight: int
-    s: int
-    num_private: int
-    num_nonprivate: int
-    case: str  # "heavy" (weight > floor(2 kappa d)), "moderate", "wide"
-    in_lemma3_range: bool
-    kappa_ok: bool | None  # 2|P(c)| >= kappa d^2; None for heavy columns
-    moderate_ok: bool | None  # |P(c)| >= C(d+1, 2); None unless moderate
-
-
-@dataclass(frozen=True)
 class Theorem2Audit:
-    """Per-column private-pair guarantees and the global C(t,2) budget."""
+    """The private-pair counting argument read off one ``analyze_pairs`` pass."""
 
-    d: int
-    t: int
-    n: int
+    analysis: PairAnalysis
+    kappa_ok: tuple[bool | None, ...]  # 2|P(c)| >= kappa d^2; None above the cap
     weight_cap: int  # floor(2 kappa d): the case split on the max weight
-    columns: tuple[ColumnAudit, ...]
-    sum_private: int
-    budget: int
-    budget_ok: bool
     t_bound: int  # ceil(kappa d^2)
-    t_ok: bool
     ok: bool
 
 
@@ -240,11 +204,10 @@ def theorem2_audit(matrix: BinaryMatrix, d: int) -> Theorem2Audit:
 
     Requires a d-disjunct matrix with no isolated columns and n > t.  For
     every column of weight at most floor(2 kappa d) the argument promises
-    |P(c)| >= kappa d^2 / 2 (via |P(c)| >= C(d+1,2) below the 5d/3 + 2/3
-    weight boundary); heavier columns belong to the inductive case and
-    are reported without assertion.  Columns whose s = weight - d exceeds
-    d-1 are flagged (the pair bound is applied there beyond its stated
-    hypothesis), not asserted.
+    2|P(c)| >= kappa d^2, through Lemma 3's pair bound (``bound_ok``);
+    heavier columns belong to the inductive case and are reported without
+    assertion.  Both promises are asserted only where s = weight - d lies
+    in the lemma's range 1 <= s <= d-1, and ``ok`` also asks t >= kappa d^2.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -258,58 +221,16 @@ def theorem2_audit(matrix: BinaryMatrix, d: int) -> Theorem2Audit:
         raise ValueError(f"matrix is not {d}-disjunct")
 
     weight_cap = floor_kappa_times(2 * d)
-    d2 = d * d
-    audits = []
-    all_ok = True
-    for column in analysis.columns:
-        weight, p = column.weight, column.private
-        s = weight - d
-        in_range = 1 <= s <= d - 1
-        if weight > weight_cap:
-            case = "heavy"
-            kappa_ok = None
-            moderate_ok = None
-        else:
-            # 2|P| >= kappa d^2 iff 48|P| - 15 d^2 >= sqrt(33) d^2
-            e = 48 * p - 15 * d2
-            kappa_ok = e >= 0 and e * e >= 33 * d2 * d2
-            if 3 * weight <= 5 * d + 2:
-                case = "moderate"
-                moderate_ok = p >= comb(d + 1, 2)
-                if in_range and not moderate_ok:
-                    all_ok = False
-            else:
-                case = "wide"
-                moderate_ok = None
-            if in_range and not kappa_ok:
-                all_ok = False
-        audits.append(
-            ColumnAudit(
-                column=column.column,
-                weight=weight,
-                s=s,
-                num_private=p,
-                num_nonprivate=column.nonprivate,
-                case=case,
-                in_lemma3_range=in_range,
-                kappa_ok=kappa_ok,
-                moderate_ok=moderate_ok,
-            )
-        )
-    sum_private, budget = analysis.private_total, analysis.pair_budget
-    budget_ok = sum_private <= budget
-    t_bound = ceil_kappa_times(d2)
-    t_ok = matrix.t >= t_bound
-    return Theorem2Audit(
-        d=d,
-        t=matrix.t,
-        n=matrix.n,
-        weight_cap=weight_cap,
-        columns=tuple(audits),
-        sum_private=sum_private,
-        budget=budget,
-        budget_ok=budget_ok,
-        t_bound=t_bound,
-        t_ok=t_ok,
-        ok=all_ok and budget_ok and t_ok,
+    t_bound = ceil_kappa_times(d * d)
+    # 2|P| is an integer, so 2|P| >= kappa d^2 iff 2|P| >= ceil(kappa d^2)
+    kappa_ok = tuple(
+        None if c.weight > weight_cap else 2 * c.private >= t_bound
+        for c in analysis.columns
     )
+    # a vacuous matrix (d >= n > t) has no column in range, and no Lemma 3 fields
+    ok = matrix.t >= t_bound and all(
+        column_ok and c.bound_ok
+        for c, column_ok in zip(analysis.columns, kappa_ok)
+        if column_ok is not None and 1 <= c.weight - d <= d - 1
+    )
+    return Theorem2Audit(analysis, kappa_ok, weight_cap, t_bound, ok)

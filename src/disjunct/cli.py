@@ -12,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .bounds import lower_bounds, t_dn_lower_bound
+from .bounds import KAPPA, lower_bounds, t_dn_lower_bound
 from .constructions import affine_plane_matrix, identity_matrix, random_disjunct_corpus
 from .disjunctness import is_d_disjunct, max_disjunct_order
 from .group_testing import (
@@ -155,7 +155,7 @@ def _cmd_bounds(args) -> int:
     print(f"theorem2={report.theorem2}")
     print(f"conjecture={report.conjecture_strong}")
     print(f"combined={report.combined}")
-    print(f"kappa={report.ratio!r}")
+    print(f"kappa={KAPPA!r}")
     if tdn is not None:
         print(f"n={tdn.n}")
         print(f"t_dn={tdn.value}")

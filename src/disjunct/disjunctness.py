@@ -215,7 +215,7 @@ def peel_isolated(matrix: BinaryMatrix, j: int) -> PeelResult:
         raise ValueError(f"column index {j} out of range")
     if matrix.n < 2:
         raise ValueError("cannot peel the last column")
-    private = list(_iter_bits(matrix.column_mask(j) & _private_rows(matrix.masks)))
+    private = list(_iter_bits(matrix.masks[j] & _private_rows(matrix.masks)))
     if not private:
         raise ValueError(f"column {j} is not isolated")
     return PeelResult(
@@ -255,5 +255,5 @@ def delete_column_and_rows(matrix: BinaryMatrix, j: int) -> BinaryMatrix:
         raise ValueError("matrix must have at least 2 columns")
     if not 0 <= j < matrix.n:
         raise ValueError(f"column index {j} out of range")
-    rows = list(_iter_bits(matrix.column_mask(j)))
+    rows = list(_iter_bits(matrix.masks[j]))
     return BinaryMatrix.from_masks(*_drop(matrix.t, matrix.masks, j, rows))

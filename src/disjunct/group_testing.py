@@ -74,7 +74,7 @@ def outcomes(matrix: BinaryMatrix, positives: Iterable[int]) -> OutcomeVector:
     for j in positives:
         if not 0 <= j < matrix.n:
             raise ValueError(f"item index {j} out of range")
-        mask |= matrix.column_mask(j)
+        mask |= matrix.masks[j]
     return OutcomeVector(matrix.t, mask)
 
 

@@ -107,20 +107,6 @@ class BinaryMatrix:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def from_columns(
-        cls, t: int, columns: Iterable[Iterable[int]]
-    ) -> "BinaryMatrix":
-        masks = []
-        for rows in columns:
-            mask = 0
-            for r in rows:
-                if not 0 <= r < t:
-                    raise ValueError(f"row index {r} out of range for t={t}")
-                mask |= 1 << r
-            masks.append(mask)
-        return cls.from_masks(t, masks)
-
-    @classmethod
     def from_masks(cls, t: int, masks: Sequence[int]) -> "BinaryMatrix":
         masks = tuple(map(int, masks))
         for j, mask in enumerate(masks):
@@ -150,12 +136,6 @@ class BinaryMatrix:
                 for lo in range(0, len(raw), step)
             )
         return self._masks
-
-    def column_mask(self, j: int) -> int:
-        return self.masks[j]
-
-    def weight(self, j: int) -> int:
-        return self.masks[j].bit_count()
 
     def weights(self) -> np.ndarray:
         return _kernels.column_weights(self._words)

@@ -184,7 +184,7 @@ def reference_search_one(d, t, budget: _Budget):
 
 def column_rows(matrix, j):
     """Row indices of column j, read one bit at a time off its mask."""
-    mask = matrix.column_mask(j)
+    mask = matrix.masks[j]
     return frozenset(i for i in range(matrix.t) if mask >> i & 1)
 
 
@@ -209,8 +209,8 @@ def matrix_from_dense(array):
     """The matrix whose column j holds the rows i with ``array[i, j]`` set."""
     dense = np.asarray(array, dtype=bool)
     t, n = dense.shape
-    return BinaryMatrix.from_columns(
-        t, ([i for i in range(t) if dense[i, j]] for j in range(n))
+    return BinaryMatrix.from_masks(
+        t, [sum(1 << i for i in range(t) if dense[i, j]) for j in range(n)]
     )
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from math import comb
 
@@ -7,6 +8,8 @@ import pytest
 from disjunct import (
     KAPPA,
     BinaryMatrix,
+    TDNBound,
+    analyze_pairs,
     affine_plane_matrix,
     ceil_kappa_times,
     find_isolated_columns,
@@ -17,7 +20,7 @@ from disjunct import (
     theorem1_certificate,
     theorem2_audit,
 )
-from oracles import dense_of
+from oracles import brute_private_pairs, dense_of
 
 
 def kappa_ceil_oracle(x):
@@ -143,6 +146,9 @@ def test_t_dn_examples():
     assert big.value == 87 and big.dominant == "theorem2"
     small = t_dn_lower_bound(3, 10**6)
     assert small.value == 10 and small.dominant == "bassalygo"
+    # n caps the bound only below the combined bound C(6, 2) = 15
+    assert t_dn_lower_bound(4, 15) == TDNBound(4, 15, 15, "bassalygo")
+    assert t_dn_lower_bound(4, 14) == TDNBound(4, 14, 14, "n")
     with pytest.raises(ValueError):
         t_dn_lower_bound(1, 0)
 
@@ -227,20 +233,119 @@ def test_theorem2_audit_on_planes(q):
     m = affine_plane_matrix(q)
     d = q - 1
     audit = theorem2_audit(m, d)
+    analysis = audit.analysis
     assert audit.ok
-    assert audit.budget_ok and audit.t_ok
+    assert analysis.private_total <= analysis.pair_budget and m.t >= audit.t_bound
     # every line is below both weight thresholds and meets both pair bounds
-    for col in audit.columns:
-        assert col.case == "moderate"
-        assert col.in_lemma3_range == (1 <= col.s <= d - 1)
-        assert col.kappa_ok and col.moderate_ok
-        assert col.num_private == comb(q, 2)
-    assert audit.sum_private == m.n * comb(q, 2)
+    assert len(audit.kappa_ok) == len(analysis.columns) == m.n
+    for col, kappa_ok in zip(analysis.columns, audit.kappa_ok):
+        assert col.weight <= audit.weight_cap and 3 * col.weight <= 5 * d + 2
+        assert col.in_range == (1 <= col.weight - d <= d - 1)
+        assert kappa_ok and col.bound_ok and col.private >= comb(d + 1, 2)
+        assert col.private == comb(q, 2)
+    assert analysis.private_total == m.n * comb(q, 2)
 
 
 def test_theorem2_audit_budget_tight_on_ag3():
-    audit = theorem2_audit(affine_plane_matrix(3), 2)
-    assert audit.sum_private == audit.budget == 36
+    analysis = theorem2_audit(affine_plane_matrix(3), 2).analysis
+    assert analysis.private_total == analysis.pair_budget == 36
+
+
+@pytest.mark.parametrize("q, d, cap", [(5, 2, 3), (7, 3, 5)])
+def test_theorem2_audit_leaves_heavy_columns_unasserted(q, d, cap):
+    # lines of q points are heavier than floor(2 kappa d), and at
+    # s = q - d >= d they are also outside Lemma 3's range
+    m = affine_plane_matrix(q)
+    audit = theorem2_audit(m, d)
+    assert audit.weight_cap == kappa_ceil_oracle(2 * d) - 1 == cap < q
+    assert audit.kappa_ok == (None,) * m.n
+    assert audit.ok
+    assert not any(col.in_range for col in audit.analysis.columns)
+
+
+def test_theorem2_audit_of_a_vacuous_matrix():
+    # isolated-free with n > t, so the audit runs, but d >= n: no column is
+    # in Lemma 3's range and t < ceil(kappa d^2) fails the audit
+    m = BinaryMatrix.from_masks(3, [0b011, 0b011, 0b110, 0b101])
+    audit = theorem2_audit(m, 4)
+    assert audit.analysis.vacuous
+    assert all(col.bound_ok is None for col in audit.analysis.columns)
+    assert audit.kappa_ok == (False,) * 4
+    assert audit.t_bound == 14 and not audit.ok
+
+
+@pytest.mark.parametrize("shared, kappa_ok", [(17, True), (18, False)])
+def test_theorem2_audit_kappa_ok_at_equality(shared, kappa_ok):
+    # a full column on t = 29 rows, `shared` of its pairs repeated in
+    # weight-2 columns and every other row in a singleton; at d = n = 30,
+    # ceil(kappa d^2) = 778 and 17 shared pairs leave 2|P| = 2 * 389 = 778
+    t = 29
+    masks = [(1 << t) - 1] + [1 | 1 << r for r in range(1, shared + 1)]
+    masks += [1 << r for r in range(shared + 1, t)]
+    masks += [1 << (t - 1)] * (t + 1 - len(masks))
+    m = BinaryMatrix.from_masks(t, masks)
+    audit = theorem2_audit(m, m.n)
+    assert m.n == 30 and audit.t_bound == kappa_ceil_oracle(900) == 778
+    assert audit.analysis.columns[0].private == comb(t, 2) - shared
+    assert audit.kappa_ok[0] is kappa_ok and not audit.ok
+
+
+def test_theorem2_audit_reads_the_pair_bound(monkeypatch):
+    # Lemma 3 makes bound_ok hold on every valid input, so a pass that
+    # reports one in-range column out of bound stands in for a refutation
+    from disjunct import bounds
+
+    m, d = affine_plane_matrix(5), 4
+    analysis = analyze_pairs(m, d)
+    assert theorem2_audit(m, d).ok and analysis.columns[3].in_range
+    columns = list(analysis.columns)
+    columns[3] = dataclasses.replace(columns[3], bound_ok=False)
+    broken = dataclasses.replace(analysis, columns=tuple(columns))
+    monkeypatch.setattr(bounds, "analyze_pairs", lambda *args: broken)
+    audit = theorem2_audit(m, d)
+    assert audit.kappa_ok[3] and not audit.ok
+
+
+def _random_wide_matrix(rng):
+    """A random matrix with n > t: uniform, or AG(2,3) or AG(2,5) with a
+    few lines dropped and maybe a random column added."""
+    if rng.random() < 0.75:
+        t = rng.randint(2, 8)
+        n = t + rng.randint(1, 6)
+        return BinaryMatrix.from_masks(t, [rng.randrange(1, 1 << t) for _ in range(n)])
+    q = rng.choice([3, 5])
+    t, masks = q * q, list(affine_plane_matrix(q).masks)
+    masks = rng.sample(masks, rng.randint(t + 1, len(masks)))
+    if rng.random() < 0.5:
+        masks.append(rng.randrange(1, 1 << t))
+    return BinaryMatrix.from_masks(t, masks)
+
+
+def test_theorem2_audit_kappa_ok_matches_oracles():
+    # the audits that run must agree with brute-force private pairs and
+    # the integer kappa oracle, and a vacuous one passes iff t >= kappa d^2
+    rng = random.Random(16)
+    audits = {False: 0, True: 0}
+    for _ in range(300):
+        m = _random_wide_matrix(rng)
+        t, n = m.t, m.n
+        dense = dense_of(m)
+        for d in (1, 2, 3, n, n + 1):
+            try:
+                audit = theorem2_audit(m, d)
+            except ValueError:
+                continue
+            audits[d >= n] += 1
+            cap = kappa_ceil_oracle(2 * d) - 1
+            for j, kappa_ok in enumerate(audit.kappa_ok):
+                private, _ = brute_private_pairs(dense, j)
+                if dense[:, j].sum() > cap:
+                    assert kappa_ok is None
+                else:
+                    assert kappa_ok == (2 * len(private) >= kappa_ceil_oracle(d * d))
+            if d >= n:
+                assert audit.ok == (t >= kappa_ceil_oracle(d * d))
+    assert audits[False] >= 20 and audits[True] >= 100, audits
 
 
 @pytest.mark.parametrize("q", [3, 5, 7])
@@ -250,9 +355,9 @@ def test_capped_weights_force_larger_t(q):
     m = affine_plane_matrix(q)
     d = q - 1
     assert int(m.weights().max()) <= (5 * d) // 3
-    audit = theorem2_audit(m, d)
-    assert all(col.moderate_ok for col in audit.columns)
-    assert audit.sum_private >= m.n * comb(d + 1, 2)
+    analysis = theorem2_audit(m, d).analysis
+    assert all(col.private >= comb(d + 1, 2) for col in analysis.columns)
+    assert analysis.private_total >= m.n * comb(d + 1, 2)
     assert m.t > d * d + d + 1
 
 

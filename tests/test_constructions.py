@@ -19,7 +19,7 @@ from oracles import column_rows, dense_of, reference_place_column
 
 def test_identity_examples():
     one = identity_matrix(1)
-    assert (one.t, one.n) == (1, 1) and one.weight(0) == 1
+    assert (one.t, one.n) == (1, 1) and one.masks == (1,)
     three = identity_matrix(3)
     assert max_disjunct_order(three) == 2
     five = identity_matrix(5)

@@ -62,8 +62,8 @@ def test_explicit_cover_witness():
     assert verdict.witness.column == 0
     assert_witness_sound([0b01, 0b10, 0b11], 2, verdict)
     # the cover promised for {0,1} exists as well
-    union = m.column_mask(0) | m.column_mask(1)
-    assert m.column_mask(2) & ~union == 0
+    union = m.masks[0] | m.masks[1]
+    assert m.masks[2] & ~union == 0
 
 
 def test_affine_plane_disjunct(ag):

@@ -42,8 +42,8 @@ def random_matrix(seed):
     t = rng.randint(25, 50)
     n = rng.randint(t // 2, t - 1)
     w = rng.randint(3, 7)
-    return BinaryMatrix.from_columns(
-        t, [rng.sample(range(t), w) for _ in range(n)]
+    return BinaryMatrix.from_masks(
+        t, [sum(1 << r for r in rng.sample(range(t), w)) for _ in range(n)]
     )
 
 

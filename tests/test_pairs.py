@@ -82,7 +82,7 @@ def test_partition_invariant(corpus):
         for m in matrices[:10]:
             for j, c in enumerate(analyze_pairs(m, d).columns):
                 graph = pair_graph(m, j)
-                w = m.weight(j)
+                w = m.masks[j].bit_count()
                 assert graph.edges <= frozenset(combinations(sorted(graph.vertices), 2))
                 assert (c.weight, c.nonprivate) == (w, len(graph.edges))
                 assert c.private + c.nonprivate == comb(w, 2)
@@ -383,7 +383,7 @@ def test_lemma3_applies_to_every_column():
             if d >= m.n or not brute_is_d_disjunct(m.masks, d):
                 continue
             applied[d] += 1
-            assert all(m.weight(j) >= d + 1 for j in range(m.n))
+            assert all(mask.bit_count() >= d + 1 for mask in m.masks)
             assert all(c.bound is not None for c in analyze_pairs(m, d).columns)
     assert all(applied.values()), applied
 
