@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb, isqrt
 
 import numpy as np
@@ -158,26 +159,18 @@ def theorem1_certificate(matrix: BinaryMatrix, d: int) -> Theorem1Certificate:
     point = 1 << row
     masks = matrix.masks
     cols = [j for j, mask in enumerate(masks) if mask & point]
-    failure = None
-    for a in range(len(cols)):
-        for b in range(a + 1, len(cols)):
-            if masks[cols[a]] & masks[cols[b]] != point:
-                failure = (
-                    f"columns {cols[a]} and {cols[b]} share more than row {row}"
-                )
-                break
-        if failure:
-            break
     union = 0
     for c in cols:
         union |= masks[c]
     union_weight = union.bit_count()
-    ok = (
-        failure is None
-        and union_weight == 1 + len(cols) * d
-        and union_weight >= (d + 1) ** 2
-        and matrix.t >= union_weight
-    )
+    # every column is ``row`` and d more rows: the union reaches 1 + |cols| d
+    # rows exactly when no two of them share another row
+    ok = union_weight == 1 + len(cols) * d
+    failure = None
+    if not ok:
+        pairs = combinations(cols, 2)
+        a, b = next((a, b) for a, b in pairs if masks[a] & masks[b] != point)
+        failure = f"columns {a} and {b} share more than row {row}"
     return Theorem1Certificate(
         row=row,
         row_degree=len(cols),

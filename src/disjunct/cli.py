@@ -23,7 +23,6 @@ from .group_testing import (
 )
 from .matrix import (
     BinaryMatrix,
-    DmatFormatError,
     check_size,
     load_matrix,
     save_matrix,
@@ -251,7 +250,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DmatFormatError, BudgetExceededError, ValueError, OSError) as exc:
+    except (BudgetExceededError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,13 +6,14 @@ words for the numpy kernels and as int bitmasks for the cover search,
 sampler and search.  Rows are tests, columns are items; all analysis code
 iterates over columns and intersects them, so the column-major packing is
 the natural layout.  Matrices are immutable after construction and safe to
-share between threads.
+share between threads.  ``.dmat`` text is read and written 64 rows at a
+time, one word of every column per block, so no file's text is held whole.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -22,6 +23,7 @@ WORD_BITS = 64
 
 _HEADER_RE = re.compile(r"^([0-9]+) ([0-9]+)$")
 _ROW_RE = re.compile(r"^[01]*$")
+_LINE_RE = re.compile(r"[^\n]*\n|[^\n]+")  # a line and its "\n", if any
 
 
 class DmatFormatError(ValueError):
@@ -163,91 +165,97 @@ class BinaryMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _check_header_size(line: str) -> None:
-    """Refuse a well-formed header of more than DENSE_LIMIT cells; any
-    other header fault is reported by read_matrix in its usual order."""
-    header = _HEADER_RE.match(line)
-    if header is not None:
-        try:
-            check_size(int(header.group(1)), int(header.group(2)))
-        except ValueError as exc:
-            raise DmatFormatError(1, str(exc)) from None
+def _pack_rows(octets: np.ndarray, lo: int, lines: list[str], n: int):
+    """Pack rows lo, lo+1, ... (up to 64 lines with their ``\\n``) into the column
+    octets, row i as bit i & 7 of octet i >> 3; else return the first bad one's error."""
+    body = np.frombuffer("".join(lines).encode("ascii", "replace"), np.uint8)
+    if body.size == len(lines) * (n + 1):
+        # digits in the first n columns leave every "\n" in column n, or the
+        # last line unterminated, which is reported as such before any row
+        digits = body.reshape(len(lines), n + 1)[:, :n]
+        if ((digits | 1) == ord("1")).all():
+            packed = np.packbits(digits == ord("1"), axis=0, bitorder="little")
+            octets[:, lo // 8 : lo // 8 + packed.shape[0]] = packed.T
+            return None
+    for i, line in enumerate(lines, lo + 2):
+        row = line.rstrip("\n")
+        if not _ROW_RE.match(row):
+            ch = next(ch for ch in row if ch not in "01")
+            return DmatFormatError(i, f"invalid character {ch!r}")
+        if len(row) != n:
+            return DmatFormatError(i, f"expected {n} characters, got {len(row)}")
+    return None  # the last line lacks its "\n", which is reported instead
+
+
+def _read_lines(lines: Iterator[str]) -> BinaryMatrix:
+    """Parse .dmat lines with their ``\\n``: line 1 is size-checked before
+    line 2 is read, rows are packed 64 at a time, and the first bad row waits
+    until every line is counted, since all other faults are reported first."""
+    line = next(lines, "")
+    first = line.rstrip("\n")
+    header = _HEADER_RE.match(first)
+    t, n = map(int, header.groups()) if header else (0, 0)
+    try:
+        check_size(t, n)
+    except ValueError as exc:
+        raise DmatFormatError(1, str(exc)) from None
+    # a "0 N" header passes check_size, so allocate only for t, n >= 1
+    octets = np.zeros((n, 8 * _num_words(t)), np.uint8) if t > 0 and n > 0 else None
+    bad, block, count = None, [], 1
+    for count, line in enumerate(lines, 2):
+        if octets is not None and bad is None and count <= t + 1:
+            block.append(line)
+            if len(block) == WORD_BITS or count == t + 1:
+                bad = _pack_rows(octets, count - 1 - len(block), block, n)
+                block = []
+    if not line.endswith("\n"):
+        raise DmatFormatError(count, "missing trailing newline")
+    if header is None:
+        raise DmatFormatError(1, f"malformed header {first!r}")
+    if octets is None:
+        raise DmatFormatError(1, "t and n must be positive")
+    if count - 1 != t:  # name the first missing row, or the first extra one
+        raise DmatFormatError(min(count, t + 1) + 1, f"expected {t} rows, got {count - 1}")
+    if bad is not None:
+        raise bad
+    return BinaryMatrix(t, octets.view(np.uint64))
 
 
 def read_matrix(text: str) -> BinaryMatrix:
-    """Parse .dmat text: header ``"t n"`` then t rows of n chars in {0,1}.
-
-    Raises :class:`DmatFormatError` naming the offending line on any
-    deviation, including a missing trailing newline and a header whose
-    t * n exceeds ``DENSE_LIMIT``.  Rows are validated and packed 64 at a
-    time straight into the column words, so the only full-size copies
-    held are ``text`` and its lines.
-    """
-    end = text.find("\n")
-    _check_header_size(text if end < 0 else text[:end])
-    if not text.endswith("\n"):
-        raise DmatFormatError(max(1, text.count("\n") + 1), "missing trailing newline")
-    lines = text.split("\n")[:-1]
-    header = _HEADER_RE.match(lines[0])
-    if header is None:
-        raise DmatFormatError(1, f"malformed header {lines[0]!r}")
-    t, n = int(header.group(1)), int(header.group(2))
-    if t < 1 or n < 1:
-        raise DmatFormatError(1, "t and n must be positive")
-    actual = len(lines) - 1
-    if actual < t:
-        raise DmatFormatError(len(lines) + 1, f"expected {t} rows, got {actual}")
-    if actual > t:
-        raise DmatFormatError(t + 2, f"expected {t} rows, got {actual}")
-    words = np.zeros((n, _num_words(t)), dtype=np.uint64)
-    octets = words.view(np.uint8)  # row i is bit i & 7 of octet i >> 3
-    for lo in range(0, t, WORD_BITS):
-        rows = lines[lo + 1 : lo + 1 + WORD_BITS]
-        for i, row in enumerate(rows, lo + 2):
-            if not _ROW_RE.match(row):
-                bad = next(ch for ch in row if ch not in "01")
-                raise DmatFormatError(i, f"invalid character {bad!r}")
-            if len(row) != n:
-                raise DmatFormatError(i, f"expected {n} characters, got {len(row)}")
-        body = np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8)
-        bits = (body == ord("1")).reshape(len(rows), n)
-        packed = np.packbits(bits, axis=0, bitorder="little")
-        octets[:, lo // 8 : lo // 8 + packed.shape[0]] = packed.T
-    return BinaryMatrix(t, words)
+    """Parse .dmat text: header ``"t n"`` then t rows of n chars in {0,1},
+    each line ended by ``\\n`` alone.  Raises :class:`DmatFormatError` naming
+    the offending line on any deviation, including a missing trailing newline
+    and a header whose t * n exceeds ``DENSE_LIMIT``."""
+    return _read_lines(m.group() for m in _LINE_RE.finditer(text))
 
 
-def write_matrix(matrix: BinaryMatrix) -> str:
-    """Serialize to canonical .dmat text (round-trips with read_matrix).
-
-    The text is laid out in one uint8 buffer, the header then t rows of
-    n digits and a newline, filled from the column words 64 rows at a
-    time; the buffer and the returned string are the only full-size
-    copies held.
-    """
+def _text_blocks(matrix: BinaryMatrix):
+    """Yield the .dmat header, then 64 rows at a time from one word per column."""
     t, n = matrix.t, matrix.n
     if t == 0:
         raise ValueError("cannot serialize a 0-row matrix")
-    header = f"{t} {n}\n".encode("ascii")
-    text = np.empty(len(header) + t * (n + 1), dtype=np.uint8)
-    text[: len(header)] = np.frombuffer(header, dtype=np.uint8)
-    rows = text[len(header) :].reshape(t, n + 1)
-    rows[:, n] = ord("\n")
+    yield f"{t} {n}\n"
     for w, lo in enumerate(range(0, t, WORD_BITS)):
         octets = np.ascontiguousarray(matrix.words[:, w : w + 1]).view(np.uint8)
         count = min(WORD_BITS, t - lo)
         bits = np.unpackbits(octets, axis=1, count=count, bitorder="little")
-        np.bitwise_or(bits.T, ord("0"), out=rows[lo : lo + count, :n])
-    return str(text.data, "ascii")
+        rows = np.full((count, n + 1), ord("\n"), dtype=np.uint8)
+        np.bitwise_or(bits.T, ord("0"), out=rows[:, :n])
+        yield str(rows.data, "ascii")
+
+
+def write_matrix(matrix: BinaryMatrix) -> str:
+    """Serialize to canonical .dmat text (round-trips with read_matrix)."""
+    return "".join(_text_blocks(matrix))
 
 
 def load_matrix(path) -> BinaryMatrix:
-    """Read a .dmat file; an oversize header is refused before the body is read."""
+    """Read a .dmat file line by line; an oversize header stops it at line 1."""
     with open(path, "r", encoding="ascii") as fh:
-        _check_header_size(fh.readline().rstrip("\n"))
-        fh.seek(0)
-        return read_matrix(fh.read())
+        return _read_lines(fh)
 
 
 def save_matrix(matrix: BinaryMatrix, path) -> None:
+    """Write a .dmat file one 64-row block at a time."""
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(write_matrix(matrix))
+        fh.writelines(_text_blocks(matrix))

@@ -15,6 +15,7 @@ from disjunct import (
 from disjunct import cli
 from disjunct import matrix as matrix_module
 from disjunct.cli import main
+from disjunct.pairs import ColumnPairs, PairAnalysis
 from oracles import brute_matching_number, brute_private_pairs, dense_of
 
 
@@ -219,6 +220,41 @@ def test_analyze_skips_checks_when_vacuous(mixed_corpus, tmp_path, capsys, extra
         assert (fields["bound"], fields["lemma3"]) == ("-", "n/a")
     assert len(lines) == matrix.n + 2
     assert lines[-1] == "private_total=170 pair_budget=276 budget_ok=true"
+
+
+def test_analyze_skips_checks_with_isolated_columns(tmp_path, capsys):
+    # a triangle and a column on a row of its own: 1-disjunct, one isolated
+    path = tmp_path / "iso.dmat"
+    path.write_text("4 4\n1100\n1010\n0110\n0001\n")
+    code, stdout, stderr = run(capsys, "analyze", "--d", "1", str(path))
+    assert code == 0 and stderr == ""
+    assert stdout == (
+        "note=1 isolated columns; pair-bound checks skipped\n"
+        "column=0 weight=2 private=1 nonprivate=0 matching=0 bound=- lemma3=n/a\n"
+        "column=1 weight=2 private=1 nonprivate=0 matching=0 bound=- lemma3=n/a\n"
+        "column=2 weight=2 private=1 nonprivate=0 matching=0 bound=- lemma3=n/a\n"
+        "column=3 weight=1 private=0 nonprivate=0 matching=0 bound=- lemma3=n/a\n"
+        "private_total=3 pair_budget=6 budget_ok=true\n"
+    )
+
+
+def test_analyze_refutes_lemma3_with_exit_1(plane_file, capsys, monkeypatch):
+    # no valid input refutes the lemma, so stand in a pass that does
+    column = ColumnPairs(
+        column=0, weight=3, private=1, nonprivate=2, matching=1,
+        bound=1, in_range=True, bound_ok=False, matching_ok=True,
+    )
+    analysis = PairAnalysis(
+        vacuous=False, disjunct=True, isolated=frozenset(), columns=(column,),
+        private_total=1, pair_budget=3,
+    )
+    monkeypatch.setattr(cli, "analyze_pairs", lambda matrix, d: analysis)
+    code, stdout, stderr = run(capsys, "analyze", "--d", "2", plane_file)
+    assert code == 1 and stderr == ""
+    assert stdout == (
+        "column=0 weight=3 private=1 nonprivate=2 matching=1 bound=1 lemma3=fail\n"
+        "private_total=1 pair_budget=3 budget_ok=true\n"
+    )
 
 
 def test_decode(plane_file, capsys):

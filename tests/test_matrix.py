@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +9,11 @@ from disjunct import (
     BinaryMatrix,
     DmatFormatError,
     OutcomeVector,
+    load_matrix,
     naive_decode,
     outcomes,
     read_matrix,
+    save_matrix,
     write_matrix,
 )
 from disjunct import _kernels
@@ -204,13 +208,67 @@ def test_round_trip_any_matrix(tm):
         # 10^11 cells: refused on the header, before any row is looked at
         ("1 100000000000\n0\n", 1, "too large"),
         ("1 100000\n0\n", 2, "expected 100000 characters"),
+        # sizes below 1 pass check_size: refused before anything is allocated
+        ("0 100000000000\n", 1, "positive"),
+        # only "\n" ends a line, not the other breaks str.splitlines knows
+        ("2 1\n1\x0b0\n", 3, "expected 2 rows, got 1"),
     ],
 )
-def test_parse_errors(text, line, fragment):
+def test_parse_errors(text, line, fragment, tmp_path):
+    # each case through the string reader and, byte for byte, the file reader
+    path = tmp_path / "case.dmat"
+    path.write_text(text, encoding="utf-8", newline="")
+    for parse, source in ((read_matrix, text), (load_matrix, path)):
+        if parse is load_matrix and not text.isascii():
+            # a .dmat file is ASCII: its decoder refuses the byte first
+            with pytest.raises(UnicodeDecodeError):
+                load_matrix(path)
+            continue
+        with pytest.raises(DmatFormatError) as exc:
+            parse(source)
+        assert exc.value.line == line
+        assert fragment in str(exc.value)
+
+
+def test_oversize_header_stops_the_file_reader_at_line_1(tmp_path):
+    # the body runs past 64 KB into a byte the ASCII decoder refuses, so the
+    # size error shows that no line past the header is read
+    path = tmp_path / "big.dmat"
+    path.write_bytes(b"1 300000000\n" + b"0" * 70_000 + b"\xff\n")
     with pytest.raises(DmatFormatError) as exc:
-        read_matrix(text)
-    assert exc.value.line == line
-    assert fragment in str(exc.value)
+        load_matrix(path)
+    assert exc.value.line == 1 and "too large" in str(exc.value)
+
+
+def test_crlf_file_loads_like_its_lf_twin(tmp_path):
+    text = "3 4\n1010\n0110\n0001\n"
+    lf, crlf = tmp_path / "lf.dmat", tmp_path / "crlf.dmat"
+    lf.write_bytes(text.encode("ascii"))
+    crlf.write_bytes(text.replace("\n", "\r\n").encode("ascii"))
+    assert load_matrix(crlf) == load_matrix(lf) == read_matrix(text)
+    # the string reader ends lines at "\n" only
+    with pytest.raises(DmatFormatError) as exc:
+        read_matrix(crlf.read_bytes().decode("ascii"))
+    assert str(exc.value) == r"line 1: malformed header '3 4\r'"
+
+
+def test_file_io_never_holds_the_whole_text(tmp_path):
+    # rows are written and read 64 at a time, so neither peak reaches the
+    # size of the file (2.1 MB); holding its text would pass it
+    rng = np.random.default_rng(1)
+    matrix = matrix_from_dense(rng.integers(0, 2, size=(1024, 2048)).astype(bool))
+    path = tmp_path / "wide.dmat"
+    peaks = []
+    for step in (lambda: save_matrix(matrix, path), lambda: load_matrix(path)):
+        tracemalloc.start()
+        try:
+            step()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert path.stat().st_size == 10 + 1024 * 2049
+    assert max(peaks) < path.stat().st_size
+    assert load_matrix(path) == matrix
 
 
 @pytest.mark.parametrize("t", [63, 64, 65, 127, 128, 130, 200])
