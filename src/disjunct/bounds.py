@@ -20,9 +20,9 @@ rounding kappa * x reduces to an integer square root (``math.isqrt``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb, isqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,8 +58,7 @@ def ceil_kappa_times(x: int) -> int:
     return floor_kappa_times(x) + 1
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Evaluated lower bounds on T(d) for one d."""
 
     d: int
@@ -92,8 +91,7 @@ def lower_bounds(d: int) -> BoundReport:
     )
 
 
-@dataclass(frozen=True)
-class TDNBound:
+class TDNBound(NamedTuple):
     """Lower bound on t(d, n), the minimal rows for n columns."""
 
     d: int
@@ -116,8 +114,7 @@ def t_dn_lower_bound(d: int, n: int) -> TDNBound:
     return TDNBound(d=d, n=n, value=min(report.combined, n), dominant=dominant)
 
 
-@dataclass(frozen=True)
-class Theorem1Certificate:
+class Theorem1Certificate(NamedTuple):
     """Replay of the constant-weight counting argument on a concrete matrix.
 
     Some row lies in at least d+2 columns; those columns pairwise meet in
@@ -181,8 +178,7 @@ def theorem1_certificate(matrix: BinaryMatrix, d: int) -> Theorem1Certificate:
     )
 
 
-@dataclass(frozen=True)
-class Theorem2Audit:
+class Theorem2Audit(NamedTuple):
     """The private-pair counting argument read off one ``analyze_pairs`` pass."""
 
     analysis: PairAnalysis

@@ -21,13 +21,7 @@ from .group_testing import (
     naive_decode,
     verify_identification,
 )
-from .matrix import (
-    BinaryMatrix,
-    check_size,
-    load_matrix,
-    save_matrix,
-    write_matrix,
-)
+from .matrix import BinaryMatrix, _text_blocks, check_size, load_matrix, save_matrix
 from .pairs import analyze_pairs
 from .search import exhaustive_T
 
@@ -38,7 +32,7 @@ def _bool(value: bool) -> str:
 
 def _write_output(matrix: BinaryMatrix, target: str) -> None:
     if target == "-":
-        sys.stdout.write(write_matrix(matrix))
+        sys.stdout.writelines(_text_blocks(matrix))  # 64 rows at a time
     else:
         save_matrix(matrix, target)
         print(f"wrote={target} t={matrix.t} n={matrix.n}")

@@ -16,8 +16,7 @@ positives, so no column is refuted without a concrete cover.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,16 +24,14 @@ from . import _kernels
 from .matrix import BinaryMatrix, _iter_bits, _private_rows
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """A concrete violation: ``column`` lies in the union of ``covering``."""
 
     column: int
     covering: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class DisjunctVerdict:
+class DisjunctVerdict(NamedTuple):
     """Result of a disjunctness check.
 
     ``vacuous`` flags the d >= n regime, where the property holds because
@@ -46,8 +43,7 @@ class DisjunctVerdict:
     vacuous: bool = False
 
 
-@dataclass(frozen=True)
-class PeelResult:
+class PeelResult(NamedTuple):
     reduced: BinaryMatrix
     removed_column: int
     removed_rows: frozenset[int]

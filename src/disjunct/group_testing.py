@@ -15,9 +15,8 @@ The sets of each size are built in numpy blocks as the sets one smaller
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -37,18 +36,24 @@ class BudgetExceededError(RuntimeError):
     """Raised when an exhaustive enumeration would exceed its case budget."""
 
 
-@dataclass(frozen=True)
-class OutcomeVector:
-    """Length-t outcome bit vector, packed; bit i is the result of test i."""
-
+class _OutcomeVector(NamedTuple):
     t: int
     mask: int = 0
 
-    def __post_init__(self):
-        if self.t < 0:
+
+class OutcomeVector(_OutcomeVector):
+    """Length-t outcome bit vector, packed; bit i is the result of test i."""
+
+    __slots__ = ()
+
+    def __new__(cls, t, mask=0):
+        if t < 0:
             raise ValueError("t must be >= 0")
-        if self.mask < 0 or self.mask >> self.t:
+        if mask < 0 or mask >> t:
             raise ValueError("outcome bits beyond t")
+        return super().__new__(cls, t, mask)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
     @classmethod
     def from_bitstring(cls, text: str) -> "OutcomeVector":
@@ -94,8 +99,7 @@ def naive_decode(matrix: BinaryMatrix, outcome: OutcomeVector) -> frozenset[int]
     return frozenset(np.nonzero(hits)[0].tolist())
 
 
-@dataclass(frozen=True)
-class IdentificationReport:
+class IdentificationReport(NamedTuple):
     ok: bool
     cases: int
     failure: tuple[int, ...] | None = None

@@ -256,6 +256,10 @@ def load_matrix(path) -> BinaryMatrix:
 
 
 def save_matrix(matrix: BinaryMatrix, path) -> None:
-    """Write a .dmat file one 64-row block at a time."""
+    """Write a .dmat file one 64-row block at a time; a 0-row matrix is
+    refused before ``path`` is created or truncated."""
+    blocks = _text_blocks(matrix)
+    header = next(blocks)
     with open(path, "w", encoding="ascii") as fh:
-        fh.writelines(_text_blocks(matrix))
+        fh.write(header)
+        fh.writelines(blocks)

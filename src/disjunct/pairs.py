@@ -20,9 +20,9 @@ against the C(t, 2) budget they share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,19 +31,25 @@ from .disjunctness import find_isolated_columns, is_d_disjunct
 from .matrix import BinaryMatrix, _iter_bits
 
 
-@dataclass(frozen=True)
-class PairGraph:
-    """Graph on the rows of one column whose edges are non-private pairs."""
-
+class _PairGraph(NamedTuple):
     vertices: frozenset[int]
     edges: frozenset[tuple[int, int]]
 
-    def __post_init__(self):
-        for a, b in self.edges:
+
+class PairGraph(_PairGraph):
+    """Graph on the rows of one column whose edges are non-private pairs."""
+
+    __slots__ = ()
+
+    def __new__(cls, vertices, edges):
+        for a, b in edges:
             if a >= b:
                 raise ValueError(f"edge ({a},{b}) must be ordered a < b")
-            if a not in self.vertices or b not in self.vertices:
+            if a not in vertices or b not in vertices:
                 raise ValueError(f"edge ({a},{b}) has endpoint outside vertex set")
+        return super().__new__(cls, vertices, edges)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
 
 def pair_graph(matrix: BinaryMatrix, j: int) -> PairGraph:
@@ -232,8 +238,7 @@ def formula_one(d: int, s: int) -> int:
     return max(comb(d + s, 2) - comb(d + 1, 2), comb(2 * s - 1, 2))
 
 
-@dataclass(frozen=True)
-class ColumnPairs:
+class ColumnPairs(NamedTuple):
     """Pair counts of one column; the Lemma 3 fields are None where the
     lemma does not apply to the matrix."""
 
@@ -248,8 +253,7 @@ class ColumnPairs:
     matching_ok: bool | None = None  # matching <= s-1
 
 
-@dataclass(frozen=True)
-class PairAnalysis:
+class PairAnalysis(NamedTuple):
     """Private-pair analysis of a whole matrix at one order d."""
 
     vacuous: bool  # d >= n

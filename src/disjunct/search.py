@@ -28,8 +28,8 @@ refused by the admission check, or descended into.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, isqrt
+from typing import NamedTuple
 
 from .constructions import _is_prime, affine_plane_matrix
 from .disjunctness import is_d_disjunct
@@ -40,8 +40,7 @@ from .matrix import BinaryMatrix
 T_MAX_LIMIT = 1024
 
 
-@dataclass(frozen=True)
-class SearchCertificate:
+class SearchCertificate(NamedTuple):
     """Outcome of the search at one (d, t).
 
     ``exhausted`` is meaningful when nothing was found: True means the

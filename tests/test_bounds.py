@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from math import comb
 
@@ -299,8 +298,8 @@ def test_theorem2_audit_reads_the_pair_bound(monkeypatch):
     analysis = analyze_pairs(m, d)
     assert theorem2_audit(m, d).ok and analysis.columns[3].in_range
     columns = list(analysis.columns)
-    columns[3] = dataclasses.replace(columns[3], bound_ok=False)
-    broken = dataclasses.replace(analysis, columns=tuple(columns))
+    columns[3] = columns[3]._replace(bound_ok=False)
+    broken = analysis._replace(columns=tuple(columns))
     monkeypatch.setattr(bounds, "analyze_pairs", lambda *args: broken)
     audit = theorem2_audit(m, d)
     assert audit.kappa_ok[3] and not audit.ok

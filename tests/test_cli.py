@@ -1,6 +1,8 @@
+import io
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -389,6 +391,38 @@ def test_random_construct_does_not_load_numpy_random(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.endswith("kept=20 attempts=20\n")
+
+
+def test_import_does_not_load_dataclasses():
+    script = "import sys\nimport disjunct.cli\nassert 'dataclasses' not in sys.modules\n"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def test_construct_to_stdout_streams_row_blocks(monkeypatch):
+    # -o - writes 64 rows at a time, as save_matrix does, so the peak stays
+    # below the size of the text (1 MB); joining it first would pass it
+    class Sink(io.TextIOBase):
+        size = 0
+
+        def write(self, text):
+            self.size += len(text)
+            return len(text)
+
+    sink = Sink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(["construct", "identity", "--n", "1024", "-o", "-"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and sink.size == len("1024 1024\n") + 1024 * 1025
+    assert peak < sink.size
 
 
 def test_errors_exit_2(tmp_path, capsys):

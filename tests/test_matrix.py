@@ -159,6 +159,19 @@ def test_zero_row_matrix_is_legal_but_not_serializable():
         write_matrix(m)
 
 
+def test_save_refuses_a_zero_row_matrix_before_opening(tmp_path):
+    m = BinaryMatrix.from_masks(0, [0, 0])
+    new, old = tmp_path / "new.dmat", tmp_path / "old.dmat"
+    save_matrix(BinaryMatrix.from_masks(2, [1, 2]), old)
+    before = old.read_bytes()
+    for path in (new, old):
+        with pytest.raises(ValueError) as exc:
+            save_matrix(m, path)
+        assert str(exc.value) == "cannot serialize a 0-row matrix"
+    assert not new.exists()
+    assert old.read_bytes() == before == b"2 2\n10\n01\n"
+
+
 # -- .dmat format ----------------------------------------------------
 
 
