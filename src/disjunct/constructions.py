@@ -246,8 +246,9 @@ def random_disjunct_corpus(
 
     Columns have constant weight d+1 unless ``mixed_weights`` draws
     weights from d+1 up to floor(5d/3).  With ``isolated_free`` each
-    surviving matrix is peeled to its isolated-free core, re-verified if
-    peeling removed anything.
+    surviving matrix is peeled to its isolated-free core, which needs no
+    second check: a peeled column takes along only rows that no other
+    column holds, so no remaining column gains a cover.
     Each attempt keeps per-row masks of its columns (:func:`_place_column`).
     Deterministic for a fixed seed: attempt i draws from its own stream,
     so the corpus does not depend on how many attempts succeed.  The
@@ -291,12 +292,10 @@ def random_disjunct_corpus(
         if not is_d_disjunct(candidate, d).is_disjunct:
             continue
         if isolated_free:
-            # the core of two or more columns has no isolated column left
-            candidate, peeled = peel_to_core(candidate)
+            # the core of two or more columns has no isolated column left,
+            # and it is d-disjunct: peeling gives no remaining column a cover
+            candidate, _ = peel_to_core(candidate)
             if candidate.n < 2:
-                continue
-            # with nothing peeled the candidate is the matrix checked above
-            if peeled and not is_d_disjunct(candidate, d).is_disjunct:
                 continue
         corpus.append(candidate)
     return corpus

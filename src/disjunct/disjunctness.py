@@ -21,7 +21,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import _kernels
-from .matrix import BinaryMatrix, _iter_bits, _private_rows
+from .matrix import BinaryMatrix, _iter_bits, _maximal, _private_rows
 
 
 class Witness(NamedTuple):
@@ -78,17 +78,8 @@ def _cover_search(
         if trace and trace not in rep:
             rep[trace] = k
 
-    if not rep:
-        return None
-
     # dominance pruning: a trace contained in another trace never helps
-    order = sorted(rep, key=lambda m: -m.bit_count())
-    traces: list[tuple[int, int]] = []
-    for m in order:
-        if any(m & ~big == 0 for big, _ in traces):
-            continue
-        traces.append((m, rep[m]))
-    traces.sort(key=lambda mc: mc[1])
+    traces = sorted(((m, rep[m]) for m in _maximal(rep)), key=lambda mc: mc[1])
 
     rows = list(_iter_bits(cj))
     covering: dict[int, list[int]] = {r: [] for r in rows}

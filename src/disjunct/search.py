@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 from .constructions import _is_prime, affine_plane_matrix
 from .disjunctness import is_d_disjunct
-from .matrix import BinaryMatrix
+from .matrix import BinaryMatrix, _maximal
 
 # every t up to t_max gets a certificate, and t = (d+1)^2 builds an affine
 # plane with t rows; 1024 keeps both at desk scale (AG(2, 31) at t = 961)
@@ -57,34 +57,9 @@ class SearchCertificate(NamedTuple):
     nodes: int
 
 
-class _Budget:
-    __slots__ = ("remaining",)
-
-    def __init__(self, nodes: int):
-        self.remaining = nodes
-
-    def spend(self) -> bool:
-        if self.remaining <= 0:
-            return False
-        self.remaining -= 1
-        return True
-
-
 def _candidate_pool(t: int, d: int) -> list[int]:
     """All column masks of weight >= d+1 over t rows, ascending as ints."""
     return [m for m in range(1, 1 << t) if m.bit_count() >= d + 1]
-
-
-def _maximal(unions) -> tuple[int, ...]:
-    """The antichain of maximal sets among ``unions``."""
-    kept: list[int] = []
-    for u in sorted(set(unions), key=int.bit_count, reverse=True):
-        for k in kept:
-            if u | k == k:
-                break
-        else:
-            kept.append(u)
-    return tuple(kept)
 
 
 def _grow(family: tuple[tuple[int, ...], ...], c: int) -> tuple[tuple[int, ...], ...]:
@@ -162,21 +137,25 @@ def _seeded_certificate(d: int, t: int) -> BinaryMatrix | None:
     return None  # pragma: no cover - column subsets stay disjunct
 
 
-def _search_one(d: int, t: int, budget: _Budget) -> tuple[BinaryMatrix | None, bool, int]:
-    """DFS over doubly lex-ordered matrices with columns of weight >= d+1."""
+def _search_one(d: int, t: int, budget: int) -> tuple[BinaryMatrix | None, bool, int]:
+    """DFS over doubly lex-ordered matrices with columns of weight >= d+1.
+
+    Returns the matrix found (or None), whether the search ended without
+    running out of its ``budget`` nodes, and the nodes it spent.
+    """
     n = t + 1
     if sum(comb(t, w) for w in range(d + 1, t + 1)) < n:
         return None, True, 0  # fewer candidate masks than columns
-    if budget.remaining <= 0:
+    if budget <= 0:
         return None, False, 0  # no node to spend: leave the pool unbuilt
     pool = _candidate_pool(t, d)
-    start_nodes = budget.remaining
 
     found: BinaryMatrix | None = None
-    ran_out = False
+    nodes = 0
 
     def dfs(start: int, path: _PathUnions, tied: int) -> bool:
-        nonlocal found, ran_out
+        """Extend ``path``; True once a matrix is found or the budget runs out."""
+        nonlocal found, nodes
         chosen = path.chosen
         if len(chosen) == n:
             matrix = BinaryMatrix.from_masks(t, list(chosen))
@@ -187,17 +166,16 @@ def _search_one(d: int, t: int, budget: _Budget) -> tuple[BinaryMatrix | None, b
             return False  # pragma: no cover - the admission check is exact
         # stop where fewer masks are left than columns still to choose
         for idx in range(start, len(pool) - n + len(chosen) + 1):
-            if not budget.spend():
-                ran_out = True
+            if nodes == budget:
                 return True
+            nodes += 1
             c = pool[idx]
             child = _lex_child(tied, c)
             if child >= 0 and path.admits(c) and dfs(idx + 1, path.push(c), child):
                 return True
         return False
 
-    dfs(0, _PathUnions(d), (1 << (t - 1)) - 1)
-    nodes = start_nodes - budget.remaining
+    ran_out = dfs(0, _PathUnions(d), (1 << (t - 1)) - 1) and found is None
     return found, not ran_out, nodes
 
 
@@ -219,26 +197,14 @@ def exhaustive_T(d: int, t_max: int, budget: int = 2_000_000) -> list[SearchCert
         raise ValueError(f"t_max must be <= {T_MAX_LIMIT}")
     if budget < 0:
         raise ValueError("budget must be >= 0")
-    shared = _Budget(budget)
     certificates = []
     for t in range(1, t_max + 1):
-        seeded = _seeded_certificate(d, t)
-        if seeded is not None:
-            certificates.append(
-                SearchCertificate(
-                    d=d, t=t, found=True, matrix=seeded, exhausted=False, nodes=0
-                )
-            )
-            continue
-        if t > 20:
-            # a 2^t candidate pool is out of reach; report honestly
-            certificates.append(
-                SearchCertificate(
-                    d=d, t=t, found=False, matrix=None, exhausted=False, nodes=0
-                )
-            )
-            continue
-        matrix, exhausted, nodes = _search_one(d, t, shared)
+        # a seeded plane is found unsearched; past t = 20 a 2^t candidate
+        # pool is out of reach, so nothing is searched and nothing claimed
+        matrix, exhausted, nodes = _seeded_certificate(d, t), False, 0
+        if matrix is None and t <= 20:
+            matrix, exhausted, nodes = _search_one(d, t, budget)
+            budget -= nodes
         certificates.append(
             SearchCertificate(
                 d=d,

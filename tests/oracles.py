@@ -17,7 +17,7 @@ from disjunct.disjunctness import (
     is_d_disjunct,
 )
 from disjunct.matrix import BinaryMatrix
-from disjunct.search import _Budget, _candidate_pool, _PathUnions
+from disjunct.search import _candidate_pool, _PathUnions
 
 
 def brute_is_d_disjunct(masks, d):
@@ -105,6 +105,13 @@ def brute_matching_number(edges):
     return extend(0, frozenset(), 0)
 
 
+def brute_maximal(family):
+    """The members of ``family`` (int masks) that no other member strictly
+    contains, compared as sets of bit positions."""
+    rows = {u: {i for i in range(u.bit_length()) if u >> i & 1} for u in family}
+    return {u for u in family if not any(rows[u] < rows[v] for v in family)}
+
+
 def antichain_exists(t, n):
     """Is there an antichain of n distinct nonempty subsets of {0..t-1}?
 
@@ -139,7 +146,7 @@ def passes_incremental(masks, d):
     return True
 
 
-def reference_search_one(d, t, budget: _Budget):
+def reference_search_one(d, t, budget: int):
     """The search's former DFS, kept as the reference for its lex pruning.
 
     Enumerates every strictly increasing column sequence from the pool,
@@ -149,16 +156,15 @@ def reference_search_one(d, t, budget: _Budget):
     n = t + 1
     if sum(comb(t, w) for w in range(d + 1, t + 1)) < n:
         return None, True, 0  # fewer candidate masks than columns
-    if budget.remaining <= 0:
+    if budget <= 0:
         return None, False, 0  # no node to spend: leave the pool unbuilt
     pool = _candidate_pool(t, d)
-    start_nodes = budget.remaining
 
     found: BinaryMatrix | None = None
-    ran_out = False
+    nodes = 0
 
     def dfs(start: int, path: _PathUnions) -> bool:
-        nonlocal found, ran_out
+        nonlocal found, nodes
         chosen = path.chosen
         if len(chosen) == n:
             matrix = BinaryMatrix.from_masks(t, list(chosen))
@@ -169,16 +175,15 @@ def reference_search_one(d, t, budget: _Budget):
             return False  # pragma: no cover - the admission check is exact
         # stop where fewer masks are left than columns still to choose
         for idx in range(start, len(pool) - n + len(chosen) + 1):
-            if not budget.spend():
-                ran_out = True
+            if nodes == budget:
                 return True
+            nodes += 1
             c = pool[idx]
             if path.admits(c) and dfs(idx + 1, path.push(c)):
                 return True
         return False
 
-    dfs(0, _PathUnions(d))
-    nodes = start_nodes - budget.remaining
+    ran_out = dfs(0, _PathUnions(d)) and found is None
     return found, not ran_out, nodes
 
 

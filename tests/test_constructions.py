@@ -14,7 +14,12 @@ from disjunct import (
     random_disjunct_corpus,
 )
 from conftest import CORPUS_PARAMS, MIXED_PARAMS
-from oracles import column_rows, dense_of, reference_place_column
+from oracles import (
+    brute_is_d_disjunct,
+    column_rows,
+    dense_of,
+    reference_place_column,
+)
 
 
 def test_identity_examples():
@@ -162,8 +167,8 @@ def test_corpus_sizes_are_pinned(corpus, mixed_corpus):
 
 
 # why attempts keep nothing, per conftest corpus: (sampler dead ends,
-# checker refusals, refusals after peeling, kept); every attempt is one
-# of the four
+# checker refusals, cores peeled down to one column, kept); every attempt
+# is one of the four
 REJECTIONS = {
     ("constant", 2): (0, 0, 0, 110),
     ("constant", 3): (20, 0, 0, 110),
@@ -186,9 +191,8 @@ def test_corpus_rejections_are_pinned(monkeypatch):
     def spy_check(matrix, d):
         nonlocal refusals
         verdict = check(matrix, d)
-        # the check before peeling sees all n columns; one after it runs
-        # only when a column was peeled, so it sees fewer
-        refusals += not verdict.is_disjunct and matrix.n == params["n"]
+        # each complete attempt is checked once, before peeling
+        refusals += not verdict.is_disjunct
         return verdict
 
     monkeypatch.setattr(constructions, "_place_column", spy_place)
@@ -200,9 +204,20 @@ def test_corpus_rejections_are_pinned(monkeypatch):
             kept = len(random_disjunct_corpus(
                 d, isolated_free=True, mixed_weights=kind == "mixed", **params
             ))
-            peel_refusals = params["attempts"] - dead_ends - refusals - kept
-            found[kind, d] = (dead_ends, refusals, peel_refusals, kept)
+            one_column = params["attempts"] - dead_ends - refusals - kept
+            found[kind, d] = (dead_ends, refusals, one_column, kept)
     assert found == REJECTIONS
+
+
+def test_peeled_cores_stay_disjunct(corpus, mixed_corpus):
+    # a core that lost a column is kept without a second check; brute
+    # force confirms each one is still d-disjunct
+    built = [(d, corpus[d], CORPUS_PARAMS[d]["n"]) for d in CORPUS_PARAMS]
+    built += [(d, mixed_corpus[d], MIXED_PARAMS[d]["n"]) for d in MIXED_PARAMS]
+    cores = [(d, m) for d, matrices, n in built for m in matrices if m.n < n]
+    assert len(cores) == 102
+    for d, m in cores:
+        assert brute_is_d_disjunct(list(m.masks), d), (d, m.masks)
 
 
 def _stream(seed, index):

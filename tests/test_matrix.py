@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import numpy as np
@@ -17,8 +18,15 @@ from disjunct import (
     write_matrix,
 )
 from disjunct import _kernels
-from disjunct.matrix import _mask_to_words
-from oracles import column_rows, dense_of, dmat_text, masks_of_words, matrix_from_dense
+from disjunct.matrix import _mask_to_words, _maximal
+from oracles import (
+    brute_maximal,
+    column_rows,
+    dense_of,
+    dmat_text,
+    masks_of_words,
+    matrix_from_dense,
+)
 
 
 def test_column_support_basics():
@@ -380,3 +388,40 @@ def test_concurrent_queries_are_consistent():
         weights = list(pool.map(lambda _: m.weights().tolist(), range(16)))
     assert all(list(s) == masks for s in seen)
     assert all(w == [3, 3, 3, 3] for w in weights)
+
+
+def _family(rng, t):
+    """Masks over t rows: fresh ones, repeats, the empty set, and sets
+    nested inside or around an earlier member."""
+    full = (1 << t) - 1
+    family = []
+    for _ in range(rng.randint(0, 16)):
+        kind = rng.randrange(6) if family else 0
+        if kind <= 1:
+            u = rng.randint(0, full)
+        elif kind == 2:
+            u = 0
+        elif kind == 3:
+            u = rng.choice(family)
+        elif kind == 4:
+            u = rng.choice(family) & rng.randint(0, full)
+        else:
+            u = rng.choice(family) | rng.randint(0, full)
+        family.append(u)
+    return family
+
+
+def test_maximal_matches_brute_force():
+    rng = random.Random(20261019)
+    nested = 0
+    for _ in range(2000):
+        family = _family(rng, rng.randint(1, 10))
+        kept = _maximal(family)
+        assert set(kept) == brute_maximal(family), family
+        assert len(kept) == len(set(kept))
+        assert [u.bit_count() for u in kept] == sorted(
+            (u.bit_count() for u in kept), reverse=True
+        )
+        nested += len(kept) < len(set(family))
+    assert nested > 1000
+    assert _maximal([]) == () and _maximal([0, 0]) == (0,)

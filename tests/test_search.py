@@ -107,6 +107,21 @@ def test_budget_exhaustion_is_reported():
     assert not certs[2].exhausted
 
 
+def test_budget_boundary_is_exact():
+    # t=4 and t=5 spend 3 + 63 nodes: a budget of exactly 66 exhausts t=5
+    # and leaves nothing for t=6, one node less stops t=5 short
+    assert _summary(exhaustive_T(2, 6, budget=66))[3:] == [
+        (4, False, True, 3, None),
+        (5, False, True, 63, None),
+        (6, False, False, 0, None),
+    ]
+    assert _summary(exhaustive_T(2, 6, budget=65))[3:] == [
+        (4, False, True, 3, None),
+        (5, False, False, 62, None),
+        (6, False, False, 0, None),
+    ]
+
+
 def test_affine_seed_for_d2():
     certs = exhaustive_T(2, 9, budget=50_000)
     at9 = certs[-1]
@@ -224,10 +239,8 @@ DIFFERENTIAL = [(1, 7), (2, 6), (3, 7), (4, 7)]
 @pytest.mark.parametrize("d, t_max", DIFFERENTIAL)
 def test_double_lex_search_agrees_with_reference(d, t_max):
     for t in range(1, t_max + 1):
-        matrix, exhausted, nodes = search._search_one(d, t, search._Budget(10**7))
-        ref_matrix, ref_exhausted, ref_nodes = reference_search_one(
-            d, t, search._Budget(10**7)
-        )
+        matrix, exhausted, nodes = search._search_one(d, t, 10**7)
+        ref_matrix, ref_exhausted, ref_nodes = reference_search_one(d, t, 10**7)
         assert exhausted and ref_exhausted
         assert (matrix is None) == (ref_matrix is None), (d, t)
         assert nodes <= ref_nodes
@@ -317,7 +330,7 @@ def test_t2_is_settled_at_nine():
     assert certs[7].nodes == 269_433
     assert list(certs[8].matrix.masks) == AFFINE_3
     # without the seed the search meets t=9 as well
-    matrix, _, nodes = search._search_one(2, 9, search._Budget(2_000_000))
+    matrix, _, nodes = search._search_one(2, 9, 2_000_000)
     assert (list(matrix.masks), nodes) == (
         [7, 25, 42, 52, 76, 146, 193, 289, 322, 388],
         332_856,
