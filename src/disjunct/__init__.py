@@ -64,7 +64,6 @@ from .pairs import (
     formula_one,
     matching_number,
     matching_numbers_all_graphs,
-    max_edges_matching_bounded,
     pair_graph,
 )
 from .search import SearchCertificate, exhaustive_T
@@ -105,7 +104,6 @@ __all__ = [
     "matching_number",
     "matching_numbers_all_graphs",
     "max_disjunct_order",
-    "max_edges_matching_bounded",
     "naive_decode",
     "outcomes",
     "pair_graph",

@@ -5,11 +5,22 @@ Packing convention: a column over rows ``{0, .., t-1}`` is an array of
 ``i >> 6``.  Bits at positions >= t are always zero.  The column kernels
 take packed ``(n, W)`` arrays and handle any word count W; the
 identification scan reads :func:`row_tables`, a row view of them.
+
+One memory cap, ``_CELLS``, bounds every intermediate the kernels build in
+blocks: the intersection table of :func:`min_cover_sizes`, the unpacked
+bits of :func:`row_degrees`, the row tables and their transposed tiles,
+the lookups of :func:`identification_scan` and the blocks of positive sets
+that ``group_testing`` hands it.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# cells held at once by any blocked intermediate: 256 KB as uint64,
+# whatever the number of rows, columns and sets; only tables of row pairs,
+# about twice the packed matrix, may exceed it
+_CELLS = 1 << 15
 
 
 def column_weights(words: np.ndarray) -> np.ndarray:
@@ -25,11 +36,6 @@ def subset_columns(words: np.ndarray, mask: np.ndarray) -> np.ndarray:
 def intersection_counts(words: np.ndarray, col: np.ndarray) -> np.ndarray:
     """Popcount of the intersection of every packed column with ``col``."""
     return np.bitwise_count(words & col).sum(axis=1, dtype=np.int64)
-
-
-# cells of the (columns, n) intersection table held at once by
-# min_cover_sizes: 256 KB per uint64 intermediate
-_COVER_BLOCK = 1 << 15
 
 
 def min_cover_sizes(words: np.ndarray, limit: int) -> np.ndarray:
@@ -48,7 +54,7 @@ def min_cover_sizes(words: np.ndarray, limit: int) -> np.ndarray:
     count_type = np.min_scalar_type(64 * num_words)
     reach_type = np.min_scalar_type(64 * num_words * n)
     out = np.empty(n, dtype=np.int64)
-    block = max(1, _COVER_BLOCK // n)
+    block = max(1, _CELLS // n)
     for lo in range(0, n, block):
         hi = min(n, lo + block)
         counts = np.zeros((hi - lo, n), dtype=count_type)
@@ -69,8 +75,9 @@ def row_degrees(words: np.ndarray, t: int) -> np.ndarray:
     """Number of columns containing each row, from packed columns."""
     degrees = np.zeros(t, dtype=np.int64)
     n = words.shape[0]
-    # unpack in column blocks so the dense intermediate stays small
-    block = max(1, (1 << 24) // max(1, words.shape[1] * 64))
+    # unpack in column blocks, a byte per bit, within the bytes of _CELLS
+    # words: W words of a column unpack to 8W of them
+    block = max(1, _CELLS // max(1, words.shape[1] * 8))
     for lo in range(0, n, block):
         chunk = words[lo : lo + block]
         bits = np.unpackbits(
@@ -102,30 +109,28 @@ def matching_numbers_table(
     return out
 
 
-def row_tables(cols: np.ndarray, t: int, cells: int) -> np.ndarray:
+def row_tables(cols: np.ndarray, t: int) -> np.ndarray:
     """Column sets of groups of rows, for :func:`identification_scan`.
 
     Splits the t rows of the packed ``(n, W)`` columns into groups of g
-    consecutive rows, g the largest of 8, 4, 2 and 1 whose tables hold at
-    most ``cells`` words, or 2 if none does: those tables, about twice the
-    matrix's packed size, are as small as single rows' and need half the
-    lookups.  ``out[i, v]`` packs, column j at bit ``j & 63`` of word
-    ``j >> 6``, the columns that contain a row ``i*g + b`` for some bit b
-    of v.
+    consecutive rows, g 8 or 4 if its tables hold at most ``_CELLS`` words,
+    or else 2: tables of row pairs, about twice the matrix's packed size,
+    are as small as single rows' and need half the lookups.  ``out[i, v]``
+    packs, column j at bit ``j & 63`` of word ``j >> 6``, the columns that
+    contain a row ``i*g + b`` for some bit b of v.
     """
     n, col_words = cols.shape
     num_words = -(-n // 64)
-    sizes = (8, 4, 2, 1)
-    g = next((g for g in sizes if (-(-t // g) << g) * num_words <= cells), 2)
+    g = next((g for g in (8, 4) if (-(-t // g) << g) * num_words <= _CELLS), 2)
     groups = -(-t // g)
     tables = np.zeros((groups, 1 << g, num_words), dtype=np.uint64)
     table_bytes, col_bytes = tables.view(np.uint8), cols.view(np.uint8)
     # row i*g + b is entry 1 << b of group i; the rows are transposed in
     # tiles of whole bytes of columns and of rows, unpacked to at most
-    # cells bits (64 at the least)
+    # _CELLS bits (64 at the least)
     singles = 1 << np.arange(g)
-    span = max(8, min(n, cells // 8) // 8 * 8)
-    byte_span = max(1, cells // (8 * span))
+    span = max(8, min(n, _CELLS // 8) // 8 * 8)
+    byte_span = max(1, _CELLS // (8 * span))
     for lo in range(0, n, span):
         for a in range(0, -(-t // 8), byte_span):
             tile = col_bytes[lo : lo + span, a : a + byte_span]
@@ -144,15 +149,13 @@ def row_tables(cols: np.ndarray, t: int, cells: int) -> np.ndarray:
     return tables
 
 
-def identification_scan(
-    tables: np.ndarray, unions: np.ndarray, n: int, k: int, cells: int
-) -> int:
+def identification_scan(tables: np.ndarray, unions: np.ndarray, n: int, k: int) -> int:
     """Check the naive decoder over many positive sets at once.
 
     ``tables`` are the :func:`row_tables` of n columns and each row of
     ``unions`` is the packed union of a positive set of k distinct
     columns.  Returns the index of the first positive set the decoder
-    fails to recover exactly, or -1.  Its lookups hold at most ``cells``
+    fails to recover exactly, or -1.  Its lookups hold at most ``_CELLS``
     words at a time, or one group's for every set if that is more.
 
     A column is decoded iff it meets no negative row, and every positive
@@ -164,9 +167,9 @@ def identification_scan(
     # byte a of a union holds the bits of rows 8a .. 8a + 7
     union_bytes = np.ascontiguousarray(unions).view(np.uint8)
     missed = np.zeros((unions.shape[0], num_words), dtype=np.uint64)
-    # look up a span of groups at once, as many as fit in cells, so that a
-    # tall matrix's many groups do not cost a numpy call each
-    span = max(1, cells // max(1, missed.size))
+    # look up a span of groups at once, as many as fit in _CELLS, so that
+    # a tall matrix's many groups do not cost a numpy call each
+    span = max(1, _CELLS // max(1, missed.size))
     for lo in range(0, groups, span):
         at = np.arange(lo, min(groups, lo + span))
         # row i: the negative rows of group at[i] in every set

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .disjunctness import is_d_disjunct, peel_to_core
-from .matrix import BinaryMatrix, _iter_bits
+from .matrix import BinaryMatrix, _iter_bits, check_size
 
 
 def _is_prime(q: int) -> bool:
@@ -21,6 +21,7 @@ def identity_matrix(n: int) -> BinaryMatrix:
     """The n x n identity: the scheme that tests every item individually."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    check_size(n, n)
     return BinaryMatrix.from_masks(n, [1 << i for i in range(n)])
 
 
@@ -38,8 +39,11 @@ def affine_plane_matrix(q: int) -> BinaryMatrix:
     {(x0, y)}, x0 ascending.
 
     Only prime q is supported; prime-power orders would need polynomial
-    field arithmetic that nothing downstream exercises.
+    field arithmetic that nothing downstream exercises.  The size limit
+    is checked first, so an oversize q is refused whether prime or not.
     """
+    if q > 0:
+        check_size(q * q, q * q + q)
     if not _is_prime(q):
         raise ValueError(f"q must be prime, got {q}")
     sloped = [
@@ -181,7 +185,6 @@ def _place_column(
     t: int,
     w: int,
     d: int,
-    rows_of: dict[int, int],
     light_of: dict[int, int],
     heavy_at: dict[int, list[int]],
 ) -> int | None:
@@ -190,18 +193,18 @@ def _place_column(
     Rows are chosen one at a time among those still compatible with the
     per-column intersection caps, which keeps the acceptance rate high
     where uniform rejection sampling stalls.  Per-row masks, keyed by the
-    rows in use: ``rows_of[r]`` is the union of the columns holding row
-    r, ``light_of[r]`` that of those of weight d+1, ``heavy_at[r]`` lists
-    the heavier ones.  ``free`` holds the allowed rows; a drawn row r
-    clears itself and ``rows_of[r]`` from it in one step, or, for a heavy
-    new column (which may share two rows with a heavy one), ``light_of[r]``
-    and the heavy holders of r that already share a drawn row.  The next
-    row is the set bit of ``free`` with ``rng.below(free.bit_count())``
-    set bits below it (:func:`_nth_bit`): the row the same draw picks
-    from the ascending list of allowed rows.  None after repeated dead ends.
+    rows in use: ``light_of[r]`` is the union of the columns of weight d+1
+    holding row r, ``heavy_at[r]`` lists the heavier ones.  ``free`` holds
+    the allowed rows; a drawn row r clears itself and ``light_of[r]`` from
+    it, then the heavy holders of r: all of them for a light new column,
+    and for a heavy one (which may share two rows with a heavy column)
+    only those that already share a drawn row.  The next row is the set
+    bit of ``free`` with ``rng.below(free.bit_count())`` set bits below it
+    (:func:`_nth_bit`): the row the same draw picks from the ascending list
+    of allowed rows.  None after repeated dead ends.
     """
     heavy = w > d + 1
-    blocked_by = (light_of if heavy else rows_of).get
+    light_at, heavy_holders = light_of.get, heavy_at.get
     below = rng.below
     full = (1 << t) - 1
     for _ in range(20):
@@ -213,11 +216,10 @@ def _place_column(
                 break
             r = _nth_bit(free, below(free.bit_count()))
             bit = 1 << r
-            free &= ~(bit | blocked_by(r, 0))
-            if heavy:
-                for other in heavy_at.get(r, ()):
-                    if other & mask:
-                        free &= ~other
+            free &= ~(bit | light_at(r, 0))
+            for other in heavy_holders(r, ()):
+                if not heavy or other & mask:
+                    free &= ~other
             mask |= bit
         if mask:
             return mask
@@ -256,8 +258,10 @@ def random_disjunct_corpus(
     reproduces ``default_rng(SeedSequence(seed, spawn_key=(i,)))``
     (SeedSequence hashing, PCG64, Lemire's bounded draws) without
     loading numpy's random module.  May return fewer than ``attempts``
-    matrices; a negative seed raises ValueError.
+    matrices; a negative seed or a t x n past the size limit raises
+    ValueError.
     """
+    check_size(t, n)
     if d < 1 or t < 1 or n < 1 or attempts < 0:
         raise ValueError("d, t, n must be positive and attempts >= 0")
     if seed < 0:
@@ -271,16 +275,14 @@ def random_disjunct_corpus(
     for i in range(attempts):
         rng = _Stream(seed_pool, i)
         masks: list[int] = []
-        rows_of: dict[int, int] = {}
         light_of: dict[int, int] = {}
         heavy_at: dict[int, list[int]] = {}
         for _ in range(n):
             w = d + 1 + rng.below(max_weight - d) if mixed_weights else d + 1
-            mask = _place_column(rng, t, w, d, rows_of, light_of, heavy_at)
+            mask = _place_column(rng, t, w, d, light_of, heavy_at)
             if mask is None:
                 break
             for r in _iter_bits(mask):
-                rows_of[r] = rows_of.get(r, 0) | mask
                 if w > d + 1:
                     heavy_at.setdefault(r, []).append(mask)
                 else:

@@ -9,8 +9,10 @@ recovers any positive set of size at most d exactly.
 decodes from a row view of the matrix: tables that give, for a group of
 rows, the columns meeting any selected row (``_kernels.row_tables``),
 so a positive set's decoded count is one table lookup per row group.
-The sets of each size are built in numpy blocks as the sets one smaller
-(their prefixes) times a last element.
+One enumeration covers every size from the empty set up: the sets of
+each size are built in numpy blocks, within ``_kernels._CELLS``, from
+the blocks of sets one smaller, and a failing set is read back from its
+rank in its size's lex order.
 """
 
 from __future__ import annotations
@@ -22,14 +24,6 @@ import numpy as np
 
 from . import _kernels
 from .matrix import BinaryMatrix, _iter_bits, _mask_to_words
-
-
-# The one memory cap of the identification scan: its row tables, each
-# block of positive sets across its arrays and each batch of lookups hold
-# at most _SCAN_CELLS cells (256 KB as uint64) whatever the number of rows,
-# columns and sets; only tables of row pairs, about twice the packed
-# matrix, may exceed it.
-_SCAN_CELLS = 1 << 15
 
 
 class BudgetExceededError(RuntimeError):
@@ -125,50 +119,43 @@ def verify_identification(
         raise BudgetExceededError(
             f"{total} positive sets exceed the budget of {max_cases}"
         )
-    tables = _kernels.row_tables(matrix.words, matrix.t, _SCAN_CELLS)
-    empty = np.zeros((1, matrix.words.shape[1]), dtype=np.uint64)
-    if _kernels.identification_scan(tables, empty, n, 0, _SCAN_CELLS) != -1:
-        return IdentificationReport(ok=False, cases=1, failure=())
-    checked = 1
-    # words a set's union and the columns it misses take
+    tables = _kernels.row_tables(matrix.words, matrix.t)
+    # a set's cells in its block: its parent and last element, and the
+    # words of its union and of the columns it misses, each with one copy
     words = matrix.words.shape[1] + tables.shape[2]
-    for k in range(1, min(d, n) + 1):
-        # a set's cells in its block: prefix, parent and last element, and
-        # its words, each with one temporary copy
-        size = max(1, _SCAN_CELLS // (k + 2 + 2 * words))
-        for prefixes, parent, last, unions in _lex_blocks(matrix.words, k, size):
-            bad = _kernels.identification_scan(tables, unions, n, k, _SCAN_CELLS)
+    size = max(1, _kernels._CELLS // (2 + 2 * words))
+    checked = 0
+    for k in range(min(d, n) + 1):
+        rank = 0  # of the block's first set among the k-sets
+        for _, unions in _lex_blocks(matrix.words, k, size):
+            bad = _kernels.identification_scan(tables, unions, n, k)
             if bad != -1:
                 return IdentificationReport(
                     ok=False,
-                    cases=checked + bad + 1,
-                    failure=(*prefixes[parent[bad]].tolist(), int(last[bad])),
+                    cases=checked + rank + bad + 1,
+                    failure=_lex_set(n, k, rank + bad),
                 )
-            checked += len(unions)
+            rank += len(unions)
+        checked += rank
     return IdentificationReport(ok=True, cases=checked)
 
 
 def _lex_blocks(cols: np.ndarray, k: int, size: int):
-    """Every nonempty k-subset of the packed columns in lex order, with
-    the union of its columns.
+    """Every k-subset of the packed columns in lex order, with the union
+    of its columns, in blocks of at most ``size`` sets.
 
-    A k-set is a (k-1)-set, its prefix, and a last element past the
-    prefix's last.  Yields ``(prefixes, parent, last, unions)`` blocks of
-    at most ``size`` sets, set r being ``prefixes[parent[r]]`` then
-    ``last[r]``; a block of prefixes expands to the runs of last elements
-    that follow each prefix, split across as many blocks as they fill.
+    Yields ``(last, unions)``: each set's last element and its union.  The
+    one block of k = 0 is the empty set, last element -1 and union 0.  A
+    k-set is a (k-1)-set, its prefix, and a last element past the
+    prefix's last; a block of prefixes expands to the runs of last
+    elements that follow each prefix, split across as many blocks as they
+    fill.
     """
     n, num_words = cols.shape
-    if k == 1:
-        # the empty prefix, whose "last element" -1 lets every column follow
-        empty = np.zeros((1, num_words), dtype=np.uint64)
-        blocks = [(np.zeros((1, 0), dtype=np.int64), np.array([-1]), empty)]
-    else:
-        blocks = (
-            (np.column_stack((head[parent], last)), last, unions)
-            for head, parent, last, unions in _lex_blocks(cols, k - 1, size)
-        )
-    for prefixes, prefix_last, prefix_unions in blocks:
+    if k == 0:
+        yield np.array([-1]), np.zeros((1, num_words), dtype=np.uint64)
+        return
+    for prefix_last, prefix_unions in _lex_blocks(cols, k - 1, size):
         # prefix p's run fills positions ends[p] - runs[p] .. ends[p] - 1
         runs = n - 1 - prefix_last
         ends = np.cumsum(runs)
@@ -186,4 +173,18 @@ def _lex_blocks(cols: np.ndarray, k: int, size: int):
             last += np.arange(lo, hi)
             unions = prefix_unions[parent]
             unions |= cols[last]
-            yield prefixes, parent, last, unions
+            yield last, unions
+
+
+def _lex_set(n: int, k: int, rank: int) -> tuple[int, ...]:
+    """The k-subset of range(n) at position ``rank`` of the lex order."""
+    out = []
+    j = 0
+    for size in range(k, 0, -1):
+        # the sets whose next element is j come first: comb(n - j - 1, size - 1)
+        while rank >= (before := comb(n - j - 1, size - 1)):
+            rank -= before
+            j += 1
+        out.append(j)
+        j += 1
+    return tuple(out)

@@ -206,20 +206,6 @@ def matching_numbers_all_graphs(k: int) -> np.ndarray:
     return _kernels.matching_numbers_table(comb(k, 2), masks, sizes)
 
 
-def max_edges_matching_bounded(k: int, mu: int) -> int:
-    """Exact max{|E(G)| : G on k labeled vertices, matching number <= mu}.
-
-    Brute force over all 2^C(k,2) graphs; the independent route against
-    which the closed-form bound is checked.
-    """
-    if mu < 0:
-        raise ValueError("mu must be >= 0")
-    nu = matching_numbers_all_graphs(k)
-    edge_counts = np.bitwise_count(np.arange(nu.size, dtype=np.uint32))
-    eligible = edge_counts[nu <= mu]
-    return int(eligible.max())
-
-
 def formula_one(d: int, s: int) -> int:
     """Piecewise maximum governing the non-private pair budget.
 

@@ -17,6 +17,7 @@ from disjunct.disjunctness import (
     is_d_disjunct,
 )
 from disjunct.matrix import BinaryMatrix
+from disjunct.pairs import matching_numbers_all_graphs
 from disjunct.search import _candidate_pool, _PathUnions
 
 
@@ -284,6 +285,19 @@ def brute_max_edges_nu_at_most(k, mu):
         if brute_matching_number(edges) <= mu:
             best = len(edges)
     return best
+
+
+def max_edges_matching_bounded(k):
+    """max{|E(G)| : G on k labeled vertices, matching number <= mu}, as a
+    list indexed by mu = 0 .. k // 2.
+
+    Read off the library's table of all 2^C(k,2) graphs, built once: the
+    route against which the closed-form bound is checked, itself checked
+    against brute_max_edges_nu_at_most for small k.
+    """
+    nu = matching_numbers_all_graphs(k)
+    edge_counts = np.bitwise_count(np.arange(nu.size, dtype=np.uint32))
+    return [int(edge_counts[nu <= mu].max()) for mu in range(k // 2 + 1)]
 
 
 def reference_place_column(rng, t, w, d, masks, weights):

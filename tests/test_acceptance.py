@@ -24,11 +24,10 @@ from disjunct import (
     identity_matrix,
     is_d_disjunct,
     matching_number,
-    max_edges_matching_bounded,
     theorem1_certificate,
     verify_identification,
 )
-from oracles import antichain_exists, brute_matching_number
+from oracles import antichain_exists, brute_matching_number, max_edges_matching_bounded
 
 
 def _report(number, name, detail=""):
@@ -63,8 +62,9 @@ def test_03_erdos_gallai_oracle():
     start = time.perf_counter()
     checked = 0
     for k in range(2, 8):
+        table = max_edges_matching_bounded(k)
         for mu in range(0, (k - 1) // 2 + 1):
-            brute = max_edges_matching_bounded(k, mu)
+            brute = table[mu]
             bound = formula_one(k - mu - 1, mu + 1)  # m(k, 2, mu)
             assert brute <= bound, (k, mu)
             assert brute == bound, (k, mu)  # the bound is attained

@@ -14,7 +14,7 @@ from disjunct import (
     load_matrix,
     save_matrix,
 )
-from disjunct import cli
+from disjunct import cli, constructions
 from disjunct import matrix as matrix_module
 from disjunct.cli import main
 from disjunct.pairs import ColumnPairs, PairAnalysis
@@ -296,6 +296,15 @@ def test_verify_id_refuted(tmp_path, capsys):
     assert "failing_set=" in stdout
 
 
+def test_verify_id_empty_failing_set(tmp_path, capsys):
+    # column 2 is empty: the empty set already decodes to {2}
+    path = tmp_path / "empty.dmat"
+    path.write_text("2 3\n100\n010\n")
+    code, stdout, stderr = run(capsys, "verify-id", "--d", "1", str(path))
+    assert code == 1 and stderr == ""
+    assert stdout == "NOT IDENTIFIABLE d=1\nfailing_set=\n"
+
+
 def test_bounds_golden(capsys):
     code, stdout, _ = run(capsys, "bounds", "--d", "4")
     assert code == 0
@@ -462,28 +471,42 @@ def test_errors_exit_2(tmp_path, capsys):
 
 
 def test_construct_refuses_oversize_before_building(monkeypatch, capsys):
+    # each builder checks its own shape first: with the limit set low, no
+    # column is drawn and no masks reach a matrix
     def refuse(*args, **kwargs):
         raise AssertionError("built a matrix past the size limit")
 
-    for name in ("identity_matrix", "affine_plane_matrix", "random_disjunct_corpus"):
-        monkeypatch.setattr(cli, name, refuse)
-    for argv in (
-        ["identity", "--n", "16385"],
-        # 131 is the smallest prime with q^2 (q^2 + q) > 2^28 cells
-        ["affine", "--q", "131"],
-        ["random", "--d", "2", "--t", "16385", "--n", "16385", "--seed", "0",
-         "--attempts", "1"],
+    monkeypatch.setattr(constructions.BinaryMatrix, "from_masks", refuse)
+    monkeypatch.setattr(constructions, "_place_column", refuse)
+    monkeypatch.setattr(matrix_module, "DENSE_LIMIT", 107)
+    for argv, cells in (
+        (["identity", "--n", "11"], 121),
+        # AG(2,3) is 9 x 12 cells; 4 is not prime, and its size comes first
+        (["affine", "--q", "3"], 108),
+        (["affine", "--q", "4"], 320),
+        (["random", "--d", "2", "--t", "12", "--n", "9", "--seed", "0",
+         "--attempts", "1"], 108),
+        # ahead of the corpus's own argument checks, as before
+        (["random", "--d", "0", "--t", "12", "--n", "9", "--seed", "-1",
+         "--attempts", "1"], 108),
     ):
         code, stdout, stderr = run(capsys, "construct", *argv, "-o", "-")
         assert code == 2 and stdout == ""
-        assert "error: matrix too large to densify" in stderr
+        assert stderr == f"error: matrix too large to densify: t*n = {cells} > 107\n"
 
 
 def test_construct_accepts_the_size_limit(monkeypatch, capsys):
-    # 16384^2 cells is exactly the limit; stand in a small build for it
-    monkeypatch.setattr(cli, "identity_matrix", lambda n: identity_matrix(2))
-    code, stdout, _ = run(capsys, "construct", "identity", "--n", "16384", "-o", "-")
+    # 16384^2 cells is exactly the real limit
+    matrix_module.check_size(16384, 16384)
+    with pytest.raises(ValueError, match="too large"):
+        matrix_module.check_size(16385, 16384)
+    # a build of exactly the limit is written
+    monkeypatch.setattr(matrix_module, "DENSE_LIMIT", 4)
+    code, stdout, _ = run(capsys, "construct", "identity", "--n", "2", "-o", "-")
     assert code == 0 and stdout == "2 2\n10\n01\n"
+    code, stdout, stderr = run(capsys, "construct", "identity", "--n", "3", "-o", "-")
+    assert code == 2 and stdout == ""
+    assert stderr == "error: matrix too large to densify: t*n = 9 > 4\n"
 
 
 def test_dmat_header_above_the_size_limit(monkeypatch, plane_file, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from disjunct import constructions
+from disjunct import matrix as matrix_module
 from disjunct import (
     affine_plane_matrix,
     find_isolated_columns,
@@ -241,6 +242,22 @@ def test_stream_matches_numpy_generator(seed, index):
             assert stream.below(k) == int(reference.integers(k))
 
 
+def test_builders_check_their_own_size(monkeypatch):
+    # the library refuses as the CLI does, before any column is built
+    monkeypatch.setattr(matrix_module, "DENSE_LIMIT", 107)
+    for build in (
+        lambda: identity_matrix(11),
+        lambda: affine_plane_matrix(3),
+        lambda: random_disjunct_corpus(2, 12, 9, seed=0, attempts=1),
+    ):
+        with pytest.raises(ValueError, match="too large to densify"):
+            build()
+    monkeypatch.setattr(matrix_module, "DENSE_LIMIT", 108)
+    assert identity_matrix(10).n == 10
+    assert affine_plane_matrix(3).n == 12
+    assert len(random_disjunct_corpus(2, 12, 9, seed=0, attempts=1)) <= 1
+
+
 def test_corpus_refuses_negative_seeds():
     with pytest.raises(ValueError, match="non-negative"):
         random_disjunct_corpus(2, 9, 8, seed=-1, attempts=0)
@@ -256,20 +273,19 @@ def _sample_in_step(t, d, seed, index):
     span = min(max(d + 1, 5 * d // 3), t) - d
     fast, slow = _stream(seed, index), _stream(seed, index)
     masks, weights = [], []
-    rows_of, light_of, heavy_at = {}, {}, {}  # the sampler's per-row masks
+    light_of, heavy_at = {}, {}  # the sampler's per-row masks
     cap_2 = 0
     for _ in range(60):
         w = d + 1 + fast.below(span)
         assert d + 1 + slow.below(span) == w
         cap_2 += w > d + 1 and any(wo > d + 1 for wo in weights)
-        mask = constructions._place_column(fast, t, w, d, rows_of, light_of, heavy_at)
+        mask = constructions._place_column(fast, t, w, d, light_of, heavy_at)
         assert mask == reference_place_column(slow, t, w, d, masks, weights)
         assert fast.below(2**32) == slow.below(2**32)
         if mask is None:
             break
         for r in range(t):
             if mask >> r & 1:
-                rows_of[r] = rows_of.get(r, 0) | mask
                 if w > d + 1:
                     heavy_at.setdefault(r, []).append(mask)
                 else:
@@ -300,8 +316,8 @@ def test_place_column_forced_dead_end(t):
     for d in (1, 2):
         fast, slow = _stream(t, d), _stream(t, d)
         full = (1 << t) - 1
-        rows_of = {r: full for r in range(t)}
-        assert constructions._place_column(fast, t, d + 1, d, rows_of, rows_of, {}) is None
+        light_of = {r: full for r in range(t)}
+        assert constructions._place_column(fast, t, d + 1, d, light_of, {}) is None
         assert reference_place_column(slow, t, d + 1, d, [full], [d + 1]) is None
         assert fast.below(2**32) == slow.below(2**32)
 

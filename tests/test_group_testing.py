@@ -96,6 +96,21 @@ def test_verify_identification_failure_witness():
     assert naive_decode(m, outcomes(m, [0, 1])) == frozenset({0, 1, 2})
 
 
+def test_verify_identification_empty_column():
+    # an empty column is decoded beside any positive set, the empty set
+    # first: it fails as the first case, and no larger set is looked at
+    m = BinaryMatrix.from_masks(2, [0b01, 0b10, 0])
+    assert verify_identification(m, 1) == (False, 1, ())
+    assert brute_verify_identification(list(m.masks), 1) == (False, 1, ())
+
+
+def test_lex_set_matches_combinations():
+    for n in range(10):
+        for k in range(n + 1):
+            for rank, combo in enumerate(combinations(range(n), k)):
+                assert group_testing._lex_set(n, k, rank) == combo
+
+
 def test_verify_identification_budget():
     m = identity_matrix(30)
     with pytest.raises(BudgetExceededError):
@@ -156,7 +171,7 @@ def _reports_against_oracle(rng, row_counts):
 def test_verify_identification_matches_oracle(monkeypatch):
     # a tiny cap makes failures land past block boundaries too
     cells = 21
-    monkeypatch.setattr(group_testing, "_SCAN_CELLS", cells)
+    monkeypatch.setattr(_kernels, "_CELLS", cells)
     reports = _reports_against_oracle(random.Random(31), (5, 63, 64, 65, 130))
     assert any(not r.ok and r.cases > cells for r in reports)
 
@@ -168,10 +183,10 @@ def _spy_scans(monkeypatch):
     calls = []
     scan = _kernels.identification_scan
 
-    def spy(tables, unions, n, k, cells):
+    def spy(tables, unions, n, k):
         width = max(k, unions.shape[1], tables.shape[2])
         calls.append((tables.size, len(unions), width))
-        return scan(tables, unions, n, k, cells)
+        return scan(tables, unions, n, k)
 
     monkeypatch.setattr(_kernels, "identification_scan", spy)
     return calls
@@ -182,11 +197,11 @@ def _within(calls, cells):
 
 
 def test_verify_identification_caps_scan_cells(monkeypatch):
-    # 4096 columns: a set takes 133 cells in a block (the set, its parent,
-    # its last column and two copies of its word and of its 64 missed
-    # words), so 2^15 cells leave room for 246 sets per scan, and for the
-    # tables of 4-row groups (16 x 16 x 64 words) but not 8-row ones
-    assert group_testing._SCAN_CELLS == 1 << 15
+    # 4096 columns: a set takes 132 cells in a block (its parent, its last
+    # column and two copies of its word and of its 64 missed words), so
+    # 2^15 cells leave room for 248 sets per scan, and for the tables of
+    # 4-row groups (16 x 16 x 64 words) but not 8-row ones
+    assert _kernels._CELLS == 1 << 15
     calls = _spy_scans(monkeypatch)
     words = np.random.default_rng(0).integers(
         0, 2**64, size=(4096, 1), dtype=np.uint64
@@ -194,15 +209,15 @@ def test_verify_identification_caps_scan_cells(monkeypatch):
     report = verify_identification(BinaryMatrix(64, words), 1)
     assert report.ok and report.cases == 4097
     assert sum(rows for _, rows, _ in calls) == report.cases
-    assert max(rows for _, rows, _ in calls) == 246
+    assert max(rows for _, rows, _ in calls) == 248
     assert {size for size, _, _ in calls} == {16 * 16 * 64}
-    assert _within(calls, group_testing._SCAN_CELLS)
+    assert _within(calls, _kernels._CELLS)
 
 
 def test_verify_identification_matches_oracle_under_a_small_cell_cap(monkeypatch):
     # the tables of 130 rows need 65 x 4 x 1 cells
     cells = 260
-    monkeypatch.setattr(group_testing, "_SCAN_CELLS", cells)
+    monkeypatch.setattr(_kernels, "_CELLS", cells)
     calls = _spy_scans(monkeypatch)
     _reports_against_oracle(random.Random(47), (5, 64, 130))
     assert _within(calls, cells)
@@ -240,16 +255,16 @@ def test_verify_identification_multiword_columns_match_oracle(monkeypatch):
     # n > 64 packs each union and each missed set into two or three words;
     # 800 cells hold the tables of 130 rows by 140 columns (65 x 4 x 3)
     cells = 800
-    monkeypatch.setattr(group_testing, "_SCAN_CELLS", cells)
+    monkeypatch.setattr(_kernels, "_CELLS", cells)
     calls = _spy_scans(monkeypatch)
     rng = random.Random(53)
     split = passed = 0
     for t in (7, 63, 64, 65, 130):
         for plant in (True, True, True, False):
             n = rng.randint(60, 140)
-            # pairs per block: a pair, its parent and last column, and two
+            # pairs per block: a pair's parent and last column, and two
             # copies of its union and of its missed columns
-            size = cells // (4 + 2 * (-(-t // 64) + -(-n // 64)))
+            size = cells // (2 + 2 * (-(-t // 64) + -(-n // 64)))
             masks = _wide_columns(rng, t, n, size, plant)
             m = BinaryMatrix.from_masks(t, masks)
             for d in (1, 2):

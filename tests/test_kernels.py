@@ -64,7 +64,7 @@ def counting_bound(masks, j, limit):
 @pytest.mark.parametrize("block", [20, 1 << 15])
 def test_min_cover_sizes(monkeypatch, block):
     # a small block puts several column blocks, and a partial one, in a call
-    monkeypatch.setattr(_kernels, "_COVER_BLOCK", block)
+    monkeypatch.setattr(_kernels, "_CELLS", block)
     rng = np.random.default_rng(5)
     for t in (1, 6, 64, 70, 130):
         for n in (1, 2, 5, 9):
@@ -80,13 +80,16 @@ def test_min_cover_sizes(monkeypatch, block):
                     assert got[j] <= brute_min_cover_size(masks, j, limit)
 
 
-def test_row_degrees():
+def test_row_degrees(monkeypatch):
     rng = np.random.default_rng(4)
-    for t in (6, 64, 130):
-        m, masks = random_words(rng, 8, t)
-        got = _kernels.row_degrees(m.words, t)
-        expected = [sum(mask >> i & 1 for mask in masks) for i in range(t)]
-        assert got.tolist() == expected
+    # blocks of one column, of two or more with a partial last, and one
+    for cells in (1, 20, 1 << 15):
+        monkeypatch.setattr(_kernels, "_CELLS", cells)
+        for t in (6, 64, 130):
+            m, masks = random_words(rng, 9, t)
+            got = _kernels.row_degrees(m.words, t)
+            expected = [sum(mask >> i & 1 for mask in masks) for i in range(t)]
+            assert got.tolist() == expected
 
 
 def test_matching_table_small_graphs():
@@ -99,59 +102,61 @@ def test_matching_table_small_graphs():
     assert table[(1 << 6) - 1] == 2
 
 
-def _scan(cols, t, combos, cells):
+def _scan(cols, t, combos):
     """identification_scan over the sets in the rows of ``combos``."""
-    tables = _kernels.row_tables(cols, t, 1 << 18)
+    tables = _kernels.row_tables(cols, t)
     unions = np.bitwise_or.reduce(cols[combos], axis=1)
     k = combos.shape[1]
-    return _kernels.identification_scan(tables, unions, len(cols), k, cells)
+    return _kernels.identification_scan(tables, unions, len(cols), k)
 
 
-def test_identification_scan():
+def test_identification_scan(monkeypatch):
     # one row group looked up per call, and every group in one call
     for cells in (1, 1 << 18):
-        _check_identification_scan(cells)
+        monkeypatch.setattr(_kernels, "_CELLS", cells)
+        _check_identification_scan()
 
 
-def _check_identification_scan(cells):
+def _check_identification_scan():
     # identity columns: every positive set decodes exactly
     cols = np.array([[1 << i] for i in range(6)], dtype=np.uint64)
     combos = np.array([[0, 1], [2, 4], [1, 5]], dtype=np.int64)
-    assert _scan(cols, 6, combos, cells) == -1
+    assert _scan(cols, 6, combos) == -1
     # make column 5 the union of 0 and 1: sets containing {0,1} now break
     cols[5] = cols[0] | cols[1]
-    assert _scan(cols, 6, combos, cells) == 0
+    assert _scan(cols, 6, combos) == 0
     empty = np.zeros((1, 1), dtype=np.uint64)
-    tables = _kernels.row_tables(cols, 6, 1 << 18)
-    assert _kernels.identification_scan(tables, empty, 6, 0, cells) == -1
+    tables = _kernels.row_tables(cols, 6)
+    assert _kernels.identification_scan(tables, empty, 6, 0) == -1
     # W = 2 and W = 3: one row per column, spread over every word
     combos = np.array([[0, 1], [2, 3], [0, 3], [1, 4]], dtype=np.int64)
     for t in (100, 150):
         masks = [1 << r for r in (0, 63, 64, t - 1, 70, 5)]
         m = BinaryMatrix.from_masks(t, masks)
         assert m.words.shape[1] == (t + 63) // 64
-        assert _scan(m.words, t, combos, cells) == -1
+        assert _scan(m.words, t, combos) == -1
         # inside the union of columns 0 and 3 in the low word only
         masks[5] = masks[0] | 1 << (t - 2)
         m = BinaryMatrix.from_masks(t, masks)
-        assert _scan(m.words, t, combos, cells) == -1
+        assert _scan(m.words, t, combos) == -1
         # the union of columns 0 and 3, which lie in different words
         masks[5] = masks[0] | masks[3]
         m = BinaryMatrix.from_masks(t, masks)
-        assert _scan(m.words, t, combos, cells) == 2
+        assert _scan(m.words, t, combos) == 2
 
 
 @pytest.mark.parametrize("cells", [1 << 18, 600, 40])
-def test_row_tables(cells):
+def test_row_tables(monkeypatch, cells):
+    monkeypatch.setattr(_kernels, "_CELLS", cells)
     rng = np.random.default_rng(5)
     for t, n in ((1, 3), (13, 70), (64, 9), (130, 130)):
         m, masks = random_words(rng, n, t)
-        tables = _kernels.row_tables(m.words, t, cells)
+        tables = _kernels.row_tables(m.words, t)
         groups, entries, num_words = tables.shape
         g = entries.bit_length() - 1
         # the largest group whose tables fit, or pairs of rows
         assert num_words == (n + 63) // 64 and groups == -(-t // g)
-        fits = [h for h in (8, 4, 2, 1) if -(-t // h) * (1 << h) * num_words <= cells]
+        fits = [h for h in (8, 4) if -(-t // h) * (1 << h) * num_words <= cells]
         assert g == (fits[0] if fits else 2)
         for i in range(groups):
             for v in rng.integers(0, entries, size=8):

@@ -14,7 +14,6 @@ from disjunct import (
     identity_matrix,
     matching_number,
     matching_numbers_all_graphs,
-    max_edges_matching_bounded,
     is_d_disjunct,
     pair_graph,
 )
@@ -22,6 +21,7 @@ from oracles import (
     brute_is_d_disjunct,
     brute_matching_number,
     brute_max_edges_nu_at_most,
+    max_edges_matching_bounded,
     brute_private_pairs,
     column_rows,
     dense_of,
@@ -229,8 +229,9 @@ def test_erdos_gallai_examples():
 def test_max_edges_vs_slow_bruteforce():
     # the fast tabulation against the fully naive oracle, small k
     for k in range(2, 6):
+        table = max_edges_matching_bounded(k)
         for mu in range(0, (k - 1) // 2 + 1):
-            assert max_edges_matching_bounded(k, mu) == brute_max_edges_nu_at_most(k, mu)
+            assert table[mu] == brute_max_edges_nu_at_most(k, mu)
 
 
 def test_matching_table_agrees_with_matching_number():
