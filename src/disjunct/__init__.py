@@ -5,7 +5,7 @@ contains no other column; such matrices are exactly the nonadaptive
 group-testing schemes that identify up to d positives among n items in t
 tests.  This package provides bit-packed matrices, an exact disjunctness
 checker with witnesses, affine-plane and random constructions, the naive
-decoder with exhaustive guarantee verification, private-pair analysis,
+decoder with exact verification of its guarantee, private-pair analysis,
 evaluation of the known row lower bounds, and exhaustive searches for the
 smallest schemes that beat individual testing.
 """

@@ -2,15 +2,12 @@
 
 Packing convention: a column over rows ``{0, .., t-1}`` is an array of
 ``ceil(t/64)`` uint64 words, row ``i`` stored at bit ``i & 63`` of word
-``i >> 6``.  Bits at positions >= t are always zero.  The column kernels
-take packed ``(n, W)`` arrays and handle any word count W; the
-identification scan reads :func:`row_tables`, a row view of them.
+``i >> 6``.  Bits at positions >= t are always zero.  The kernels take
+packed ``(n, W)`` arrays and handle any word count W.
 
 One memory cap, ``_CELLS``, bounds every intermediate the kernels build in
-blocks: the intersection table of :func:`min_cover_sizes`, the unpacked
-bits of :func:`row_degrees`, the row tables and their transposed tiles,
-the lookups of :func:`identification_scan` and the blocks of positive sets
-that ``group_testing`` hands it.
+blocks: the intersection table of :func:`min_cover_sizes` and the
+unpacked bits of :func:`row_degrees`.
 """
 
 from __future__ import annotations
@@ -18,8 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 # cells held at once by any blocked intermediate: 256 KB as uint64,
-# whatever the number of rows, columns and sets; only tables of row pairs,
-# about twice the packed matrix, may exceed it
+# whatever the number of rows and columns
 _CELLS = 1 << 15
 
 
@@ -107,78 +103,3 @@ def matching_numbers_table(
             continue
         out[(graphs & mask) == mask] = size
     return out
-
-
-def row_tables(cols: np.ndarray, t: int) -> np.ndarray:
-    """Column sets of groups of rows, for :func:`identification_scan`.
-
-    Splits the t rows of the packed ``(n, W)`` columns into groups of g
-    consecutive rows, g 8 or 4 if its tables hold at most ``_CELLS`` words,
-    or else 2: tables of row pairs, about twice the matrix's packed size,
-    are as small as single rows' and need half the lookups.  ``out[i, v]``
-    packs, column j at bit ``j & 63`` of word ``j >> 6``, the columns that
-    contain a row ``i*g + b`` for some bit b of v.
-    """
-    n, col_words = cols.shape
-    num_words = -(-n // 64)
-    g = next((g for g in (8, 4) if (-(-t // g) << g) * num_words <= _CELLS), 2)
-    groups = -(-t // g)
-    tables = np.zeros((groups, 1 << g, num_words), dtype=np.uint64)
-    table_bytes, col_bytes = tables.view(np.uint8), cols.view(np.uint8)
-    # row i*g + b is entry 1 << b of group i; the rows are transposed in
-    # tiles of whole bytes of columns and of rows, unpacked to at most
-    # _CELLS bits (64 at the least)
-    singles = 1 << np.arange(g)
-    span = max(8, min(n, _CELLS // 8) // 8 * 8)
-    byte_span = max(1, _CELLS // (8 * span))
-    for lo in range(0, n, span):
-        for a in range(0, -(-t // 8), byte_span):
-            tile = col_bytes[lo : lo + span, a : a + byte_span]
-            bits = np.unpackbits(tile, axis=1, bitorder="little").T
-            # packbits is many times faster along a contiguous axis
-            bits = np.ascontiguousarray(bits)
-            packed = np.packbits(bits, axis=1, bitorder="little")
-            # rows 8a on, past the last group's dropped, in groups of g
-            packed = packed[: groups * g - 8 * a].reshape(-1, g, packed.shape[1])
-            i, j = 8 * a // g, lo // 8
-            table_bytes[i : i + len(packed), singles, j : j + packed.shape[2]] = packed
-    for b in range(1, g):
-        # entry (1 << b) + v is entry v and the single row b
-        out = tables[:, (1 << b) + 1 : 2 << b]
-        np.bitwise_or(tables[:, 1 : 1 << b], tables[:, 1 << b, None], out=out)
-    return tables
-
-
-def identification_scan(tables: np.ndarray, unions: np.ndarray, n: int, k: int) -> int:
-    """Check the naive decoder over many positive sets at once.
-
-    ``tables`` are the :func:`row_tables` of n columns and each row of
-    ``unions`` is the packed union of a positive set of k distinct
-    columns.  Returns the index of the first positive set the decoder
-    fails to recover exactly, or -1.  Its lookups hold at most ``_CELLS``
-    words at a time, or one group's for every set if that is more.
-
-    A column is decoded iff it meets no negative row, and every positive
-    column is, so a set is recovered exactly iff its negative rows, one
-    table entry per row group, meet exactly n - k columns.
-    """
-    groups, entries, num_words = tables.shape
-    g = entries.bit_length() - 1
-    # byte a of a union holds the bits of rows 8a .. 8a + 7
-    union_bytes = np.ascontiguousarray(unions).view(np.uint8)
-    missed = np.zeros((unions.shape[0], num_words), dtype=np.uint64)
-    # look up a span of groups at once, as many as fit in _CELLS, so that
-    # a tall matrix's many groups do not cost a numpy call each
-    span = max(1, _CELLS // max(1, missed.size))
-    for lo in range(0, groups, span):
-        at = np.arange(lo, min(groups, lo + span))
-        # row i: the negative rows of group at[i] in every set
-        values = ~union_bytes[:, at * g >> 3].T
-        if g < 8:
-            shifts = (at * g & 7).astype(np.uint8)
-            values = (values >> shifts[:, None]) & (entries - 1)
-        flat = tables[lo : lo + span].reshape(-1, num_words)
-        picked = np.take(flat, values + (at - lo)[:, None] * entries, axis=0)
-        missed |= np.bitwise_or.reduce(picked, axis=0)
-    bad = np.bitwise_count(missed).sum(axis=1) != n - k
-    return int(np.argmax(bad)) if bad.any() else -1

@@ -5,29 +5,28 @@ is the boolean sum of the positive columns.  The naive decoder returns
 every item appearing in no negative test; on a d-disjunct matrix it
 recovers any positive set of size at most d exactly.
 
-:func:`verify_identification` checks that guarantee exhaustively.  It
-decodes from a row view of the matrix: tables that give, for a group of
-rows, the columns meeting any selected row (``_kernels.row_tables``),
-so a positive set's decoded count is one table lookup per row group.
-One enumeration covers every size from the empty set up: the sets of
-each size are built in numpy blocks, within ``_kernels._CELLS``, from
-the blocks of sets one smaller, and a failing set is read back from its
-rank in its size's lex order.
+The guarantee fails exactly when the union of at most d columns holds a
+column outside them, so :func:`verify_identification` decides it with
+the disjunctness checker instead of decoding every positive set.  On a
+failure it searches the columns' covers in lex order for the first
+failing set, and counts the sets before it with binomials.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from math import comb
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from . import _kernels
+from .disjunctness import is_d_disjunct
 from .matrix import BinaryMatrix, _iter_bits, _mask_to_words
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised when an exhaustive enumeration would exceed its case budget."""
+    """Raised when a check would cover more cases than its budget allows."""
 
 
 class _OutcomeVector(NamedTuple):
@@ -102,12 +101,22 @@ class IdentificationReport(NamedTuple):
 def verify_identification(
     matrix: BinaryMatrix, d: int, max_cases: int = 2_000_000
 ) -> IdentificationReport:
-    """Exhaustively check exact decoding of every positive set of size <= d.
+    """Check exact decoding of every positive set of size <= d.
 
-    Enumerates positive sets by size then lexicographically (the empty set
-    included) and reports the first failure in that order.  Raises
-    :class:`BudgetExceededError` up front when the enumeration would
-    exceed ``max_cases``; it never silently truncates.
+    Positive sets are taken by size then lexicographically, the empty set
+    first, and the first failure in that order is reported.  The positives
+    are always decoded, so a set fails iff its union holds a column outside
+    it: the empty set iff some column is empty, a larger set iff it covers
+    another column.  So every set decodes iff no column is empty and the
+    matrix is min(d, n-1)-disjunct, and the checker decides that.
+
+    ``cases`` counts the sets in that order up to and including the first
+    failure, or all sum_{k <= min(d, n)} C(n, k) of them on success; it is
+    computed from binomials, not by enumeration.  Raises
+    :class:`BudgetExceededError` up front when that sum exceeds
+    ``max_cases``.  That refusal is the budget's only effect: the checker
+    and the search for a failing set look only at sets of at most d
+    columns, and count nothing against it.
     """
     if d < 0:
         raise ValueError("d must be >= 0")
@@ -119,72 +128,107 @@ def verify_identification(
         raise BudgetExceededError(
             f"{total} positive sets exceed the budget of {max_cases}"
         )
-    tables = _kernels.row_tables(matrix.words, matrix.t)
-    # a set's cells in its block: its parent and last element, and the
-    # words of its union and of the columns it misses, each with one copy
-    words = matrix.words.shape[1] + tables.shape[2]
-    size = max(1, _kernels._CELLS // (2 + 2 * words))
-    checked = 0
-    for k in range(min(d, n) + 1):
-        rank = 0  # of the block's first set among the k-sets
-        for _, unions in _lex_blocks(matrix.words, k, size):
-            bad = _kernels.identification_scan(tables, unions, n, k)
-            if bad != -1:
-                return IdentificationReport(
-                    ok=False,
-                    cases=checked + rank + bad + 1,
-                    failure=_lex_set(n, k, rank + bad),
-                )
-            rank += len(unions)
-        checked += rank
-    return IdentificationReport(ok=True, cases=checked)
+    if not matrix.words.any(axis=1).all():
+        # an empty column is decoded beside the empty set
+        return IdentificationReport(ok=False, cases=1, failure=())
+    limit = min(d, n - 1)
+    if limit < 1 or (verdict := is_d_disjunct(matrix, limit)).is_disjunct:
+        return IdentificationReport(ok=True, cases=total)
+    failure = _first_failing_set(matrix, len(verdict.witness.covering))
+    k = len(failure)
+    return IdentificationReport(
+        ok=False,
+        cases=sum(comb(n, i) for i in range(k)) + _lex_rank(n, failure) + 1,
+        failure=failure,
+    )
 
 
-def _lex_blocks(cols: np.ndarray, k: int, size: int):
-    """Every k-subset of the packed columns in lex order, with the union
-    of its columns, in blocks of at most ``size`` sets.
+def _first_failing_set(matrix: BinaryMatrix, size: int) -> tuple[int, ...]:
+    """The lex-first set of fewest columns whose union holds a column
+    outside it, when some set of ``size`` columns covers another column.
 
-    Yields ``(last, unions)``: each set's last element and its union.  The
-    one block of k = 0 is the empty set, last element -1 and union 0.  A
-    k-set is a (k-1)-set, its prefix, and a last element past the
-    prefix's last; a block of prefixes expands to the runs of last
-    elements that follow each prefix, split across as many blocks as they
-    fill.
+    The fewest is the least minimum cover size over the columns, and the
+    set is the least of the lex-first covers of that size, over the
+    columns that have one.
     """
-    n, num_words = cols.shape
-    if k == 0:
-        yield np.array([-1]), np.zeros((1, num_words), dtype=np.uint64)
-        return
-    for prefix_last, prefix_unions in _lex_blocks(cols, k - 1, size):
-        # prefix p's run fills positions ends[p] - runs[p] .. ends[p] - 1
-        runs = n - 1 - prefix_last
-        ends = np.cumsum(runs)
-        total = int(ends[-1])
-        for lo in range(0, total, size):
-            hi = min(lo + size, total)
-            first = np.searchsorted(ends, lo, side="right")
-            stop = np.searchsorted(ends, hi - 1, side="right") + 1
-            ends_here = ends[first:stop]
-            starts_here = ends_here - runs[first:stop]
-            taken = np.minimum(ends_here, hi) - np.maximum(starts_here, lo)
-            parent = np.repeat(np.arange(first, stop), taken)
-            # the run of prefix p ends with column n - 1 at position ends[p] - 1
-            last = np.repeat(n - ends_here, taken)
-            last += np.arange(lo, hi)
-            unions = prefix_unions[parent]
-            unions |= cols[last]
-            yield last, unions
+    masks, words = matrix.masks, matrix.words
+
+    @cache
+    def holders(r: int) -> int:
+        """The columns that hold row r, as bits."""
+        bits = (words[:, r >> 6] >> np.uint64(r & 63)) & np.uint64(1)
+        packed = np.packbits(bits.astype(np.uint8), bitorder="little")
+        return int.from_bytes(packed.tobytes(), "little")
+
+    @cache
+    def widest(j: int) -> int:
+        """The most rows of column j that another column holds."""
+        counts = _kernels.intersection_counts(words, words[j])
+        counts[j] = 0
+        return int(counts.max())
+
+    def coverable(j: int, uncovered: int, start: int, left: int) -> bool:
+        """Whether at most ``left`` columns from ``start`` on, j not among
+        them, hold ``uncovered``: fail-first, one of them holds the
+        uncovered row with the fewest holders."""
+        if uncovered == 0:
+            return True
+        if uncovered.bit_count() > left * widest(j):
+            return False
+        at = -1 << start & ~(1 << j)
+        if left == 1:
+            for r in _iter_bits(uncovered):
+                at &= holders(r)
+                if not at:
+                    return False
+            return True
+        fewest = min((holders(r) & at for r in _iter_bits(uncovered)), key=int.bit_count)
+        return any(
+            coverable(j, uncovered & ~masks[i], start, left - 1) for i in _iter_bits(fewest)
+        )
+
+    def lex_first(j: int, k: int, stop: int) -> tuple[int, ...] | None:
+        """The lex-first k columns, the first below ``stop``, that cover
+        column j, when no fewer do: each the least past the last that
+        leaves the rest of j coverable by the columns past it."""
+        chosen, uncovered, start = [], masks[j], 0
+        for left in range(k - 1, -1, -1):
+            i = next(
+                (i for i in range(start, stop)
+                 if i != j and masks[i] & uncovered
+                 and coverable(j, uncovered & ~masks[i], i + 1, left)),
+                None,
+            )
+            if i is None:
+                return None
+            chosen.append(i)
+            uncovered &= ~masks[i]
+            start, stop = i + 1, len(masks)
+        return tuple(chosen)
+
+    # k grows from the least counting bound until some column has a cover
+    # of k columns; a column's cover is searched for only from its bound
+    bounds = _kernels.min_cover_sizes(words, size).tolist()
+    for k in range(min(bounds), size + 1):
+        best = None
+        for j, bound in enumerate(bounds):
+            # once a set is found, only one that starts at or before its
+            # first column can beat it
+            if bound <= k and (best or coverable(j, masks[j], 0, k)):
+                cover = lex_first(j, k, best[0] + 1 if best else len(masks))
+                if cover and (best is None or cover < best):
+                    best = cover
+        if best:
+            return best
 
 
-def _lex_set(n: int, k: int, rank: int) -> tuple[int, ...]:
-    """The k-subset of range(n) at position ``rank`` of the lex order."""
-    out = []
-    j = 0
-    for size in range(k, 0, -1):
-        # the sets whose next element is j come first: comb(n - j - 1, size - 1)
-        while rank >= (before := comb(n - j - 1, size - 1)):
-            rank -= before
-            j += 1
-        out.append(j)
-        j += 1
-    return tuple(out)
+def _lex_rank(n: int, subset: tuple[int, ...]) -> int:
+    """Position of the ascending ``subset`` of range(n) in the lex order of
+    the subsets of its size."""
+    rank, lo, k = 0, 0, len(subset)
+    for i, x in enumerate(subset):
+        # the sets that agree before i and hold some y in lo .. x-1 there:
+        # sum_y C(n - y - 1, k - i - 1) = C(n - lo, k - i) - C(n - x, k - i)
+        rank += comb(n - lo, k - i) - comb(n - x, k - i)
+        lo = x + 1
+    return rank

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -303,6 +304,16 @@ def test_verify_id_empty_failing_set(tmp_path, capsys):
     code, stdout, stderr = run(capsys, "verify-id", "--d", "1", str(path))
     assert code == 1 and stderr == ""
     assert stdout == "NOT IDENTIFIABLE d=1\nfailing_set=\n"
+
+
+def test_verify_id_kautz_singleton_code(kautz_singleton_13, tmp_path, capsys):
+    path = tmp_path / "ks13.dmat"
+    save_matrix(kautz_singleton_13, path)
+    code, stdout, stderr = run(
+        capsys, "verify-id", "--d", "6", "--max-cases", str(10**18), str(path)
+    )
+    assert code == 0 and stderr == ""
+    assert stdout == f"IDENTIFIABLE d=6 cases={sum(comb(2197, k) for k in range(7))}\n"
 
 
 def test_bounds_golden(capsys):

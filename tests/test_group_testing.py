@@ -1,10 +1,10 @@
 import random
 from itertools import combinations
+from math import comb
 
-import numpy as np
 import pytest
 
-from disjunct import _kernels, group_testing
+from disjunct import group_testing
 from disjunct import (
     BinaryMatrix,
     BudgetExceededError,
@@ -15,7 +15,13 @@ from disjunct import (
     outcomes,
     verify_identification,
 )
-from oracles import brute_decode, brute_verify_identification, dense_of
+from oracles import (
+    brute_decode,
+    brute_is_d_disjunct,
+    brute_max_disjunct_order,
+    brute_verify_identification,
+    dense_of,
+)
 
 
 def test_outcome_vector_bitstring_round_trip():
@@ -104,11 +110,11 @@ def test_verify_identification_empty_column():
     assert brute_verify_identification(list(m.masks), 1) == (False, 1, ())
 
 
-def test_lex_set_matches_combinations():
+def test_lex_rank_matches_combinations():
     for n in range(10):
         for k in range(n + 1):
             for rank, combo in enumerate(combinations(range(n), k)):
-                assert group_testing._lex_set(n, k, rank) == combo
+                assert group_testing._lex_rank(n, combo) == rank
 
 
 def test_verify_identification_budget():
@@ -168,73 +174,18 @@ def _reports_against_oracle(rng, row_counts):
     return reports
 
 
-def test_verify_identification_matches_oracle(monkeypatch):
-    # a tiny cap makes failures land past block boundaries too
-    cells = 21
-    monkeypatch.setattr(_kernels, "_CELLS", cells)
-    reports = _reports_against_oracle(random.Random(31), (5, 63, 64, 65, 130))
-    assert any(not r.ok and r.cases > cells for r in reports)
-
-
-def _spy_scans(monkeypatch):
-    """Record, for every identification_scan call, the cells of its
-    tables, its positive sets and the widest per-set row of its block:
-    the set, its union or the columns it misses."""
-    calls = []
-    scan = _kernels.identification_scan
-
-    def spy(tables, unions, n, k):
-        width = max(k, unions.shape[1], tables.shape[2])
-        calls.append((tables.size, len(unions), width))
-        return scan(tables, unions, n, k)
-
-    monkeypatch.setattr(_kernels, "identification_scan", spy)
-    return calls
-
-
-def _within(calls, cells):
-    return all(size <= cells and rows * width <= cells for size, rows, width in calls)
-
-
-def test_verify_identification_caps_scan_cells(monkeypatch):
-    # 4096 columns: a set takes 132 cells in a block (its parent, its last
-    # column and two copies of its word and of its 64 missed words), so
-    # 2^15 cells leave room for 248 sets per scan, and for the tables of
-    # 4-row groups (16 x 16 x 64 words) but not 8-row ones
-    assert _kernels._CELLS == 1 << 15
-    calls = _spy_scans(monkeypatch)
-    words = np.random.default_rng(0).integers(
-        0, 2**64, size=(4096, 1), dtype=np.uint64
-    )
-    report = verify_identification(BinaryMatrix(64, words), 1)
-    assert report.ok and report.cases == 4097
-    assert sum(rows for _, rows, _ in calls) == report.cases
-    assert max(rows for _, rows, _ in calls) == 248
-    assert {size for size, _, _ in calls} == {16 * 16 * 64}
-    assert _within(calls, _kernels._CELLS)
-
-
-def test_verify_identification_matches_oracle_under_a_small_cell_cap(monkeypatch):
-    # the tables of 130 rows need 65 x 4 x 1 cells
-    cells = 260
-    monkeypatch.setattr(_kernels, "_CELLS", cells)
-    calls = _spy_scans(monkeypatch)
+def test_verify_identification_matches_oracle():
+    _reports_against_oracle(random.Random(31), (5, 63, 64, 65, 130))
     _reports_against_oracle(random.Random(47), (5, 64, 130))
-    assert _within(calls, cells)
 
 
-def _wide_columns(rng, t, n, size, plant):
+def _wide_columns(rng, t, n, plant):
     """Random columns over t rows; if ``plant``, column j inside the union
-    of columns a < b, a's run of pairs split by a block of ``size`` pairs
-    where it can be, and now and then an empty or a repeated column."""
+    of columns a < b, and now and then an empty or a repeated column."""
     masks = [sum(1 << i for i in range(t) if rng.random() < 0.35) for _ in range(n)]
     if not plant:
         return masks
-    # a's pairs (a, b), b > a, take positions start(a) .. start(a) + n - 2 - a
-    start = lambda a: a * (2 * n - a - 1) // 2
-    late = range(n // 2, n - 2)
-    split = [a for a in late if start(a) // size != (start(a) + n - 2 - a) // size]
-    a = rng.choice(split or late)
+    a = rng.randrange(n // 2, n - 2)
     b, j = rng.sample(range(a + 1, n), 2)
     # j lies inside a | b but holds neither: six rows of each left out
     # keep a and b from being decoded beside j and any one other column
@@ -251,37 +202,53 @@ def _wide_columns(rng, t, n, size, plant):
     return masks
 
 
-def test_verify_identification_multiword_columns_match_oracle(monkeypatch):
-    # n > 64 packs each union and each missed set into two or three words;
-    # 800 cells hold the tables of 130 rows by 140 columns (65 x 4 x 3)
-    cells = 800
-    monkeypatch.setattr(_kernels, "_CELLS", cells)
-    calls = _spy_scans(monkeypatch)
+def test_verify_identification_multiword_columns_match_oracle():
+    # more than 64 columns, over rows packed in one to three words
     rng = random.Random(53)
-    split = passed = 0
+    passed = failed = 0
     for t in (7, 63, 64, 65, 130):
         for plant in (True, True, True, False):
-            n = rng.randint(60, 140)
-            # pairs per block: a pair's parent and last column, and two
-            # copies of its union and of its missed columns
-            size = cells // (2 + 2 * (-(-t // 64) + -(-n // 64)))
-            masks = _wide_columns(rng, t, n, size, plant)
+            masks = _wide_columns(rng, t, rng.randint(60, 140), plant)
             m = BinaryMatrix.from_masks(t, masks)
             for d in (1, 2):
                 report = verify_identification(m, d)
                 expected = brute_verify_identification(masks, d)
                 assert (report.ok, report.cases, report.failure) == expected
                 passed += report.ok and d == 2
-                if d == 2 and report.failure and len(report.failure) == 2:
-                    # past its size's first block, in a run that a block splits
-                    a = report.failure[0]
-                    start = a * (2 * n - a - 1) // 2
-                    split += (
-                        report.cases - 2 - n >= size
-                        and start // size != (start + n - 2 - a) // size
-                    )
-    assert split > 0 and passed > 0
-    assert _within(calls, cells)
+                failed += report.failure is not None and len(report.failure) == 2
+    assert passed > 0 and failed > 0
+
+
+def test_identification_is_disjunctness_without_empty_columns():
+    # every set of <= d positives decodes iff no column is empty and no
+    # column lies in the union of <= min(d, n-1) others; a failing set
+    # has one column more than the largest order of disjunctness
+    rng = random.Random(61)
+    failures = 0
+    for _ in range(15000):
+        t, n, d = rng.randint(1, 12), rng.randint(1, 14), rng.randint(0, 4)
+        density = rng.choice((0.1, 0.3, 0.5, 0.7))
+        masks = [sum(1 << i for i in range(t) if rng.random() < density) for _ in range(n)]
+        if rng.random() < 0.2:
+            masks[rng.randrange(n)] = 0
+        if n > 1 and rng.random() < 0.3:
+            i, k = rng.sample(range(n), 2)
+            masks[k] = masks[i]
+        ok, _, failure = brute_verify_identification(masks, d)
+        assert ok == (0 not in masks and brute_is_d_disjunct(masks, min(d, n - 1)))
+        if not ok and 0 not in masks:
+            assert len(failure) == brute_max_disjunct_order(masks) + 1
+            failures += 1
+    assert failures > 1000
+
+
+def test_verify_identification_kautz_singleton_code(kautz_singleton_13):
+    # about 1.6e17 positive sets: the checker gives the verdict and the
+    # count is a sum of binomials
+    m = kautz_singleton_13
+    report = verify_identification(m, 6, max_cases=10**18)
+    assert report.ok
+    assert report.cases == sum(comb(2197, k) for k in range(7))
 
 
 def test_identification_implies_weaker_disjunctness():

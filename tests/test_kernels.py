@@ -102,70 +102,6 @@ def test_matching_table_small_graphs():
     assert table[(1 << 6) - 1] == 2
 
 
-def _scan(cols, t, combos):
-    """identification_scan over the sets in the rows of ``combos``."""
-    tables = _kernels.row_tables(cols, t)
-    unions = np.bitwise_or.reduce(cols[combos], axis=1)
-    k = combos.shape[1]
-    return _kernels.identification_scan(tables, unions, len(cols), k)
-
-
-def test_identification_scan(monkeypatch):
-    # one row group looked up per call, and every group in one call
-    for cells in (1, 1 << 18):
-        monkeypatch.setattr(_kernels, "_CELLS", cells)
-        _check_identification_scan()
-
-
-def _check_identification_scan():
-    # identity columns: every positive set decodes exactly
-    cols = np.array([[1 << i] for i in range(6)], dtype=np.uint64)
-    combos = np.array([[0, 1], [2, 4], [1, 5]], dtype=np.int64)
-    assert _scan(cols, 6, combos) == -1
-    # make column 5 the union of 0 and 1: sets containing {0,1} now break
-    cols[5] = cols[0] | cols[1]
-    assert _scan(cols, 6, combos) == 0
-    empty = np.zeros((1, 1), dtype=np.uint64)
-    tables = _kernels.row_tables(cols, 6)
-    assert _kernels.identification_scan(tables, empty, 6, 0) == -1
-    # W = 2 and W = 3: one row per column, spread over every word
-    combos = np.array([[0, 1], [2, 3], [0, 3], [1, 4]], dtype=np.int64)
-    for t in (100, 150):
-        masks = [1 << r for r in (0, 63, 64, t - 1, 70, 5)]
-        m = BinaryMatrix.from_masks(t, masks)
-        assert m.words.shape[1] == (t + 63) // 64
-        assert _scan(m.words, t, combos) == -1
-        # inside the union of columns 0 and 3 in the low word only
-        masks[5] = masks[0] | 1 << (t - 2)
-        m = BinaryMatrix.from_masks(t, masks)
-        assert _scan(m.words, t, combos) == -1
-        # the union of columns 0 and 3, which lie in different words
-        masks[5] = masks[0] | masks[3]
-        m = BinaryMatrix.from_masks(t, masks)
-        assert _scan(m.words, t, combos) == 2
-
-
-@pytest.mark.parametrize("cells", [1 << 18, 600, 40])
-def test_row_tables(monkeypatch, cells):
-    monkeypatch.setattr(_kernels, "_CELLS", cells)
-    rng = np.random.default_rng(5)
-    for t, n in ((1, 3), (13, 70), (64, 9), (130, 130)):
-        m, masks = random_words(rng, n, t)
-        tables = _kernels.row_tables(m.words, t)
-        groups, entries, num_words = tables.shape
-        g = entries.bit_length() - 1
-        # the largest group whose tables fit, or pairs of rows
-        assert num_words == (n + 63) // 64 and groups == -(-t // g)
-        fits = [h for h in (8, 4) if -(-t // h) * (1 << h) * num_words <= cells]
-        assert g == (fits[0] if fits else 2)
-        for i in range(groups):
-            for v in rng.integers(0, entries, size=8):
-                rows = sum(1 << (i * g + b) for b in range(g) if v >> b & 1)
-                expected = sum(1 << j for j in range(n) if masks[j] & rows)
-                got = sum(int(w) << (64 * a) for a, w in enumerate(tables[i, v]))
-                assert got == expected
-
-
 def test_matching_table_guard():
     masks, sizes = complete_graph_matchings(3)
     with pytest.raises(ValueError):
