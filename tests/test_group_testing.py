@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from disjunct import group_testing
+from disjunct import _kernels, group_testing
 from disjunct import (
     BinaryMatrix,
     BudgetExceededError,
@@ -176,7 +176,24 @@ def _reports_against_oracle(rng, row_counts):
 
 def test_verify_identification_matches_oracle():
     _reports_against_oracle(random.Random(31), (5, 63, 64, 65, 130))
+
+
+def test_verify_identification_matches_oracle_under_a_small_cell_cap(monkeypatch):
+    # a cap below every column count makes min_cover_sizes, which the
+    # checker and the search for a failing set both call, work one column
+    # of its intersection table at a time
+    cells = 2
+    monkeypatch.setattr(_kernels, "_CELLS", cells)
+    calls = []
+    cover_sizes = _kernels.min_cover_sizes
+
+    def spy(words, limit):
+        calls.append(len(words))
+        return cover_sizes(words, limit)
+
+    monkeypatch.setattr(_kernels, "min_cover_sizes", spy)
     _reports_against_oracle(random.Random(47), (5, 64, 130))
+    assert calls and min(calls) > cells
 
 
 def _wide_columns(rng, t, n, plant):
