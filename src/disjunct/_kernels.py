@@ -6,7 +6,8 @@ Packing convention: a column over rows ``{0, .., t-1}`` is an array of
 packed ``(n, W)`` arrays and handle any word count W.
 
 One memory cap, ``_CELLS``, bounds every intermediate the kernels build in
-blocks: the intersection table of :func:`min_cover_sizes` and the
+blocks: the all-pairs intersection table of :func:`intersection_blocks`,
+which :func:`min_cover_sizes` and the pair analysis read, and the
 unpacked bits of :func:`row_degrees`.
 """
 
@@ -34,6 +35,28 @@ def intersection_counts(words: np.ndarray, col: np.ndarray) -> np.ndarray:
     return np.bitwise_count(words & col).sum(axis=1, dtype=np.int64)
 
 
+def intersection_blocks(words: np.ndarray):
+    """The all-pairs intersection table |c_i & c_k| of a packed (n, W)
+    matrix, one block of rows at a time, 0 on the diagonal.
+
+    Yields ``(lo, counts)`` with ``counts[i - lo, k] = |c_i & c_k|`` for
+    i != k, a fresh array of at most ``_CELLS`` cells (one row at least)
+    that the caller may change, in the narrowest unsigned type that holds
+    a count.
+    """
+    n, num_words = words.shape
+    rows = np.ascontiguousarray(words.T)  # (W, n): word a of every column
+    count_type = np.min_scalar_type(64 * num_words)
+    block = max(1, _CELLS // max(1, n))
+    for lo in range(0, n, block):
+        hi = min(n, lo + block)
+        counts = np.zeros((hi - lo, n), dtype=count_type)
+        for a in range(num_words):
+            counts += np.bitwise_count(rows[a, lo:hi, None] & rows[a, None, :])
+        counts[np.arange(hi - lo), np.arange(lo, hi)] = 0
+        yield lo, counts
+
+
 def min_cover_sizes(words: np.ndarray, limit: int) -> np.ndarray:
     """Lower bound on the number of other columns needed to cover each column.
 
@@ -45,18 +68,11 @@ def min_cover_sizes(words: np.ndarray, limit: int) -> np.ndarray:
     """
     n, num_words = words.shape
     weights = column_weights(words)
-    rows = np.ascontiguousarray(words.T)  # (W, n): word a of every column
-    # the narrowest types that hold one count, and the sum of n of them
-    count_type = np.min_scalar_type(64 * num_words)
+    # the narrowest type that holds the sum of n counts
     reach_type = np.min_scalar_type(64 * num_words * n)
     out = np.empty(n, dtype=np.int64)
-    block = max(1, _CELLS // n)
-    for lo in range(0, n, block):
-        hi = min(n, lo + block)
-        counts = np.zeros((hi - lo, n), dtype=count_type)
-        for a in range(num_words):
-            counts += np.bitwise_count(rows[a, lo:hi, None] & rows[a, None, :])
-        counts[np.arange(hi - lo), np.arange(lo, hi)] = 0
+    for lo, counts in intersection_blocks(words):
+        hi = lo + len(counts)
         counts.sort(axis=1)
         # reach[:, k-1] is the sum of the k largest intersections
         reach = counts[:, ::-1].cumsum(axis=1, dtype=reach_type)

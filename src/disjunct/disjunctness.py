@@ -136,8 +136,13 @@ def is_d_disjunct(matrix: BinaryMatrix, d: int) -> DisjunctVerdict:
         raise ValueError("d must be >= 1")
     if d >= matrix.n:
         return DisjunctVerdict(True, vacuous=True)
+    return _first_covered(matrix, d, _kernels.min_cover_sizes(matrix.words, d))
+
+
+def _first_covered(matrix: BinaryMatrix, d: int, bounds: np.ndarray) -> DisjunctVerdict:
+    """The verdict of :func:`is_d_disjunct` at 1 <= d < n, given the
+    counting bounds ``_kernels.min_cover_sizes(matrix.words, d)``."""
     # a column whose counting bound exceeds d has no cover to search for
-    bounds = _kernels.min_cover_sizes(matrix.words, d)
     for j in np.flatnonzero(bounds <= d).tolist():
         cover = _cover_search(matrix.masks, j, (d,))
         if cover is not None:

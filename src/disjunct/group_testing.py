@@ -21,7 +21,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from . import _kernels
-from .disjunctness import is_d_disjunct
+from .disjunctness import _first_covered
 from .matrix import BinaryMatrix, _iter_bits, _mask_to_words
 
 
@@ -132,9 +132,13 @@ def verify_identification(
         # an empty column is decoded beside the empty set
         return IdentificationReport(ok=False, cases=1, failure=())
     limit = min(d, n - 1)
-    if limit < 1 or (verdict := is_d_disjunct(matrix, limit)).is_disjunct:
+    if limit < 1:
         return IdentificationReport(ok=True, cases=total)
-    failure = _first_failing_set(matrix, len(verdict.witness.covering))
+    bounds = _kernels.min_cover_sizes(matrix.words, limit)
+    verdict = _first_covered(matrix, limit, bounds)
+    if verdict.is_disjunct:
+        return IdentificationReport(ok=True, cases=total)
+    failure = _first_failing_set(matrix, len(verdict.witness.covering), bounds.tolist())
     k = len(failure)
     return IdentificationReport(
         ok=False,
@@ -143,13 +147,18 @@ def verify_identification(
     )
 
 
-def _first_failing_set(matrix: BinaryMatrix, size: int) -> tuple[int, ...]:
+def _first_failing_set(
+    matrix: BinaryMatrix, size: int, bounds: list[int]
+) -> tuple[int, ...]:
     """The lex-first set of fewest columns whose union holds a column
     outside it, when some set of ``size`` columns covers another column.
 
     The fewest is the least minimum cover size over the columns, and the
     set is the least of the lex-first covers of that size, over the
-    columns that have one.
+    columns that have one.  ``bounds`` are the counting bounds
+    ``_kernels.min_cover_sizes`` at any limit of at least ``size``: every
+    value above ``size`` reads as ``size + 1``, no cover of ``size``
+    columns or fewer.
     """
     masks, words = matrix.masks, matrix.words
 
@@ -208,7 +217,6 @@ def _first_failing_set(matrix: BinaryMatrix, size: int) -> tuple[int, ...]:
 
     # k grows from the least counting bound until some column has a cover
     # of k columns; a column's cover is searched for only from its bound
-    bounds = _kernels.min_cover_sizes(words, size).tolist()
     for k in range(min(bounds), size + 1):
         best = None
         for j, bound in enumerate(bounds):

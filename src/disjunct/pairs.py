@@ -8,14 +8,24 @@ cannot afford s pairwise disjoint non-private pairs inside a column of
 weight d+s.  Matching numbers come from Edmonds' blossom algorithm, in
 O(V^3) for a graph on V vertices.
 
-``pair_graph`` is the one pass that finds non-private pairs.  The two
-classes partition a column's 2-subsets, so a column's private pairs are
-the 2-subsets of its support that are not edges, C(w, 2) - |E| of them
-for weight w.
+Column j shares a pair with another column k exactly when the two meet
+in at least two rows, and then every pair of the trace ``c_k & c_j`` is
+non-private.  So the graph is kept as row-neighbourhood masks: row r's
+neighbourhood is the union of the traces that hold r, minus r, and |E| is
+half the sum of the neighbourhood sizes.  The two classes partition a
+column's 2-subsets, so a column's private pairs are the other ones,
+C(w, 2) - |E| of them for weight w.
+
 ``analyze_pairs`` is the one pass over a whole matrix: it decides the
 matrix-wide preconditions of that bound (Lemma 3 of the paper) once,
-then counts and checks every column, and totals the private pairs
-against the C(t, 2) budget they share.
+finds every column's partners in one blocked pass over the all-pairs
+intersection table (``_kernels.intersection_blocks``), builds the masks
+only for columns that have partners, then counts and checks every column,
+and totals the private pairs against the C(t, 2) budget they share.  The
+blossom, O(V^3) per column on the V rows that lie in a non-private pair,
+is the one step of that pass with no bound.  ``pair_graph`` gives one
+column's graph as an edge set, and ``matching_number`` runs the same
+blossom on an edge set.
 """
 
 from __future__ import annotations
@@ -60,47 +70,96 @@ def pair_graph(matrix: BinaryMatrix, j: int) -> PairGraph:
     """
     if not 0 <= j < matrix.n:
         raise ValueError(f"column index {j} out of range")
-    masks = matrix.masks
-    cj = masks[j]
     counts = _kernels.intersection_counts(matrix.words, matrix.words[j])
-    edges: set[tuple[int, int]] = set()
-    for k in np.nonzero(counts >= 2)[0].tolist():
-        if k != j:
-            edges.update(combinations(_iter_bits(masks[k] & cj), 2))
-    return PairGraph(vertices=frozenset(_iter_bits(cj)), edges=frozenset(edges))
+    counts[j] = 0
+    partners = np.flatnonzero(counts >= 2).tolist()
+    rows, around = _neighbourhoods(matrix.masks, j, partners)
+    return PairGraph(
+        vertices=frozenset(_iter_bits(matrix.masks[j])),
+        edges=frozenset(
+            (rows[a], rows[b])
+            for a, near in enumerate(around)
+            for b in _iter_bits(near)
+            if a < b
+        ),
+    )
+
+
+def _partners(words: np.ndarray):
+    """Each column's partners, in column order: the other columns that
+    meet it in at least two rows, from one blocked pass over the
+    all-pairs intersection table."""
+    for _, counts in _kernels.intersection_blocks(words):
+        shared = counts >= 2
+        for row, busy in zip(shared, shared.any(axis=1).tolist()):
+            yield np.flatnonzero(row).tolist() if busy else []
+
+
+def _neighbourhoods(
+    masks: list[int], j: int, partners: list[int]
+) -> tuple[list[int], list[int]]:
+    """Column j's non-private pair graph as row-neighbourhood masks.
+
+    Returns the rows of column j that lie in a non-private pair, in
+    ascending order, and for the row at each position the mask, over
+    positions, of the rows it shares a pair with: the union of the traces
+    ``masks[k] & c_j`` of the ``partners`` k that hold it, minus itself.
+    """
+    cj = masks[j]
+    traces = {masks[k] & cj for k in partners}
+    union = 0
+    for trace in traces:
+        union |= trace
+    rows = list(_iter_bits(union))
+    position = {r: i for i, r in enumerate(rows)}
+    around = [0] * len(rows)
+    for trace in traces:
+        at = [position[r] for r in _iter_bits(trace)]
+        local = sum(1 << i for i in at)
+        for i in at:
+            around[i] |= local
+    return rows, [near ^ 1 << i for i, near in enumerate(around)]
 
 
 def matching_number(graph: PairGraph) -> int:
-    """Exact maximum matching size of a general (possibly non-bipartite) graph.
+    """Exact maximum matching size of a general (possibly non-bipartite)
+    graph, from the blossom of :func:`_matching` over its neighbourhoods."""
+    position = {v: i for i, v in enumerate(sorted(graph.vertices))}
+    around = [0] * len(position)
+    for a, b in graph.edges:
+        around[position[a]] |= 1 << position[b]
+        around[position[b]] |= 1 << position[a]
+    return _matching(around)
+
+
+def _matching(around: list[int]) -> int:
+    """Maximum matching size of the graph on range(len(around)) in which
+    vertex v is adjacent to the set bits of ``around[v]``.
 
     Edmonds' blossom algorithm ("Paths, trees, and flowers", 1965) in
     O(V^3): a greedy matching, then one search for an augmenting path from
-    each exposed vertex.  An exposed vertex from which no augmenting path
-    starts never gains one later, so one search per vertex suffices.
+    each exposed vertex but the last.  An exposed vertex from which no
+    augmenting path starts never gains one later, so one search per vertex
+    suffices, and a path from the last could only end at a vertex whose
+    own search failed.
     """
-    if not graph.edges:  # every pair private, as in an affine plane
-        return 0
-    verts = sorted(graph.vertices)
-    index = {v: i for i, v in enumerate(verts)}
-    adjacency: list[list[int]] = [[] for _ in verts]
-    for a, b in graph.edges:
-        ia, ib = index[a], index[b]
-        adjacency[ia].append(ib)
-        adjacency[ib].append(ia)
-    mate = [-1] * len(verts)
+    mate = [-1] * len(around)
+    free = (1 << len(around)) - 1
     matched = 0
-    for v, neighbours in enumerate(adjacency):
-        for u in neighbours:
-            if mate[v] < 0 and mate[u] < 0:
-                mate[u], mate[v] = v, u
-                matched += 1
-    for root, neighbours in enumerate(adjacency):
-        if mate[root] < 0 and neighbours:
-            matched += _augment(root, adjacency, mate)
+    for v, near in enumerate(around):
+        if mate[v] < 0 and (pick := near & free):
+            u = (pick & -pick).bit_length() - 1
+            mate[u], mate[v] = v, u
+            free &= ~(1 << u | 1 << v)
+            matched += 1
+    exposed = [v for v, near in enumerate(around) if mate[v] < 0 and near]
+    for root in exposed[:-1]:
+        if mate[root] < 0:
+            matched += _augment(root, around, mate)
     return matched
 
 
-def _augment(root: int, adjacency: list[list[int]], mate: list[int]) -> bool:
+def _augment(root: int, around: list[int], mate: list[int]) -> bool:
     """Grow an alternating tree from the exposed ``root`` breadth first and
     flip the first augmenting path found in ``mate``; False if there is none.
 
@@ -109,7 +168,7 @@ def _augment(root: int, adjacency: list[list[int]], mate: list[int]) -> bool:
     and the tree edges around it are redirected so that a path through
     the blossom can later be read back through ``parent``.
     """
-    size = len(adjacency)
+    size = len(around)
     base = list(range(size))  # base of the blossom holding each vertex
     parent = [-1] * size  # tree edge into each odd vertex (and blossom vertex)
     even = [False] * size
@@ -139,7 +198,7 @@ def _augment(root: int, adjacency: list[list[int]], mate: list[int]) -> bool:
             v = parent[mate[v]]
 
     for v in queue:  # the queue grows while it is read
-        for u in adjacency[v]:
+        for u in _iter_bits(around[v]):
             if base[v] == base[u] or mate[v] == u:
                 continue
             if even[u]:
@@ -264,11 +323,15 @@ def analyze_pairs(matrix: BinaryMatrix, d: int) -> PairAnalysis:
     isolated = find_isolated_columns(matrix)
     verdict = is_d_disjunct(matrix, d)
     applies = verdict.is_disjunct and not verdict.vacuous and not isolated
+    masks = matrix.masks
     columns = []
-    for j in range(matrix.n):
-        graph = pair_graph(matrix, j)
-        weight, nonprivate = len(graph.vertices), len(graph.edges)
-        nu = matching_number(graph)
+    for j, partners in enumerate(_partners(matrix.words)):
+        weight = masks[j].bit_count()
+        nonprivate = nu = 0
+        if partners:
+            _, around = _neighbourhoods(masks, j, partners)
+            nonprivate = sum(near.bit_count() for near in around) // 2
+            nu = _matching(around)
         lemma = {}
         if applies:
             s = weight - d

@@ -61,9 +61,10 @@ def counting_bound(masks, j, limit):
     return limit + 1
 
 
-@pytest.mark.parametrize("block", [20, 1 << 15])
+@pytest.mark.parametrize("block", [2, 20, 1 << 15])
 def test_min_cover_sizes(monkeypatch, block):
-    # a small block puts several column blocks, and a partial one, in a call
+    # a small block puts several column blocks, and a partial one, in a call;
+    # two cells put one column in each
     monkeypatch.setattr(_kernels, "_CELLS", block)
     rng = np.random.default_rng(5)
     for t in (1, 6, 64, 70, 130):
@@ -78,6 +79,23 @@ def test_min_cover_sizes(monkeypatch, block):
                 for j in range(n):
                     # a lower bound: no cover has fewer columns
                     assert got[j] <= brute_min_cover_size(masks, j, limit)
+
+
+def test_intersection_blocks(monkeypatch):
+    rng = np.random.default_rng(6)
+    # blocks of one column, of two or more with a partial last, and one
+    for cells in (2, 20, 1 << 15):
+        monkeypatch.setattr(_kernels, "_CELLS", cells)
+        for t, n in ((6, 1), (70, 9), (130, 5)):
+            m, masks = random_words(rng, n, t)
+            blocks = list(_kernels.intersection_blocks(m.words))
+            assert [lo for lo, _ in blocks] == list(range(0, n, max(1, cells // n)))
+            assert all(counts.size <= max(cells, n) for _, counts in blocks)
+            table = np.concatenate([counts for _, counts in blocks])
+            assert table.tolist() == [
+                [(a & b).bit_count() if i != k else 0 for k, b in enumerate(masks)]
+                for i, a in enumerate(masks)
+            ]
 
 
 def test_row_degrees(monkeypatch):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations
 from math import comb
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from disjunct import _kernels
 from disjunct import (
     BinaryMatrix,
     PairGraph,
@@ -387,6 +389,58 @@ def test_lemma3_applies_to_every_column():
             assert all(mask.bit_count() >= d + 1 for mask in m.masks)
             assert all(c.bound is not None for c in analyze_pairs(m, d).columns)
     assert all(applied.values()), applied
+
+
+def _dense_matrix(rng):
+    """Random dense columns over at most 8 rows, with an empty column, a
+    duplicate column and a column nested in another."""
+    t, n = rng.randint(3, 8), rng.randint(3, 9)
+    masks = [sum(1 << r for r in range(t) if rng.random() < 0.7) for _ in range(n)]
+    masks[rng.randrange(n)] = 0
+    masks[rng.randrange(n)] = masks[rng.randrange(n)]
+    masks[rng.randrange(n)] = masks[rng.randrange(n)] & rng.randrange(1 << t)
+    return BinaryMatrix.from_masks(t, masks)
+
+
+def test_analyze_pairs_matches_oracles_under_a_small_cell_cap(monkeypatch):
+    # two cells put one column of the intersection table in each block;
+    # dense columns share many pairs, and a trace of three rows or more
+    # is an odd cycle in the pair graph
+    monkeypatch.setattr(_kernels, "_CELLS", 2)
+    rng = random.Random(23)
+    odd_cycles = 0
+    for _ in range(120):
+        m = _dense_matrix(rng)
+        dense = dense_of(m)
+        analysis = analyze_pairs(m, 1)
+        private_total = 0
+        for j, c in enumerate(analysis.columns):
+            private, nonprivate = brute_private_pairs(dense, j)
+            assert (c.private, c.nonprivate) == (len(private), len(nonprivate))
+            assert c.matching == brute_matching_number(nonprivate)
+            private_total += len(private)
+            odd_cycles += any(
+                (m.masks[j] & mask).bit_count() >= 3
+                for k, mask in enumerate(m.masks)
+                if k != j
+            )
+        assert analysis.private_total == private_total
+    assert odd_cycles
+
+
+def test_analyze_pairs_dense_columns_in_bounded_memory():
+    # three all-ones 1,000-row columns: each has all 499,500 pairs of its
+    # rows non-private, so the pairs must be counted, never listed
+    m = BinaryMatrix.from_masks(1000, [(1 << 1000) - 1] * 3)
+    tracemalloc.start()
+    try:
+        analysis = analyze_pairs(m, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    counts = [(c.nonprivate, c.private, c.matching) for c in analysis.columns]
+    assert counts == [(499500, 0, 500)] * 3
+    assert peak < 16 << 20, peak
 
 
 # -- private pair budget ----------------------------------------------
