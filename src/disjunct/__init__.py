@@ -55,17 +55,7 @@ from .matrix import (
     save_matrix,
     write_matrix,
 )
-from .pairs import (
-    ColumnPairs,
-    PairAnalysis,
-    PairGraph,
-    analyze_pairs,
-    complete_graph_matchings,
-    formula_one,
-    matching_number,
-    matching_numbers_all_graphs,
-    pair_graph,
-)
+from .pairs import ColumnPairs, PairAnalysis, analyze_pairs, formula_one
 from .search import SearchCertificate, exhaustive_T
 
 __version__ = "0.1.0"
@@ -81,7 +71,6 @@ __all__ = [
     "IdentificationReport",
     "OutcomeVector",
     "PairAnalysis",
-    "PairGraph",
     "PeelResult",
     "SearchCertificate",
     "TDNBound",
@@ -91,7 +80,6 @@ __all__ = [
     "affine_plane_matrix",
     "analyze_pairs",
     "ceil_kappa_times",
-    "complete_graph_matchings",
     "delete_column_and_rows",
     "exhaustive_T",
     "find_isolated_columns",
@@ -101,12 +89,9 @@ __all__ = [
     "is_d_disjunct",
     "load_matrix",
     "lower_bounds",
-    "matching_number",
-    "matching_numbers_all_graphs",
     "max_disjunct_order",
     "naive_decode",
     "outcomes",
-    "pair_graph",
     "peel_isolated",
     "peel_to_core",
     "random_disjunct_corpus",

@@ -16,7 +16,7 @@ positives, so no column is refuted without a concrete cover.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -92,35 +92,51 @@ def _cover_search(
     max_trace = max(m.bit_count() for m, _ in traces)
     dead: set[tuple[int, int]] = set()
 
-    def dfs(uncovered: int, depth_left: int, chosen: list[int]) -> list[int] | None:
-        if uncovered == 0:
-            return chosen
-        if depth_left == 0 or uncovered.bit_count() > depth_left * max_trace:
-            return None
-        key = (uncovered, depth_left)
-        if key in dead:
-            return None
-        # fail-first: branch on the uncovered row with the fewest traces
-        branch_row = -1
-        branch_count = -1
-        rest = uncovered
-        while rest:
-            low = rest & -rest
-            r = low.bit_length() - 1
-            rest ^= low
-            c = len(covering[r])
-            if branch_count < 0 or c < branch_count:
-                branch_row, branch_count = r, c
-        for ti in covering[branch_row]:
-            m, col = traces[ti]
-            result = dfs(uncovered & ~m, depth_left - 1, chosen + [col])
-            if result is not None:
-                return result
-        dead.add(key)
-        return None
+    def dfs(depth: int) -> list[int] | None:
+        """Depth-first over an explicit stack, so a cover may run to any
+        number of columns: one (uncovered rows, depth left, untried
+        traces) frame per open node, and ``chosen`` holds the column each
+        open node is trying."""
+        uncovered, depth_left = cj, depth
+        stack: list[tuple[int, int, Iterator[int]]] = []
+        chosen: list[int] = []
+        while True:
+            if uncovered == 0:
+                return chosen
+            if (
+                depth_left
+                and uncovered.bit_count() <= depth_left * max_trace
+                and (uncovered, depth_left) not in dead
+            ):
+                # fail-first: branch on the uncovered row with the fewest traces
+                branch_row = -1
+                branch_count = -1
+                rest = uncovered
+                while rest:
+                    low = rest & -rest
+                    r = low.bit_length() - 1
+                    rest ^= low
+                    c = len(covering[r])
+                    if branch_count < 0 or c < branch_count:
+                        branch_row, branch_count = r, c
+                stack.append((uncovered, depth_left, iter(covering[branch_row])))
+                chosen.append(-1)
+            # back up to the deepest open node with a trace left to try
+            while stack:
+                uncovered, depth_left, untried = stack[-1]
+                ti = next(untried, None)
+                if ti is not None:
+                    break
+                dead.add((uncovered, depth_left))
+                stack.pop()
+                chosen.pop()
+            else:
+                return None
+            m, chosen[-1] = traces[ti]
+            uncovered, depth_left = uncovered & ~m, depth_left - 1
 
     for depth in depths:
-        cover = dfs(cj, depth, [])
+        cover = dfs(depth)
         if cover is not None:
             return cover
     return None

@@ -176,39 +176,63 @@ def _first_failing_set(
         counts[j] = 0
         return int(counts.max())
 
-    def coverable(j: int, uncovered: int, start: int, left: int) -> bool:
-        """Whether at most ``left`` columns from ``start`` on, j not among
-        them, hold ``uncovered``: fail-first, one of them holds the
-        uncovered row with the fewest holders."""
-        if uncovered == 0:
-            return True
-        if uncovered.bit_count() > left * widest(j):
-            return False
+    def cover_of(j: int, uncovered: int, start: int, left: int) -> list[int] | None:
+        """At most ``left`` columns from ``start`` on, j not among them,
+        that hold ``uncovered``, or None: fail-first, one of them holds the
+        uncovered row with the fewest holders.  Depth-first over an
+        explicit stack of (uncovered rows, columns left, untried columns)
+        frames, so the cover may run to any number of columns; ``chosen``
+        holds the column each open frame is trying."""
         at = -1 << start & ~(1 << j)
-        if left == 1:
-            for r in _iter_bits(uncovered):
-                at &= holders(r)
-                if not at:
-                    return False
-            return True
-        fewest = min((holders(r) & at for r in _iter_bits(uncovered)), key=int.bit_count)
-        return any(
-            coverable(j, uncovered & ~masks[i], start, left - 1) for i in _iter_bits(fewest)
-        )
+        stack, chosen = [], []
+        while True:
+            if uncovered == 0:
+                return chosen
+            if uncovered.bit_count() <= left * widest(j):
+                if left > 1:
+                    fewest = min((holders(r) & at for r in _iter_bits(uncovered)), key=int.bit_count)
+                    stack.append((uncovered, left, _iter_bits(fewest)))
+                    chosen.append(-1)
+                else:  # one column left: some column holds every row
+                    hold = at
+                    for r in _iter_bits(uncovered):
+                        hold &= holders(r)
+                        if not hold:
+                            break
+                    else:
+                        return chosen + [(hold & -hold).bit_length() - 1]
+            # back up to the deepest open frame with a column left to try
+            while stack:
+                uncovered, left, untried = stack[-1]
+                chosen[-1] = next(untried, None)
+                if chosen[-1] is not None:
+                    break
+                stack.pop()
+                chosen.pop()
+            else:
+                return None
+            uncovered, left = uncovered & ~masks[chosen[-1]], left - 1
 
     def lex_first(j: int, k: int, stop: int) -> tuple[int, ...] | None:
         """The lex-first k columns, the first below ``stop``, that cover
         column j, when no fewer do: each the least past the last that
-        leaves the rest of j coverable by the columns past it."""
-        chosen, uncovered, start = [], masks[j], 0
+        leaves the rest of j coverable by the columns past it.  The cover
+        found for one pick, less its least column, covers what picking
+        that column leaves, so that pick needs no search."""
+        chosen, uncovered, start, rest = [], masks[j], 0, None
         for left in range(k - 1, -1, -1):
-            i = next(
-                (i for i in range(start, stop)
-                 if i != j and masks[i] & uncovered
-                 and coverable(j, uncovered & ~masks[i], i + 1, left)),
-                None,
-            )
-            if i is None:
+            least = min(rest) if rest else -1
+            for i in range(start, stop):
+                if i == j or not masks[i] & uncovered:
+                    continue
+                if i == least:
+                    rest.remove(i)
+                    break
+                found = cover_of(j, uncovered & ~masks[i], i + 1, left)
+                if found is not None:
+                    rest = found
+                    break
+            else:
                 return None
             chosen.append(i)
             uncovered &= ~masks[i]
@@ -222,7 +246,7 @@ def _first_failing_set(
         for j, bound in enumerate(bounds):
             # once a set is found, only one that starts at or before its
             # first column can beat it
-            if bound <= k and (best or coverable(j, masks[j], 0, k)):
+            if bound <= k and (best or cover_of(j, masks[j], 0, k) is not None):
                 cover = lex_first(j, k, best[0] + 1 if best else len(masks))
                 if cover and (best is None or cover < best):
                     best = cover

@@ -23,9 +23,11 @@ intersection table (``_kernels.intersection_blocks``), builds the masks
 only for columns that have partners, then counts and checks every column,
 and totals the private pairs against the C(t, 2) budget they share.  The
 blossom, O(V^3) per column on the V rows that lie in a non-private pair,
-is the one step of that pass with no bound.  ``pair_graph`` gives one
-column's graph as an edge set, and ``matching_number`` runs the same
-blossom on an edge set.
+is the one step of that pass with no bound.
+
+``complete_graph_matchings`` and ``matching_numbers_all_graphs`` tabulate
+the matching number of every graph on up to seven vertices, the table
+against which ``formula_one`` is checked.
 """
 
 from __future__ import annotations
@@ -41,50 +43,6 @@ from .disjunctness import find_isolated_columns, is_d_disjunct
 from .matrix import BinaryMatrix, _iter_bits
 
 
-class _PairGraph(NamedTuple):
-    vertices: frozenset[int]
-    edges: frozenset[tuple[int, int]]
-
-
-class PairGraph(_PairGraph):
-    """Graph on the rows of one column whose edges are non-private pairs."""
-
-    __slots__ = ()
-
-    def __new__(cls, vertices, edges):
-        for a, b in edges:
-            if a >= b:
-                raise ValueError(f"edge ({a},{b}) must be ordered a < b")
-            if a not in vertices or b not in vertices:
-                raise ValueError(f"edge ({a},{b}) has endpoint outside vertex set")
-        return super().__new__(cls, vertices, edges)
-
-    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
-
-
-def pair_graph(matrix: BinaryMatrix, j: int) -> PairGraph:
-    """The non-private pair graph of column j.
-
-    Only columns meeting column j in at least two rows share a pair with
-    it; each contributes every pair of rows in that intersection.
-    """
-    if not 0 <= j < matrix.n:
-        raise ValueError(f"column index {j} out of range")
-    counts = _kernels.intersection_counts(matrix.words, matrix.words[j])
-    counts[j] = 0
-    partners = np.flatnonzero(counts >= 2).tolist()
-    rows, around = _neighbourhoods(matrix.masks, j, partners)
-    return PairGraph(
-        vertices=frozenset(_iter_bits(matrix.masks[j])),
-        edges=frozenset(
-            (rows[a], rows[b])
-            for a, near in enumerate(around)
-            for b in _iter_bits(near)
-            if a < b
-        ),
-    )
-
-
 def _partners(words: np.ndarray):
     """Each column's partners, in column order: the other columns that
     meet it in at least two rows, from one blocked pass over the
@@ -95,14 +53,12 @@ def _partners(words: np.ndarray):
             yield np.flatnonzero(row).tolist() if busy else []
 
 
-def _neighbourhoods(
-    masks: list[int], j: int, partners: list[int]
-) -> tuple[list[int], list[int]]:
+def _neighbourhoods(masks: list[int], j: int, partners: list[int]) -> list[int]:
     """Column j's non-private pair graph as row-neighbourhood masks.
 
-    Returns the rows of column j that lie in a non-private pair, in
-    ascending order, and for the row at each position the mask, over
-    positions, of the rows it shares a pair with: the union of the traces
+    The vertices are the rows of column j that lie in a non-private pair,
+    numbered in ascending order.  Vertex i's mask holds the vertices whose
+    rows share a pair with its row: the union of the traces
     ``masks[k] & c_j`` of the ``partners`` k that hold it, minus itself.
     """
     cj = masks[j]
@@ -110,26 +66,14 @@ def _neighbourhoods(
     union = 0
     for trace in traces:
         union |= trace
-    rows = list(_iter_bits(union))
-    position = {r: i for i, r in enumerate(rows)}
-    around = [0] * len(rows)
+    position = {r: i for i, r in enumerate(_iter_bits(union))}
+    around = [0] * len(position)
     for trace in traces:
         at = [position[r] for r in _iter_bits(trace)]
         local = sum(1 << i for i in at)
         for i in at:
             around[i] |= local
-    return rows, [near ^ 1 << i for i, near in enumerate(around)]
-
-
-def matching_number(graph: PairGraph) -> int:
-    """Exact maximum matching size of a general (possibly non-bipartite)
-    graph, from the blossom of :func:`_matching` over its neighbourhoods."""
-    position = {v: i for i, v in enumerate(sorted(graph.vertices))}
-    around = [0] * len(position)
-    for a, b in graph.edges:
-        around[position[a]] |= 1 << position[b]
-        around[position[b]] |= 1 << position[a]
-    return _matching(around)
+    return [near ^ 1 << i for i, near in enumerate(around)]
 
 
 def _matching(around: list[int]) -> int:
@@ -329,7 +273,7 @@ def analyze_pairs(matrix: BinaryMatrix, d: int) -> PairAnalysis:
         weight = masks[j].bit_count()
         nonprivate = nu = 0
         if partners:
-            _, around = _neighbourhoods(masks, j, partners)
+            around = _neighbourhoods(masks, j, partners)
             nonprivate = sum(near.bit_count() for near in around) // 2
             nu = _matching(around)
         lemma = {}

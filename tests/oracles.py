@@ -106,6 +106,16 @@ def brute_matching_number(edges):
     return extend(0, frozenset(), 0)
 
 
+def neighbourhood_masks(k, edges):
+    """The graph on range(k) with ``edges`` as the neighbourhood masks the
+    library's blossom reads: bit b of entry a is set iff {a, b} is an edge."""
+    around = [0] * k
+    for a, b in edges:
+        around[a] |= 1 << b
+        around[b] |= 1 << a
+    return around
+
+
 def brute_maximal(family):
     """The members of ``family`` (int masks) that no other member strictly
     contains, compared as sets of bit positions."""

@@ -165,6 +165,17 @@ def test_max_order_duplicate():
     assert max_disjunct_order(m) == 0
 
 
+def test_cover_of_a_thousand_columns():
+    # column 0 holds every row and column r + 1 row r alone, so the one
+    # cover of column 0 is all 1,100 other columns: deeper than the
+    # interpreter's default recursion limit
+    t = 1100
+    m = BinaryMatrix.from_masks(t, [(1 << t) - 1] + [1 << r for r in range(t)])
+    verdict = is_d_disjunct(m, t)
+    assert verdict.witness == Witness(0, tuple(range(1, t + 1)))
+    assert max_disjunct_order(m) == 0
+
+
 def test_max_order_matches_checker_ladder():
     rng = random.Random(44)
     for _ in range(100):

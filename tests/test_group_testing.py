@@ -268,6 +268,20 @@ def test_verify_identification_kautz_singleton_code(kautz_singleton_13):
     assert report.cases == sum(comb(2197, k) for k in range(7))
 
 
+def test_verify_identification_deep_covers():
+    # failing-set searches deeper than the interpreter's default recursion
+    # limit: column 0 holds every row and column r + 1 row r alone, so {0}
+    # fails first
+    t = 1100
+    star = BinaryMatrix.from_masks(t, [(1 << t) - 1] + [1 << r for r in range(t)])
+    assert verify_identification(star, t, max_cases=10**400) == (False, 2, (0,))
+    # column 0 holds rows 0..599 and column r + 1 rows r and 600 + r: only
+    # all 600 others cover column 0, the last of the sets of 600 columns
+    masks = [(1 << 600) - 1] + [1 << r | 1 << 600 + r for r in range(600)]
+    report = verify_identification(BinaryMatrix.from_masks(1200, masks), 600, max_cases=10**400)
+    assert report == (False, 2**601 - 1, tuple(range(1, 601)))
+
+
 def test_identification_implies_weaker_disjunctness():
     # exact decoding of all sets of size <= d forces (d-1)-disjunctness
     rng = random.Random(23)

@@ -10,15 +10,12 @@ from hypothesis import strategies as st
 from disjunct import _kernels
 from disjunct import (
     BinaryMatrix,
-    PairGraph,
     analyze_pairs,
     formula_one,
     identity_matrix,
-    matching_number,
-    matching_numbers_all_graphs,
     is_d_disjunct,
-    pair_graph,
 )
+from disjunct.pairs import _matching, matching_numbers_all_graphs
 from oracles import (
     brute_is_d_disjunct,
     brute_matching_number,
@@ -27,6 +24,7 @@ from oracles import (
     brute_private_pairs,
     column_rows,
     dense_of,
+    neighbourhood_masks,
     reference_isolated_columns,
 )
 
@@ -34,33 +32,39 @@ from oracles import (
 # -- classification ---------------------------------------------------
 
 
-def _private(graph):
-    """A column's private pairs: the 2-subsets of its support that are
-    not non-private edges."""
-    return frozenset(combinations(sorted(graph.vertices), 2)) - graph.edges
+def _counts(m):
+    """(weight, private, nonprivate, matching) of every column."""
+    return [
+        (c.weight, c.private, c.nonprivate, c.matching)
+        for c in analyze_pairs(m, 1).columns
+    ]
 
 
 def test_affine_lines_all_private(ag):
     m = ag(3)
-    for j in range(m.n):
-        graph = pair_graph(m, j)
-        assert len(_private(graph)) == comb(3, 2) == 3
-        assert not graph.edges
+    assert _counts(m) == [(3, comb(3, 2), 0, 0)] * m.n
+    assert all(len(column_rows(m, j)) == 3 for j in range(m.n))
 
 
 def test_identical_columns_share_everything():
     m = BinaryMatrix.from_masks(3, [0b011, 0b011])
-    for j in range(2):
-        graph = pair_graph(m, j)
-        assert _private(graph) == frozenset()
-        assert graph.edges == frozenset({(0, 1)})
+    assert _counts(m) == [(2, 0, 1, 1)] * 2
 
 
 def test_single_column_all_private():
     m = BinaryMatrix.from_masks(4, [0b1111])
-    graph = pair_graph(m, 0)
-    assert len(_private(graph)) == comb(4, 2)
-    assert not graph.edges
+    assert _counts(m) == [(4, comb(4, 2), 0, 0)]
+
+
+def _brute_counts(m):
+    """_counts of every column, from the brute-force pair classification."""
+    dense = dense_of(m)
+    counts = []
+    for j in range(m.n):
+        private, nonprivate = brute_private_pairs(dense, j)
+        w = len(column_rows(m, j))
+        counts.append((w, len(private), len(nonprivate), brute_matching_number(nonprivate)))
+    return counts
 
 
 def test_classification_matches_bruteforce():
@@ -69,57 +73,51 @@ def test_classification_matches_bruteforce():
         t, n = rng.randint(2, 8), rng.randint(1, 8)
         masks = [rng.randrange(0, 1 << t) for _ in range(n)]
         m = BinaryMatrix.from_masks(t, masks)
-        dense = dense_of(m)
-        for j in range(n):
-            graph = pair_graph(m, j)
-            private, nonprivate = brute_private_pairs(dense, j)
-            assert set(_private(graph)) == private
-            assert set(graph.edges) == nonprivate
+        assert _counts(m) == _brute_counts(m)
 
 
 def test_partition_invariant(corpus):
-    # the edges are 2-subsets of the column, so the private count that
-    # analyze_pairs reports is what remains of C(w, 2)
+    # private and non-private pairs partition the 2-subsets of a column
     for d, matrices in corpus.items():
         for m in matrices[:10]:
-            for j, c in enumerate(analyze_pairs(m, d).columns):
-                graph = pair_graph(m, j)
-                w = m.masks[j].bit_count()
-                assert graph.edges <= frozenset(combinations(sorted(graph.vertices), 2))
-                assert (c.weight, c.nonprivate) == (w, len(graph.edges))
+            counts = _brute_counts(m)
+            for c, (w, private, nonprivate, _) in zip(analyze_pairs(m, d).columns, counts):
+                assert (c.weight, c.private, c.nonprivate) == (w, private, nonprivate)
                 assert c.private + c.nonprivate == comb(w, 2)
 
 
 def test_private_pairs_disjoint_across_columns(ag, corpus):
     for m in [ag(3), *corpus[2][:5], *corpus[3][:5]]:
+        dense = dense_of(m)
         seen = set()
-        for j in range(m.n):
-            mine = _private(pair_graph(m, j))
+        analysis = analyze_pairs(m, 1)
+        for j, c in enumerate(analysis.columns):
+            mine, _ = brute_private_pairs(dense, j)
+            assert c.private == len(mine)
             assert not (seen & mine)
             seen |= mine
+        assert analysis.private_total == len(seen) <= analysis.pair_budget
 
 
 # -- matching number --------------------------------------------------
 
 
+def _nu(k, edges):
+    """Matching number of the graph on range(k), from the blossom."""
+    return _matching(neighbourhood_masks(k, edges))
+
+
 def test_matching_examples():
-    assert matching_number(PairGraph(frozenset({1, 2, 3, 4}), frozenset({(1, 2), (3, 4)}))) == 2
-    assert matching_number(PairGraph(frozenset({1, 2, 3}), frozenset({(1, 2), (1, 3), (2, 3)}))) == 1
-    assert matching_number(PairGraph(frozenset({1, 2, 3, 4}), frozenset({(1, 2), (2, 3), (3, 4)}))) == 2
-    assert matching_number(PairGraph(frozenset(), frozenset())) == 0
-
-
-def test_pair_graph_validation():
-    with pytest.raises(ValueError):
-        PairGraph(frozenset({1, 2}), frozenset({(2, 1)}))
-    with pytest.raises(ValueError):
-        PairGraph(frozenset({1}), frozenset({(1, 2)}))
+    assert _nu(4, {(0, 1), (2, 3)}) == 2
+    assert _nu(3, {(0, 1), (0, 2), (1, 2)}) == 1
+    assert _nu(4, {(0, 1), (1, 2), (2, 3)}) == 2
+    assert _nu(0, set()) == 0
 
 
 def test_matching_handles_odd_cycles():
     # 5-cycle: bipartite reasoning would get this wrong
-    edges = frozenset({(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)})
-    assert matching_number(PairGraph(frozenset(range(5)), edges)) == 2
+    edges = {(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)}
+    assert _nu(5, edges) == 2
 
 
 def test_matching_matches_bruteforce():
@@ -131,16 +129,13 @@ def test_matching_matches_bruteforce():
             for a, b in combinations(range(k), 2)
             if rng.random() < 0.45
         }
-        g = PairGraph(frozenset(range(k)), frozenset(edges))
-        assert matching_number(g) == brute_matching_number(edges)
+        assert _nu(k, edges) == brute_matching_number(edges)
 
 
 def _relabelled(rng, k, edges):
-    """The graph on range(k) with shuffled labels and shuffled edge order."""
-    labels = rng.sample(range(10 * k + 10), k)
-    moved = [tuple(sorted((labels[a], labels[b]))) for a, b in edges]
-    rng.shuffle(moved)
-    return PairGraph(frozenset(labels), frozenset(moved))
+    """The matching number of the graph on range(k) with shuffled labels."""
+    labels = rng.sample(range(k), k)
+    return _nu(k, [(labels[a], labels[b]) for a, b in edges])
 
 
 def test_matching_matches_networkx():
@@ -154,7 +149,7 @@ def test_matching_matches_networkx():
         oracle.add_nodes_from(range(k))
         oracle.add_edges_from(edges)
         expected = len(nx.max_weight_matching(oracle, maxcardinality=True))
-        assert matching_number(_relabelled(rng, k, edges)) == expected, (k, density)
+        assert _relabelled(rng, k, edges) == expected, (k, density)
 
 
 def _flower(rng, depth, start):
@@ -187,13 +182,12 @@ def test_matching_nested_blossoms():
         for extra in range(size, size + stem):
             edges.append((anchor if extra == size else extra - 1, extra))
         total = size + stem
-        assert matching_number(_relabelled(rng, total, edges)) == total // 2
+        assert _relabelled(rng, total, edges) == total // 2
 
 
 @pytest.mark.parametrize("k", [24, 25, 35, 64])
 def test_matching_complete_graphs(k):
-    edges = frozenset(combinations(range(k), 2))
-    assert matching_number(PairGraph(frozenset(range(k)), edges)) == k // 2
+    assert _nu(k, combinations(range(k), 2)) == k // 2
 
 
 @st.composite
@@ -208,9 +202,8 @@ def _graphs(draw):
 @given(_graphs())
 def test_matching_invariant_under_relabelling(graph):
     k, edges, perm = graph
-    nu = matching_number(PairGraph(frozenset(range(k)), frozenset(edges)))
-    moved = frozenset(tuple(sorted((perm[a], perm[b]))) for a, b in edges)
-    assert matching_number(PairGraph(frozenset(range(k)), moved)) == nu
+    nu = _nu(k, edges)
+    assert _nu(k, [(perm[a], perm[b]) for a, b in edges]) == nu
     assert nu <= k // 2
 
 
@@ -244,8 +237,7 @@ def test_matching_table_agrees_with_matching_number():
         for _ in range(60):
             g = rng.randrange(0, 1 << len(pairs))
             edges = {pairs[e] for e in range(len(pairs)) if g >> e & 1}
-            nu = matching_number(PairGraph(frozenset(range(k)), frozenset(edges)))
-            assert table[g] == nu
+            assert table[g] == _nu(k, edges)
 
 
 def test_max_edges_guard():
@@ -466,8 +458,3 @@ def test_budget_always_holds():
         assert analysis.pair_budget == comb(t, 2)
         assert analysis.private_total <= analysis.pair_budget
 
-
-def test_pair_graph_carries_column_support(ag):
-    g = pair_graph(ag(3), 0)
-    assert g.vertices == column_rows(ag(3), 0)
-    assert g.edges == frozenset()

@@ -9,7 +9,6 @@ from disjunct import (
     IdentificationReport,
     OutcomeVector,
     PairAnalysis,
-    PairGraph,
     PeelResult,
     SearchCertificate,
     TDNBound,
@@ -23,7 +22,6 @@ from disjunct import (
     is_d_disjunct,
     lower_bounds,
     outcomes,
-    pair_graph,
     peel_isolated,
     t_dn_lower_bound,
     theorem1_certificate,
@@ -46,7 +44,6 @@ RECORDS = [
         ("reduced", "removed_column", "removed_rows"),
         lambda: peel_isolated(identity_matrix(3), 0),
     ),
-    (PairGraph, ("vertices", "edges"), lambda: pair_graph(AG3, 0)),
     (
         ColumnPairs,
         ("column", "weight", "private", "nonprivate", "matching", "bound",
@@ -127,24 +124,6 @@ def test_record_defaults():
     assert (lemma.bound, lemma.in_range, lemma.bound_ok, lemma.matching_ok) == (
         None, None, None, None
     )
-
-
-@pytest.mark.parametrize(
-    "edges, message",
-    [
-        ({(2, 1)}, "edge (2,1) must be ordered a < b"),
-        ({(1, 1)}, "edge (1,1) must be ordered a < b"),
-        ({(1, 5)}, "edge (1,5) has endpoint outside vertex set"),
-    ],
-)
-def test_pair_graph_checks_its_edges(edges, message):
-    graph = PairGraph(frozenset({1, 2}), frozenset({(1, 2)}))
-    with pytest.raises(ValueError) as exc:
-        PairGraph(frozenset({1, 2}), frozenset(edges))
-    assert str(exc.value) == message
-    with pytest.raises(ValueError) as exc:
-        graph._replace(edges=frozenset(edges))
-    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize(
