@@ -15,6 +15,7 @@ from disjunct import (
     identity_matrix,
     is_d_disjunct,
 )
+from disjunct import pairs
 from disjunct.pairs import _matching, matching_numbers_all_graphs
 from oracles import (
     brute_is_d_disjunct,
@@ -458,3 +459,13 @@ def test_budget_always_holds():
         assert analysis.pair_budget == comb(t, 2)
         assert analysis.private_total <= analysis.pair_budget
 
+
+
+def test_pair_graph_carries_column_support(ag):
+    m = ag(3)
+    column = analyze_pairs(m, 1).columns[0]
+    assert column.weight == len(column_rows(m, 0)) == 3
+    assert column.private == comb(column.weight, 2)
+    assert column.nonprivate == column.matching == 0
+    # no other line meets line 0 in two points, so its pair graph has no edges
+    assert next(pairs._partners(m.words)) == []
