@@ -57,7 +57,7 @@ def intersection_blocks(words: np.ndarray):
         yield lo, counts
 
 
-def min_cover_sizes(words: np.ndarray, limit: int) -> np.ndarray:
+def min_cover_sizes(words: np.ndarray, limit: int, blocks=None) -> np.ndarray:
     """Lower bound on the number of other columns needed to cover each column.
 
     For column j: the fewest k such that the k largest intersections
@@ -65,13 +65,17 @@ def min_cover_sizes(words: np.ndarray, limit: int) -> np.ndarray:
     no k <= ``limit`` does; 0 for an empty column.  k columns whose union
     holds c_j meet it in at least |c_j| rows between them, so no cover of
     c_j has fewer columns than this.
+
+    ``blocks``, by default ``intersection_blocks(words)``, lets a caller
+    that reads the table too pass its blocks on; each block is sorted in
+    place once the caller has passed it on.
     """
     n, num_words = words.shape
     weights = column_weights(words)
     # the narrowest type that holds the sum of n counts
     reach_type = np.min_scalar_type(64 * num_words * n)
     out = np.empty(n, dtype=np.int64)
-    for lo, counts in intersection_blocks(words):
+    for lo, counts in intersection_blocks(words) if blocks is None else blocks:
         hi = lo + len(counts)
         counts.sort(axis=1)
         # reach[:, k-1] is the sum of the k largest intersections

@@ -4,6 +4,11 @@ Exit codes: 0 when the requested property holds (or plain output was
 produced), 1 when a property was refuted with a witness, 2 on usage or
 input errors.  All diagnostic output goes to stderr; stdout carries
 stable ``key=value`` lines so the commands compose in shell pipelines.
+
+Each ``main`` call registers every command, so usage lines and errors
+list them all, but builds only the options of the command its first
+argument names: building all of them costs about as much as a small
+command's work.
 """
 
 from __future__ import annotations
@@ -167,14 +172,7 @@ def _cmd_search(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="disjunct",
-        description="Construct, verify and analyze d-disjunct group-testing matrices.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    construct = sub.add_parser("construct", help="generate matrices")
+def _construct_options(construct: argparse.ArgumentParser) -> None:
     kinds = construct.add_subparsers(dest="kind", required=True)
     affine = kinds.add_parser("affine", help="affine plane incidence matrix")
     affine.add_argument("--q", type=int, required=True, help="prime order")
@@ -193,49 +191,81 @@ def build_parser() -> argparse.ArgumentParser:
     rand.add_argument("-o", "--output", required=True, help="output directory")
     construct.set_defaults(func=_cmd_construct)
 
-    check = sub.add_parser("check", help="exact disjunctness check")
+
+def _check_options(check: argparse.ArgumentParser) -> None:
     group = check.add_mutually_exclusive_group(required=True)
     group.add_argument("--d", type=int, help="order to verify")
     group.add_argument("--max", action="store_true", help="report the largest order")
     check.add_argument("file", help=".dmat input")
     check.set_defaults(func=_cmd_check)
 
-    analyze = sub.add_parser("analyze", help="per-column private-pair analysis")
+
+def _analyze_options(analyze: argparse.ArgumentParser) -> None:
     analyze.add_argument("--d", type=int, required=True)
     analyze.add_argument("file", help=".dmat input")
     analyze.set_defaults(func=_cmd_analyze)
 
-    decode = sub.add_parser("decode", help="naive decoder for an outcome vector")
+
+def _decode_options(decode: argparse.ArgumentParser) -> None:
     decode.add_argument("--outcomes", required=True, help="length-t bitstring")
     decode.add_argument("file", help=".dmat input")
     decode.set_defaults(func=_cmd_decode)
 
-    verify_id = sub.add_parser(
-        "verify-id", help="exhaustive identification guarantee check"
-    )
+
+def _verify_id_options(verify_id: argparse.ArgumentParser) -> None:
     verify_id.add_argument("--d", type=int, required=True)
     verify_id.add_argument("--max-cases", type=int, default=2_000_000)
     verify_id.add_argument("file", help=".dmat input")
     verify_id.set_defaults(func=_cmd_verify_id)
 
-    bounds = sub.add_parser("bounds", help="evaluate row lower bounds")
+
+def _bounds_options(bounds: argparse.ArgumentParser) -> None:
     bounds.add_argument("--d", type=int, required=True)
     bounds.add_argument("--n", type=int, default=None)
     bounds.set_defaults(func=_cmd_bounds)
 
-    search = sub.add_parser("search", help="exhaustive search for T(d) certificates")
+
+def _search_options(search: argparse.ArgumentParser) -> None:
     search.add_argument("--d", type=int, required=True)
     search.add_argument("--tmax", type=int, required=True)
     search.add_argument("--budget", type=int, default=2_000_000, help="DFS node budget")
     search.add_argument("-o", "--output", default=None, help="directory for found matrices")
     search.set_defaults(func=_cmd_search)
 
+
+# every command, in the order of the usage line: its help, and what adds its options
+_COMMANDS = {
+    "construct": ("generate matrices", _construct_options),
+    "check": ("exact disjunctness check", _check_options),
+    "analyze": ("per-column private-pair analysis", _analyze_options),
+    "decode": ("naive decoder for an outcome vector", _decode_options),
+    "verify-id": ("exhaustive identification guarantee check", _verify_id_options),
+    "bounds": ("evaluate row lower bounds", _bounds_options),
+    "search": ("exhaustive search for T(d) certificates", _search_options),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``disjunct`` parser.  Every command is registered with its help,
+    so usage lines and errors list them all; when ``command`` names one,
+    only that command's options are built, otherwise every command's."""
+    parser = argparse.ArgumentParser(
+        prog="disjunct",
+        description="Construct, verify and analyze d-disjunct group-testing matrices.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_options) in _COMMANDS.items():
+        subparser = sub.add_parser(name, help=help_text)
+        if command not in _COMMANDS or name == command:
+            add_options(subparser)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # a command name first in argv is the command argparse dispatches to,
+    # and no other command's options are read
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except (BudgetExceededError, ValueError, OSError) as exc:

@@ -19,8 +19,9 @@ C(w, 2) - |E| of them for weight w.
 ``analyze_pairs`` is the one pass over a whole matrix: it decides the
 matrix-wide preconditions of that bound (Lemma 3 of the paper) once,
 finds every column's partners in one blocked pass over the all-pairs
-intersection table (``_kernels.intersection_blocks``), builds the masks
-only for columns that have partners, then counts and checks every column,
+intersection table (``_kernels.intersection_blocks``), the pass from
+which the checker also takes its counting bounds, builds the masks only
+for columns that have partners, then counts and checks every column,
 and totals the private pairs against the C(t, 2) budget they share.  The
 blossom, O(V^3) per column on the V rows that lie in a non-private pair,
 is the one step of that pass with no bound.
@@ -39,18 +40,19 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .disjunctness import find_isolated_columns, is_d_disjunct
+from .disjunctness import DisjunctVerdict, _first_covered, find_isolated_columns
 from .matrix import BinaryMatrix, _iter_bits
 
 
-def _partners(words: np.ndarray):
-    """Each column's partners, in column order: the other columns that
-    meet it in at least two rows, from one blocked pass over the
-    all-pairs intersection table."""
-    for _, counts in _kernels.intersection_blocks(words):
-        shared = counts >= 2
-        for row, busy in zip(shared, shared.any(axis=1).tolist()):
-            yield np.flatnonzero(row).tolist() if busy else []
+def _partners(counts: np.ndarray) -> list[list[int]]:
+    """The partners of each column of a block of the all-pairs
+    intersection table (``_kernels.intersection_blocks``): the other
+    columns that meet it in at least two rows."""
+    shared = counts >= 2
+    return [
+        np.flatnonzero(row).tolist() if busy else []
+        for row, busy in zip(shared, shared.any(axis=1).tolist())
+    ]
 
 
 def _neighbourhoods(masks: list[int], j: int, partners: list[int]) -> list[int]:
@@ -263,19 +265,37 @@ def analyze_pairs(matrix: BinaryMatrix, d: int) -> PairAnalysis:
     hypothesis asks for s <= d-1; beyond it the bound is still evaluated
     and ``in_range`` is false.  A private pair belongs to exactly one
     column, so ``private_total`` never exceeds ``pair_budget``.
+
+    The pairs and the checker's counting bounds come from one pass over
+    the all-pairs intersection table: each block's columns are counted
+    before the bounds sort the block in place.
     """
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    masks, words = matrix.masks, matrix.words
+    counted = []  # (nonprivate, matching) of each column, in column order
+
+    def counting_pairs():
+        for lo, counts in _kernels.intersection_blocks(words):
+            for j, partners in enumerate(_partners(counts), lo):
+                nonprivate = nu = 0
+                if partners:
+                    around = _neighbourhoods(masks, j, partners)
+                    nonprivate = sum(near.bit_count() for near in around) // 2
+                    nu = _matching(around)
+                counted.append((nonprivate, nu))
+            yield lo, counts
+
+    bounds = _kernels.min_cover_sizes(words, d, counting_pairs())
+    if d >= matrix.n:
+        verdict = DisjunctVerdict(True, vacuous=True)
+    else:
+        verdict = _first_covered(matrix, d, bounds)
     isolated = find_isolated_columns(matrix)
-    verdict = is_d_disjunct(matrix, d)
     applies = verdict.is_disjunct and not verdict.vacuous and not isolated
-    masks = matrix.masks
     columns = []
-    for j, partners in enumerate(_partners(matrix.words)):
+    for j, (nonprivate, nu) in enumerate(counted):
         weight = masks[j].bit_count()
-        nonprivate = nu = 0
-        if partners:
-            around = _neighbourhoods(masks, j, partners)
-            nonprivate = sum(near.bit_count() for near in around) // 2
-            nu = _matching(around)
         lemma = {}
         if applies:
             s = weight - d

@@ -1,3 +1,4 @@
+import argparse
 import io
 import os
 import subprocess
@@ -114,7 +115,9 @@ def test_analyze_golden_out_of_range(tmp_path, capsys):
 def test_analyze_runs_the_matrix_wide_checks_once(tmp_path, capsys, monkeypatch):
     path = tmp_path / "p5.dmat"
     save_matrix(affine_plane_matrix(5), path)
-    calls = {"find_isolated_columns": 0, "is_d_disjunct": 0}
+    # the checker's verdict and the pair counts share one pass over the
+    # all-pairs intersection table
+    calls = {"find_isolated_columns": 0, "_first_covered": 0, "intersection_blocks": 0}
     for module in [m for name, m in sys.modules.items() if name.startswith("disjunct.")]:
         for name in calls:
             fn = getattr(module, name, None)
@@ -128,7 +131,7 @@ def test_analyze_runs_the_matrix_wide_checks_once(tmp_path, capsys, monkeypatch)
             monkeypatch.setattr(module, name, spy)
     code, _, _ = run(capsys, "analyze", "--d", "4", str(path))
     assert code == 0
-    assert calls == {"find_isolated_columns": 1, "is_d_disjunct": 1}
+    assert calls == {"find_isolated_columns": 1, "_first_covered": 1, "intersection_blocks": 1}
 
 
 def test_analyze_nonprivate_pairs_match_oracles(mixed_corpus, tmp_path, capsys):
@@ -548,6 +551,127 @@ def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check", "p.dmat"])  # neither --d nor --max
     assert exc.value.code == 2
+
+
+USAGE = (
+    "usage: disjunct [-h]\n"
+    "                {construct,check,analyze,decode,verify-id,bounds,search} ...\n"
+)
+CHECK_USAGE = "usage: disjunct check [-h] (--d D | --max) file\n"
+INVALID_CHOICE = (
+    "disjunct: error: argument command: invalid choice: {!r} (choose from"
+    " 'construct', 'check', 'analyze', 'decode', 'verify-id', 'bounds', 'search')\n"
+)
+# stdout, stderr and exit code of main, as argparse formats them at 80 columns
+USAGE_GOLDEN = {
+    "": ("", USAGE + "disjunct: error: the following arguments are required: command\n", 2),
+    "-h": (
+        USAGE
+        + "\n"
+        "Construct, verify and analyze d-disjunct group-testing matrices.\n"
+        "\n"
+        "positional arguments:\n"
+        "  {construct,check,analyze,decode,verify-id,bounds,search}\n"
+        "    construct           generate matrices\n"
+        "    check               exact disjunctness check\n"
+        "    analyze             per-column private-pair analysis\n"
+        "    decode              naive decoder for an outcome vector\n"
+        "    verify-id           exhaustive identification guarantee check\n"
+        "    bounds              evaluate row lower bounds\n"
+        "    search              exhaustive search for T(d) certificates\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n",
+        "",
+        0,
+    ),
+    "bogus": ("", USAGE + INVALID_CHOICE.format("bogus"), 2),
+    "check": (
+        "",
+        CHECK_USAGE + "disjunct check: error: the following arguments are required: file\n",
+        2,
+    ),
+    "check --help": (
+        CHECK_USAGE
+        + "\n"
+        "positional arguments:\n"
+        "  file        .dmat input\n"
+        "\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n"
+        "  --d D       order to verify\n"
+        "  --max       report the largest order\n",
+        "",
+        0,
+    ),
+    "construct": (
+        "",
+        "usage: disjunct construct [-h] {affine,identity,random} ...\n"
+        "disjunct construct: error: the following arguments are required: kind\n",
+        2,
+    ),
+    "construct random --help": (
+        "usage: disjunct construct random [-h] --d D --t T --n N --seed SEED --attempts\n"
+        "                                 ATTEMPTS [--mixed-weights] [--isolated-free]\n"
+        "                                 -o OUTPUT\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --d D\n"
+        "  --t T\n"
+        "  --n N\n"
+        "  --seed SEED\n"
+        "  --attempts ATTEMPTS\n"
+        "  --mixed-weights\n"
+        "  --isolated-free\n"
+        "  -o OUTPUT, --output OUTPUT\n"
+        "                        output directory\n",
+        "",
+        0,
+    ),
+    "check --d 1 --max F": (
+        "",
+        CHECK_USAGE + "disjunct check: error: argument --max: not allowed with argument --d\n",
+        2,
+    ),
+    "check --d x F": (
+        "",
+        CHECK_USAGE + "disjunct check: error: argument --d: invalid int value: 'x'\n",
+        2,
+    ),
+    "--d 3 check F": ("", USAGE + INVALID_CHOICE.format("3"), 2),
+    "check --d 4 F extra": ("", USAGE + "disjunct: error: unrecognized arguments: extra\n", 2),
+}
+
+
+# argparse words and wraps help and errors differently in other Python
+# versions (3.13 prints "-o, --output OUTPUT"); these are 3.11's, the CI's
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse text of Python 3.11")
+@pytest.mark.parametrize("line", USAGE_GOLDEN)
+def test_usage_golden(monkeypatch, capsys, line):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(line.split())
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err, exc.value.code) == USAGE_GOLDEN[line]
+
+
+def test_main_builds_only_the_invoked_commands_options(monkeypatch, plane_file, capsys):
+    added = set()
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def spy(self, *args, **kwargs):
+        added.update(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", spy)
+    # check's --d and --max go through its mutually exclusive group
+    assert run(capsys, "check", "--max", plane_file) == (0, "max_disjunct_order=2\n", "")
+    assert added == {"-h", "--help", "file"}
+    added.clear()
+    code, stdout, _ = run(capsys, "bounds", "--d", "3")
+    assert code == 0 and stdout.startswith("d=3\n")
+    assert added == {"-h", "--help", "--d", "--n"}
 
 
 def test_byte_identical_reruns(plane_file, capsys):
