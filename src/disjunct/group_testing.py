@@ -52,14 +52,12 @@ class OutcomeVector(_OutcomeVector):
     def from_bitstring(cls, text: str) -> "OutcomeVector":
         if any(ch not in "01" for ch in text):
             raise ValueError("outcome bitstring must contain only 0 and 1")
-        mask = 0
-        for i, ch in enumerate(text):
-            if ch == "1":
-                mask |= 1 << i
-        return cls(len(text), mask)
+        # character i is bit i, so the string is the mask's binary digits
+        # reversed; int and format run in linear time, a bit loop does not
+        return cls(len(text), int(text[::-1] or "0", 2))
 
     def to_bitstring(self) -> str:
-        return "".join("1" if self.mask >> i & 1 else "0" for i in range(self.t))
+        return format(self.mask, f"0{self.t}b")[::-1] if self.t else ""
 
     @property
     def positives(self) -> frozenset[int]:

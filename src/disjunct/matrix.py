@@ -12,7 +12,9 @@ time, one word of every column per block, so no file's text is held whole.
 
 from __future__ import annotations
 
+import os
 import re
+import stat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -268,11 +270,27 @@ def load_matrix(path) -> BinaryMatrix:
         return _read_lines(fh)
 
 
+def _open_untruncated(path, flags):
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 def save_matrix(matrix: BinaryMatrix, path) -> None:
     """Write a .dmat file one 64-row block at a time; a 0-row matrix is
-    refused before ``path`` is created or truncated."""
+    refused before ``path`` is created or written.
+
+    An existing file is rewritten in place, then cut to the new length if it
+    was longer: truncating it to zero first made ext4 force the new blocks
+    out at the next journal commit.  As before, the write is neither atomic
+    nor fsynced, so a crash during writeback may leave old bytes where a
+    truncating writer could leave an empty file; ``.dmat`` outputs are
+    deterministic, so the command can be run again.  Targets that are not
+    regular files (``/dev/null``, a pipe) are never cut."""
     blocks = _text_blocks(matrix)
     header = next(blocks)
-    with open(path, "w", encoding="ascii") as fh:
+    with open(path, "w", encoding="ascii", opener=_open_untruncated) as fh:
         fh.write(header)
         fh.writelines(blocks)
+        fh.flush()
+        status = os.fstat(fh.fileno())
+        if stat.S_ISREG(status.st_mode) and status.st_size > fh.tell():
+            fh.truncate()

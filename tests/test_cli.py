@@ -484,6 +484,24 @@ def test_errors_exit_2(tmp_path, capsys):
         assert stderr == "error: d and n must be >= 1\n"
 
 
+def test_construct_to_dev_null(capsys):
+    code, stdout, stderr = run(capsys, "construct", "affine", "--q", "3", "-o", os.devnull)
+    assert (code, stdout, stderr) == (0, "wrote=/dev/null t=9 n=12\n", "")
+
+
+def test_construct_into_a_bad_target_exit_2(tmp_path, capsys):
+    missing = tmp_path / "no" / "p3.dmat"
+    for target, reason in (
+        (tmp_path, "[Errno 21] Is a directory"),
+        (missing, "[Errno 2] No such file or directory"),
+    ):
+        code, stdout, stderr = run(
+            capsys, "construct", "affine", "--q", "3", "-o", str(target)
+        )
+        assert (code, stdout, stderr) == (2, "", f"error: {reason}: '{target}'\n")
+    assert not missing.parent.exists()
+
+
 def test_construct_refuses_oversize_before_building(monkeypatch, capsys):
     # each builder checks its own shape first: with the limit set low, no
     # column is drawn and no masks reach a matrix

@@ -32,6 +32,23 @@ def test_outcome_vector_bitstring_round_trip():
         OutcomeVector.from_bitstring("102")
 
 
+@pytest.mark.parametrize("t", [0, 1, 63, 64, 65, 1000])
+def test_outcome_vector_bitstrings_match_a_bit_loop(t):
+    rng = random.Random(t)
+    for _ in range(20):
+        text = "".join(rng.choice("01") for _ in range(t))
+        mask = 0
+        for i, ch in enumerate(text):
+            if ch == "1":
+                mask |= 1 << i
+        o = OutcomeVector.from_bitstring(text)
+        assert o == OutcomeVector(t, mask)
+        assert o.to_bitstring() == text
+        assert o.to_bitstring() == "".join(
+            "1" if mask >> i & 1 else "0" for i in range(t)
+        )
+
+
 def test_outcomes_examples(ag):
     m = ag(3)
     assert outcomes(m, []).mask == 0

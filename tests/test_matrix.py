@@ -1,3 +1,4 @@
+import os
 import random
 import tracemalloc
 
@@ -178,6 +179,62 @@ def test_save_refuses_a_zero_row_matrix_before_opening(tmp_path):
         assert str(exc.value) == "cannot serialize a 0-row matrix"
     assert not new.exists()
     assert old.read_bytes() == before == b"2 2\n10\n01\n"
+
+
+def test_save_cuts_a_longer_file_to_the_new_text(ag, tmp_path):
+    path = tmp_path / "m.dmat"
+    save_matrix(ag(5), path)
+    small = BinaryMatrix.from_masks(3, [1, 2, 4])
+    save_matrix(small, path)
+    assert path.read_bytes() == write_matrix(small).encode("ascii")
+
+
+def test_save_rewrites_a_same_size_file(tmp_path):
+    path = tmp_path / "m.dmat"
+    save_matrix(BinaryMatrix.from_masks(2, [1, 2]), path)
+    save_matrix(BinaryMatrix.from_masks(2, [2, 1]), path)
+    assert path.read_bytes() == b"2 2\n01\n10\n"
+
+
+def test_save_writes_through_a_symlink(ag, tmp_path):
+    target, link = tmp_path / "target.dmat", tmp_path / "link.dmat"
+    save_matrix(ag(3), target)
+    link.symlink_to(target)
+    save_matrix(BinaryMatrix.from_masks(2, [1, 2]), link)
+    assert link.is_symlink() and link.resolve() == target
+    assert target.read_bytes() == b"2 2\n10\n01\n"
+
+
+def test_save_to_targets_that_are_not_regular_files(ag):
+    # neither can be cut to length, and neither needs to be
+    save_matrix(ag(3), os.devnull)
+    read_end, write_end = os.pipe()
+    with os.fdopen(read_end, "rb") as reader, os.fdopen(write_end, "wb") as writer:
+        save_matrix(BinaryMatrix.from_masks(2, [1, 2]), f"/dev/fd/{write_end}")
+        writer.close()
+        assert reader.read() == b"2 2\n10\n01\n"
+
+
+def test_save_opens_an_existing_file_without_truncating_it(monkeypatch, tmp_path):
+    # truncating to zero and writing again makes ext4 force the new blocks
+    # out on close; the file is rewritten in place and cut to length instead
+    path = tmp_path / "m.dmat"
+    save_matrix(BinaryMatrix.from_masks(3, [1, 2, 4]), path)
+    calls = []
+    real_open = os.open
+
+    def spy(file, flags, *args, **kwargs):
+        calls.append((os.fspath(file), flags))
+        return real_open(file, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy)
+    save_matrix(BinaryMatrix.from_masks(2, [1, 2]), path)
+    monkeypatch.undo()
+    assert [file for file, _ in calls] == [str(path)]
+    flags = calls[0][1]
+    assert flags & os.O_WRONLY and flags & os.O_CREAT
+    assert not flags & os.O_TRUNC
+    assert path.read_bytes() == b"2 2\n10\n01\n"
 
 
 # -- .dmat format ----------------------------------------------------
