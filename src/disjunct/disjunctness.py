@@ -7,16 +7,16 @@ column j meet it in at least |c_j| rows between them, so when the k
 largest intersections |c_j & c_i| add up to less than |c_j| for every
 k <= d, no cover of at most d columns exists and the column is cleared
 without a search.  The bound only clears columns that have no such
-cover, so it never changes a verdict or a witness.  For every other
-column, the other columns are restricted to their traces on it,
-dominated traces are dropped, and the remaining cover problem is solved
-by depth-bounded branch and bound.  Greedy covering would give false
-positives, so no column is refuted without a concrete cover.
+cover, so it never changes a verdict or a witness.  Every other column
+goes to the one cover-search engine, :func:`_cover_search`: depth-bounded
+branch and bound over the other columns' undominated traces on it, which
+also serves the failing-set search of ``verify-id``.  Greedy covering
+would give false positives, so no column is refuted without a cover.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -49,96 +49,141 @@ class PeelResult(NamedTuple):
     removed_rows: frozenset[int]
 
 
+def _row_holders(words: np.ndarray) -> Callable[[int], int]:
+    """Row r, as its bit, -> the columns holding it, as bits, on demand."""
+    known: dict[int, int] = {}
+
+    def holders(row: int) -> int:
+        if row not in known:
+            r = row.bit_length() - 1
+            bits = ((words[:, r >> 6] >> np.uint64(r & 63)) & np.uint64(1)).astype(np.uint8)
+            known[row] = int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+        return known[row]
+
+    return holders
+
+
+class _TraceTable:
+    """Column j's cover problem, shared by every search on it.  The
+    candidates are the lowest column of each distinct trace on column j
+    that no other trace contains; :meth:`rows` finds them when a search
+    first branches.  ``dead`` holds every search's refuted (uncovered
+    rows, depth left) states."""
+
+    __slots__ = ("masks", "column", "holders", "dead", "_rows")
+
+    def __init__(self, masks: Sequence[int], column: int, holders: Callable[[int], int]):
+        self.masks, self.column, self.holders = masks, column, holders
+        self.dead: set[tuple[int, int]] = set()
+        self._rows: tuple[dict[int, int], int] | None = None
+
+    def rows(self) -> tuple[dict[int, int], int]:
+        """Each row of column j, as its bit, -> the candidates holding it,
+        as bits; and the most rows of column j one candidate holds."""
+        if self._rows is None:
+            masks, j = self.masks, self.column
+            cj = masks[j]
+            rep: dict[int, int] = {}
+            for k, mk in enumerate(masks):
+                trace = mk & cj
+                if trace and k != j and trace not in rep:
+                    rep[trace] = k
+            # dominance pruning: a trace contained in another never helps
+            maximal = _maximal(rep)
+            rows = dict.fromkeys((1 << r for r in _iter_bits(cj)), 0)
+            if sum(map(int.bit_count, maximal)) > 16 * len(rows):
+                # dense: masking a row's holder costs about 16 bit steps
+                allowed = sum(1 << rep[m] for m in maximal)
+                rows = {row: self.holders(row) & allowed for row in rows}
+            else:  # one step per trace bit
+                for m in maximal:
+                    column = 1 << rep[m]
+                    while m:
+                        low = m & -m
+                        rows[low] |= column
+                        m ^= low
+            self._rows = rows, maximal[0].bit_count() if maximal else 0
+        return self._rows
+
+    def lowest_holder(self, rows: int) -> int | None:
+        """The lowest candidate that holds ``rows``, a nonempty subset of
+        column j, or None when no column does."""
+        if self._rows is not None:
+            hold = -1
+            while rows and hold:
+                low = rows & -rows
+                hold &= self._rows[0][low]
+                rows ^= low
+            return (hold & -hold).bit_length() - 1 if hold else None
+        # a trace that contains a held trace is held too, so the lowest
+        # candidate is the first held column that no held trace outgrows
+        masks, j = self.masks, self.column
+        held = [(k, mk & masks[j]) for k, mk in enumerate(masks) if mk & rows == rows and k != j]
+        top = set(_maximal(trace for _, trace in held))
+        return next((k for k, trace in held if trace in top), None)
+
+
 def _cover_search(
-    masks: Sequence[int], j: int, depths: Iterable[int]
+    table: _TraceTable, target: int, depths: Iterable[int]
 ) -> list[int] | None:
-    """Find columns (other than j) whose union contains column j.
+    """Columns (other than j) whose union holds ``target``, a subset of
+    column j, found over column j's trace table.
 
     Tries each bound in ``depths`` in order and returns the first cover of
-    at most that many columns, or None when no bound admits one.  The
-    trace table is built once and one ``dead`` set of refuted
-    (uncovered rows, depth left) states is shared by every bound: such a
-    state does not depend on the bound it was reached from, so passing
-    increasing bounds deepens iteratively at the cost of one table.
-    Deterministic: branches on the uncovered row with the fewest covering
-    traces (lowest row index on ties), candidate traces ordered by their
-    representative column id.
+    at most that many columns, or None when no bound admits one.  A
+    refuted (uncovered rows, depth left) state depends on neither bound
+    nor target, so the table's ``dead`` set serves every search on it.
+    Deterministic: branches on the uncovered row with the fewest
+    candidates (lowest row on ties), trying them in column order; with
+    one column left it takes the lowest candidate holding every uncovered
+    row, the one that order would reach first.
     """
-    cj = masks[j]
-    if cj == 0:
-        return []  # the empty column is covered by the empty union
-
-    # traces of the other columns on the support of column j, one
-    # representative column id (the lowest) per distinct trace
-    rep: dict[int, int] = {}
-    for k, mk in enumerate(masks):
-        if k == j:
-            continue
-        trace = mk & cj
-        if trace and trace not in rep:
-            rep[trace] = k
-
-    # dominance pruning: a trace contained in another trace never helps
-    traces = sorted(((m, rep[m]) for m in _maximal(rep)), key=lambda mc: mc[1])
-
-    rows = list(_iter_bits(cj))
-    covering: dict[int, list[int]] = {r: [] for r in rows}
-    for ti, (m, _) in enumerate(traces):
-        for r in _iter_bits(m):
-            covering[r].append(ti)
-    if any(not lst for lst in covering.values()):
-        return None  # some row of j is private against all other columns
-
-    max_trace = max(m.bit_count() for m, _ in traces)
-    dead: set[tuple[int, int]] = set()
-
-    def dfs(depth: int) -> list[int] | None:
-        """Depth-first over an explicit stack, so a cover may run to any
-        number of columns: one (uncovered rows, depth left, untried
-        traces) frame per open node, and ``chosen`` holds the column each
-        open node is trying."""
-        uncovered, depth_left = cj, depth
-        stack: list[tuple[int, int, Iterator[int]]] = []
-        chosen: list[int] = []
+    masks, dead = table.masks, table.dead
+    for depth in depths:
+        # depth-first over an explicit stack, so a cover may run to any
+        # number of columns: one (uncovered rows, depth left, untried
+        # candidates) frame per open node; chosen[i] is frame i's column
+        uncovered, depth_left = target, depth
+        stack, chosen = [], []
         while True:
             if uncovered == 0:
                 return chosen
-            if (
-                depth_left
-                and uncovered.bit_count() <= depth_left * max_trace
-                and (uncovered, depth_left) not in dead
-            ):
-                # fail-first: branch on the uncovered row with the fewest traces
-                branch_row = -1
-                branch_count = -1
-                rest = uncovered
-                while rest:
-                    low = rest & -rest
-                    r = low.bit_length() - 1
-                    rest ^= low
-                    c = len(covering[r])
-                    if branch_count < 0 or c < branch_count:
-                        branch_row, branch_count = r, c
-                stack.append((uncovered, depth_left, iter(covering[branch_row])))
-                chosen.append(-1)
-            # back up to the deepest open node with a trace left to try
+            if depth_left == 1:
+                column = table.lowest_holder(uncovered)
+                if column is not None:
+                    return chosen + [column]
+            elif depth_left:
+                candidates, widest = table.rows()
+                state = uncovered, depth_left
+                if uncovered.bit_count() <= depth_left * widest and state not in dead:
+                    # fail-first: the uncovered row with the fewest
+                    # candidates.  A row with one ends the scan: only a row
+                    # with none has fewer, and then no branch has a cover
+                    branch_row, fewest = 0, len(masks)
+                    rest = uncovered
+                    while rest:
+                        low = rest & -rest
+                        rest ^= low
+                        c = candidates[low].bit_count()
+                        if c < fewest:
+                            branch_row, fewest = low, c
+                            if c <= 1:
+                                break
+                    stack.append((uncovered, depth_left, _iter_bits(candidates[branch_row])))
+                    chosen.append(-1)
+            # back up to the deepest open node with a candidate left to try
             while stack:
                 uncovered, depth_left, untried = stack[-1]
-                ti = next(untried, None)
-                if ti is not None:
+                column = next(untried, None)
+                if column is not None:
                     break
                 dead.add((uncovered, depth_left))
                 stack.pop()
                 chosen.pop()
             else:
-                return None
-            m, chosen[-1] = traces[ti]
-            uncovered, depth_left = uncovered & ~m, depth_left - 1
-
-    for depth in depths:
-        cover = dfs(depth)
-        if cover is not None:
-            return cover
+                break  # no cover of at most depth columns
+            chosen[-1] = column
+            uncovered, depth_left = uncovered & ~masks[column], depth_left - 1
     return None
 
 
@@ -159,8 +204,9 @@ def _first_covered(matrix: BinaryMatrix, d: int, bounds: np.ndarray) -> Disjunct
     """The verdict of :func:`is_d_disjunct` at 1 <= d < n, given the
     counting bounds ``_kernels.min_cover_sizes(matrix.words, d)``."""
     # a column whose counting bound exceeds d has no cover to search for
+    masks, holders = matrix.masks, _row_holders(matrix.words)
     for j in np.flatnonzero(bounds <= d).tolist():
-        cover = _cover_search(matrix.masks, j, (d,))
+        cover = _cover_search(_TraceTable(masks, j, holders), masks[j], (d,))
         if cover is not None:
             return DisjunctVerdict(False, Witness(j, tuple(cover)))
     return DisjunctVerdict(True)
@@ -171,18 +217,19 @@ def max_disjunct_order(matrix: BinaryMatrix) -> int:
 
     0 means some column is contained in another.  Equivalent to running
     the checker for increasing d, but each column's minimum cover size is
-    found by one iteratively deepened search over its trace table, up to
-    the best order found so far (larger covers cannot lower it).  A column
-    whose counting bound exceeds that order is skipped unsearched.
+    found by one search over its trace table, deepened from its counting
+    bound up to the best order found so far (larger covers cannot lower
+    it).  A column whose bound exceeds that order is skipped unsearched.
     """
     best = matrix.n - 1
     bounds = _kernels.min_cover_sizes(matrix.words, best).tolist()
+    masks, holders = matrix.masks, _row_holders(matrix.words)
     for j, bound in enumerate(bounds):
         if best == 0:
             break
         if bound > best:
             continue  # no cover of at most best columns
-        cover = _cover_search(matrix.masks, j, range(1, best + 1))
+        cover = _cover_search(_TraceTable(masks, j, holders), masks[j], range(bound, best + 1))
         if cover is not None:
             best = min(best, max(1, len(cover)) - 1)
     return best

@@ -8,8 +8,8 @@ recovers any positive set of size at most d exactly.
 The guarantee fails exactly when the union of at most d columns holds a
 column outside them, so :func:`verify_identification` decides it with
 the disjunctness checker instead of decoding every positive set.  On a
-failure it searches the columns' covers in lex order for the first
-failing set, and counts the sets before it with binomials.
+failure the checker's cover-search engine finds the first failing set in
+lex order, and binomials count the sets before it.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from . import _kernels
-from .disjunctness import _first_covered
+from .disjunctness import Witness, _TraceTable, _cover_search, _first_covered, _row_holders
 from .matrix import BinaryMatrix, _iter_bits, _mask_to_words
 
 
@@ -50,7 +50,7 @@ class OutcomeVector(_OutcomeVector):
 
     @classmethod
     def from_bitstring(cls, text: str) -> "OutcomeVector":
-        if any(ch not in "01" for ch in text):
+        if not set(text) <= {"0", "1"}:
             raise ValueError("outcome bitstring must contain only 0 and 1")
         # character i is bit i, so the string is the mask's binary digits
         # reversed; int and format run in linear time, a bit loop does not
@@ -136,7 +136,7 @@ def verify_identification(
     verdict = _first_covered(matrix, limit, bounds)
     if verdict.is_disjunct:
         return IdentificationReport(ok=True, cases=total)
-    failure = _first_failing_set(matrix, len(verdict.witness.covering), bounds.tolist())
+    failure = _first_failing_set(matrix, verdict.witness, bounds.tolist())
     k = len(failure)
     return IdentificationReport(
         ok=False,
@@ -146,77 +146,28 @@ def verify_identification(
 
 
 def _first_failing_set(
-    matrix: BinaryMatrix, size: int, bounds: list[int]
+    matrix: BinaryMatrix, witness: Witness, bounds: list[int]
 ) -> tuple[int, ...]:
     """The lex-first set of fewest columns whose union holds a column
-    outside it, when some set of ``size`` columns covers another column.
+    outside it, given the checker's ``witness`` at d (no column before its
+    column has a cover) and the counting ``bounds`` at d.
 
     The fewest is the least minimum cover size over the columns, and the
-    set is the least of the lex-first covers of that size, over the
-    columns that have one.  ``bounds`` are the counting bounds
-    ``_kernels.min_cover_sizes`` at any limit of at least ``size``: every
-    value above ``size`` reads as ``size + 1``, no cover of ``size``
-    columns or fewer.
+    set is the least of the lex-first covers of that size.
     """
-    masks, words = matrix.masks, matrix.words
-
-    @cache
-    def holders(r: int) -> int:
-        """The columns that hold row r, as bits."""
-        bits = (words[:, r >> 6] >> np.uint64(r & 63)) & np.uint64(1)
-        packed = np.packbits(bits.astype(np.uint8), bitorder="little")
-        return int.from_bytes(packed.tobytes(), "little")
-
-    @cache
-    def widest(j: int) -> int:
-        """The most rows of column j that another column holds."""
-        counts = _kernels.intersection_counts(words, words[j])
-        counts[j] = 0
-        return int(counts.max())
-
-    def cover_of(j: int, uncovered: int, start: int, left: int) -> list[int] | None:
-        """At most ``left`` columns from ``start`` on, j not among them,
-        that hold ``uncovered``, or None: fail-first, one of them holds the
-        uncovered row with the fewest holders.  Depth-first over an
-        explicit stack of (uncovered rows, columns left, untried columns)
-        frames, so the cover may run to any number of columns; ``chosen``
-        holds the column each open frame is trying."""
-        at = -1 << start & ~(1 << j)
-        stack, chosen = [], []
-        while True:
-            if uncovered == 0:
-                return chosen
-            if uncovered.bit_count() <= left * widest(j):
-                if left > 1:
-                    fewest = min((holders(r) & at for r in _iter_bits(uncovered)), key=int.bit_count)
-                    stack.append((uncovered, left, _iter_bits(fewest)))
-                    chosen.append(-1)
-                else:  # one column left: some column holds every row
-                    hold = at
-                    for r in _iter_bits(uncovered):
-                        hold &= holders(r)
-                        if not hold:
-                            break
-                    else:
-                        return chosen + [(hold & -hold).bit_length() - 1]
-            # back up to the deepest open frame with a column left to try
-            while stack:
-                uncovered, left, untried = stack[-1]
-                chosen[-1] = next(untried, None)
-                if chosen[-1] is not None:
-                    break
-                stack.pop()
-                chosen.pop()
-            else:
-                return None
-            uncovered, left = uncovered & ~masks[chosen[-1]], left - 1
+    masks, holders = matrix.masks, _row_holders(matrix.words)
+    tables = cache(lambda j: _TraceTable(masks, j, holders))
 
     def lex_first(j: int, k: int, stop: int) -> tuple[int, ...] | None:
         """The lex-first k columns, the first below ``stop``, that cover
-        column j, when no fewer do: each the least past the last that
-        leaves the rest of j coverable by the columns past it.  The cover
-        found for one pick, less its least column, covers what picking
-        that column leaves, so that pick needs no search."""
+        column j, when no column has a cover of fewer: each the least past
+        the last that leaves the rest of j coverable.  A probe searches all
+        columns but j: with C picked, c the lex-first cover's next column
+        and i probed, a cover R of the rest makes C + [i] + R a cover of k
+        columns, which would precede the lex-first one were i below c or a
+        column of R below i.  So probes below c fail, as over the columns
+        past i alone, and R lies past c: less its least column, it covers
+        what picking that column leaves, so that pick needs no search."""
         chosen, uncovered, start, rest = [], masks[j], 0, None
         for left in range(k - 1, -1, -1):
             least = min(rest) if rest else -1
@@ -226,7 +177,7 @@ def _first_failing_set(
                 if i == least:
                     rest.remove(i)
                     break
-                found = cover_of(j, uncovered & ~masks[i], i + 1, left)
+                found = _cover_search(tables(j), uncovered & ~masks[i], (left,))
                 if found is not None:
                     rest = found
                     break
@@ -239,12 +190,13 @@ def _first_failing_set(
 
     # k grows from the least counting bound until some column has a cover
     # of k columns; a column's cover is searched for only from its bound
-    for k in range(min(bounds), size + 1):
+    first, size = witness.column, len(witness.covering)
+    for k in range(min(bounds[first:]), size + 1):
         best = None
-        for j, bound in enumerate(bounds):
+        for j in range(first, len(masks)):
             # once a set is found, only one that starts at or before its
             # first column can beat it
-            if bound <= k and (best or cover_of(j, masks[j], 0, k) is not None):
+            if bounds[j] <= k and (best or _cover_search(tables(j), masks[j], (k,)) is not None):
                 cover = lex_first(j, k, best[0] + 1 if best else len(masks))
                 if cover and (best is None or cover < best):
                     best = cover

@@ -1,8 +1,12 @@
-"""Independent brute-force oracles the library implementations are checked against.
+"""Oracles the library implementations are checked against.
 
-Everything here is deliberately naive: plain enumeration over subsets,
-no bit-packing tricks shared with the library, so a bug in the fast path
-cannot hide in the oracle.
+The brute-force oracles (``brute_*``) are deliberately naive: plain
+enumeration over subsets, sharing no code with the library, so a bug in
+the fast path cannot hide in them.  The reference loops (``reference_is_d_disjunct``,
+``reference_max_disjunct_order``, ``passes_incremental``) are former
+library loops kept to check the loops that replaced them; they call the
+library's cover-search engine, ``disjunctness._cover_search``, which the
+disjunctness tests check against brute force.
 """
 
 from itertools import combinations
@@ -14,6 +18,8 @@ from disjunct.disjunctness import (
     DisjunctVerdict,
     Witness,
     _cover_search,
+    _row_holders,
+    _TraceTable,
     is_d_disjunct,
 )
 from disjunct.matrix import BinaryMatrix
@@ -68,9 +74,9 @@ def reference_is_d_disjunct(matrix, d):
         raise ValueError("d must be >= 1")
     if d >= matrix.n:
         return DisjunctVerdict(True, vacuous=True)
-    masks = matrix.masks
+    masks, holders = matrix.masks, _row_holders(matrix.words)
     for j in range(matrix.n):
-        cover = _cover_search(masks, j, (d,))
+        cover = _cover_search(_TraceTable(masks, j, holders), masks[j], (d,))
         if cover is not None:
             return DisjunctVerdict(False, Witness(j, tuple(cover)))
     return DisjunctVerdict(True)
@@ -79,12 +85,12 @@ def reference_is_d_disjunct(matrix, d):
 def reference_max_disjunct_order(matrix):
     """``max_disjunct_order``'s former loop: every column searched, up to
     the best order found so far."""
-    masks = matrix.masks
+    masks, holders = matrix.masks, _row_holders(matrix.words)
     best = matrix.n - 1
     for j in range(matrix.n):
         if best == 0:
             break
-        cover = _cover_search(masks, j, range(1, best + 1))
+        cover = _cover_search(_TraceTable(masks, j, holders), masks[j], range(1, best + 1))
         if cover is not None:
             best = min(best, max(1, len(cover)) - 1)
     return best
@@ -151,8 +157,10 @@ def passes_incremental(masks, d):
     depth = min(d, len(masks) - 1)
     if depth < 1:
         return True
+    t = max(mask.bit_length() for mask in masks)
+    holders = _row_holders(BinaryMatrix.from_masks(t, masks).words)
     for j in range(len(masks)):
-        if _cover_search(masks, j, (depth,)) is not None:
+        if _cover_search(_TraceTable(masks, j, holders), masks[j], (depth,)) is not None:
             return False
     return True
 

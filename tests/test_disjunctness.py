@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 
@@ -17,6 +18,7 @@ from disjunct import (
     peel_isolated,
     peel_to_core,
 )
+from disjunct.disjunctness import _cover_search, _row_holders, _TraceTable
 from disjunct.matrix import _private_rows
 from oracles import (
     brute_is_d_disjunct,
@@ -174,6 +176,96 @@ def test_cover_of_a_thousand_columns():
     verdict = is_d_disjunct(m, t)
     assert verdict.witness == Witness(0, tuple(range(1, t + 1)))
     assert max_disjunct_order(m) == 0
+
+
+def holds_by_brute_force(masks, j, target, depth):
+    """Do at most ``depth`` columns other than j hold the rows ``target``?"""
+    others = [k for k in range(len(masks)) if k != j]
+    for size in range(depth + 1):
+        for group in combinations(others, size):
+            union = 0
+            for k in group:
+                union |= masks[k]
+            if target & ~union == 0:
+                return True
+    return False
+
+
+def test_cover_search_engine_matches_brute_force():
+    # one table answers mixed targets and depths, deepest first and
+    # shallowest first: the states it refutes for one query must stay
+    # refuted for the next, and no query may see another's answer
+    rng = random.Random(46)
+    for _ in range(250):
+        t, n = rng.randint(1, 8), rng.randint(2, 8)
+        m = BinaryMatrix.from_masks(t, random_masks(rng, t, n))
+        masks, holders = m.masks, _row_holders(m.words)
+        for j in range(n):
+            queries = [(masks[j] & rng.getrandbits(t), rng.randint(1, 3)) for _ in range(6)]
+            for reverse in (False, True):
+                table = _TraceTable(masks, j, holders)
+                for target, depth in sorted(queries, key=lambda q: q[1], reverse=reverse):
+                    cover = _cover_search(table, target, (depth,))
+                    assert (cover is not None) == holds_by_brute_force(masks, j, target, depth)
+                    if cover is not None:
+                        assert len(cover) <= depth and j not in cover
+                        union = 0
+                        for k in cover:
+                            union |= masks[k]
+                        assert target & ~union == 0
+                    # a fresh table, which has not branched yet, agrees
+                    fresh = _TraceTable(masks, j, holders)
+                    assert _cover_search(fresh, target, (depth,)) == cover
+
+
+def test_trace_table_rows_hold_the_undominated_traces():
+    # each row of column j maps to the lowest column of every trace on j
+    # that no other trace contains, by transposing sparse traces and by
+    # masking the matrix's row holders for dense ones
+    rng = random.Random(47)
+    dense = sparse = 0
+    shapes = [(rng.randint(1, 16), rng.randint(2, 30), rng.choice((0.2, 0.5, 0.7)))
+              for _ in range(60)]
+    for t, n, p in shapes + [(24, 56, 0.5)] * 6:
+        bits = [[rng.random() < p for _ in range(t)] for _ in range(n)]
+        m = BinaryMatrix.from_masks(t, [sum(b << r for r, b in enumerate(col)) for col in bits])
+        masks, holders = m.masks, _row_holders(m.words)
+        for j in range(n):
+            traces = {k: masks[k] & masks[j] for k in range(n) if k != j and masks[k] & masks[j]}
+            candidates = [
+                k for k, trace in traces.items()
+                if not any(
+                    other | trace == other and (other != trace or i < k)
+                    for i, other in traces.items() if i != k
+                )
+            ]
+            expected = {
+                1 << r: sum(1 << k for k in candidates if masks[k] >> r & 1)
+                for r in range(t) if masks[j] >> r & 1
+            }
+            widest = max((traces[k].bit_count() for k in candidates), default=0)
+            assert _TraceTable(masks, j, holders).rows() == (expected, widest)
+            if sum(traces[k].bit_count() for k in candidates) > 16 * masks[j].bit_count():
+                dense += 1
+            else:
+                sparse += 1
+    assert dense and sparse
+
+
+def test_witnesses_are_pinned():
+    # the search order fixes every witness: the lowest-index covered column
+    # and the first cover found for it, as the checker reported them
+    # before its cover search and verify-id's became one engine
+    rng = random.Random(48)
+    lines = []
+    for _ in range(200):
+        t, n = rng.randint(6, 14), rng.randint(6, 14)
+        m = BinaryMatrix.from_masks(t, [rng.getrandbits(t) | rng.getrandbits(t) for _ in range(n)])
+        for d in (1, 2, 3):
+            verdict = is_d_disjunct(m, d)
+            lines.append(f"{d} {verdict.is_disjunct} {verdict.witness}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "3e01935c9737ccf430e59adc0be30d0d3d57e2d1ee78cfe535b788acc8d8284e"
 
 
 def test_max_order_matches_checker_ladder():

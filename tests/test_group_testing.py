@@ -28,8 +28,10 @@ def test_outcome_vector_bitstring_round_trip():
     o = OutcomeVector.from_bitstring("10110")
     assert o.t == 5 and o.positives == frozenset({0, 2, 3})
     assert o.to_bitstring() == "10110"
-    with pytest.raises(ValueError):
-        OutcomeVector.from_bitstring("102")
+    # int(..., 2) reads the last three, so only the 0/1 check refuses them
+    for text in ("102", "0_1", "\uff110", " 01"):
+        with pytest.raises(ValueError):
+            OutcomeVector.from_bitstring(text)
 
 
 @pytest.mark.parametrize("t", [0, 1, 63, 64, 65, 1000])
