@@ -10,8 +10,10 @@ without a search.  The bound only clears columns that have no such
 cover, so it never changes a verdict or a witness.  Every other column
 goes to the one cover-search engine, :func:`_cover_search`: depth-bounded
 branch and bound over the other columns' undominated traces on it, which
-also serves the failing-set search of ``verify-id``.  Greedy covering
-would give false positives, so no column is refuted without a cover.
+also serves the failing-set search of ``verify-id``.  The trace tables
+of one matrix share its rows' holding columns, each row found once.
+Greedy covering would give false positives, so no column is refuted
+without a cover.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import _kernels
-from .matrix import BinaryMatrix, _iter_bits, _maximal, _private_rows
+from .matrix import BinaryMatrix, _iter_bits, _private_rows
 
 
 class Witness(NamedTuple):
@@ -49,78 +51,97 @@ class PeelResult(NamedTuple):
     removed_rows: frozenset[int]
 
 
-def _row_holders(words: np.ndarray) -> Callable[[int], int]:
-    """Row r, as its bit, -> the columns holding it, as bits, on demand."""
-    known: dict[int, int] = {}
-
-    def holders(row: int) -> int:
-        if row not in known:
-            r = row.bit_length() - 1
-            bits = ((words[:, r >> 6] >> np.uint64(r & 63)) & np.uint64(1)).astype(np.uint8)
-            known[row] = int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-        return known[row]
-
-    return holders
-
-
 class _TraceTable:
     """Column j's cover problem, shared by every search on it.  The
     candidates are the lowest column of each distinct trace on column j
-    that no other trace contains; :meth:`rows` finds them when a search
-    first branches.  ``dead`` holds every search's refuted (uncovered
-    rows, depth left) states."""
+    that no other trace contains, found when a search first branches.
+    ``holders`` maps a row, as its bit, to the columns holding it, as
+    bits: the tables of one matrix share it, and each fills in its
+    column's rows when a search first needs them.  ``dead`` holds every
+    search's refuted (uncovered rows, depth left) states."""
 
-    __slots__ = ("masks", "column", "holders", "dead", "_rows")
+    __slots__ = ("masks", "column", "holders", "dead", "_candidates")
 
-    def __init__(self, masks: Sequence[int], column: int, holders: Callable[[int], int]):
+    def __init__(self, masks: Sequence[int], column: int, holders: dict[int, int]):
         self.masks, self.column, self.holders = masks, column, holders
         self.dead: set[tuple[int, int]] = set()
-        self._rows: tuple[dict[int, int], int] | None = None
+        self._candidates: tuple[int, int] | None = None
 
-    def rows(self) -> tuple[dict[int, int], int]:
-        """Each row of column j, as its bit, -> the candidates holding it,
-        as bits; and the most rows of column j one candidate holds."""
-        if self._rows is None:
+    def candidates(self) -> tuple[int, int]:
+        """The candidates, as bits, and the most rows of column j one of
+        them holds."""
+        if self._candidates is None:
+            self._fill()
             masks, j = self.masks, self.column
-            cj = masks[j]
-            rep: dict[int, int] = {}
+            count: dict[int, int] = {}  # columns but j with each trace
             for k, mk in enumerate(masks):
-                trace = mk & cj
-                if trace and k != j and trace not in rep:
-                    rep[trace] = k
+                trace = mk & masks[j]
+                if trace and k != j:
+                    count[trace] = count.get(trace, 0) + 1
             # dominance pruning: a trace contained in another never helps
-            maximal = _maximal(rep)
-            rows = dict.fromkeys((1 << r for r in _iter_bits(cj)), 0)
-            if sum(map(int.bit_count, maximal)) > 16 * len(rows):
-                # dense: masking a row's holder costs about 16 bit steps
-                allowed = sum(1 << rep[m] for m in maximal)
-                rows = {row: self.holders(row) & allowed for row in rows}
-            else:  # one step per trace bit
-                for m in maximal:
-                    column = 1 << rep[m]
-                    while m:
-                        low = m & -m
-                        rows[low] |= column
-                        m ^= low
-            self._rows = rows, maximal[0].bit_count() if maximal else 0
-        return self._rows
+            top = {
+                trace: k for trace, c in count.items() if (k := self._top(trace, c)) is not None
+            }
+            widest = max(map(int.bit_count, top), default=0)
+            self._candidates = sum(1 << k for k in top.values()), widest
+        return self._candidates
 
     def lowest_holder(self, rows: int) -> int | None:
         """The lowest candidate that holds ``rows``, a nonempty subset of
         column j, or None when no column does."""
-        if self._rows is not None:
-            hold = -1
-            while rows and hold:
-                low = rows & -rows
-                hold &= self._rows[0][low]
-                rows ^= low
+        known = self._candidates is not None
+        if not known:
+            self._fill()
+        hold = self._candidates[0] if known else ~(1 << self.column)
+        while rows and hold:
+            low = rows & -rows
+            hold &= self.holders[low]
+            rows ^= low
+        if known or not hold:
             return (hold & -hold).bit_length() - 1 if hold else None
-        # a trace that contains a held trace is held too, so the lowest
-        # candidate is the first held column that no held trace outgrows
-        masks, j = self.masks, self.column
-        held = [(k, mk & masks[j]) for k, mk in enumerate(masks) if mk & rows == rows and k != j]
-        top = set(_maximal(trace for _, trace in held))
-        return next((k for k, trace in held if trace in top), None)
+        # a trace that contains a held trace is held too, and so is every
+        # column with it: the lowest candidate is the first held column
+        # with an undominated trace
+        cj = self.masks[self.column]
+        held = [(k, self.masks[k] & cj) for k in _iter_bits(hold)]
+        traces = [trace for _, trace in held]
+        return next(k for k, trace in held if self._top(trace, traces.count(trace)) is not None)
+
+    def _top(self, trace: int, count: int) -> int | None:
+        """The lowest column with ``trace``, a trace on column j that
+        ``count`` columns have, when no trace strictly contains it: that
+        is, when those are all the columns but j holding its rows.  None
+        otherwise."""
+        holders = self.holders
+        low = trace & -trace
+        held, rows = holders[low] & ~(1 << self.column), trace ^ low
+        while rows and held & (held - 1):  # one column left must be the trace's
+            low = rows & -rows
+            held &= holders[low]
+            rows ^= low
+        return (held & -held).bit_length() - 1 if held.bit_count() == count else None
+
+    def _fill(self) -> None:
+        """Transposes the matrix on the rows of column j that ``holders``
+        lacks; ``holders[0]`` is the mask of the rows it has."""
+        holders = self.holders
+        fresh_rows = self.masks[self.column] & ~holders[0]
+        if fresh_rows:
+            holders[0] |= fresh_rows
+            for k, mk in enumerate(self.masks):
+                m = mk & fresh_rows
+                while m:
+                    low = m & -m
+                    holders[low] = holders.get(low, 0) | 1 << k
+                    m ^= low
+
+
+def _trace_tables(masks: Sequence[int]) -> Callable[[int], _TraceTable]:
+    """Column j -> a new trace table for column j of ``masks``; the tables
+    share one ``holders`` map, so each row is transposed at most once."""
+    holders = {0: 0}  # no row is a 0 bit, so key 0 can hold the rows filled in
+    return lambda j: _TraceTable(masks, j, holders)
+
 
 
 def _cover_search(
@@ -138,7 +159,7 @@ def _cover_search(
     one column left it takes the lowest candidate holding every uncovered
     row, the one that order would reach first.
     """
-    masks, dead = table.masks, table.dead
+    masks, holders, dead = table.masks, table.holders, table.dead
     for depth in depths:
         # depth-first over an explicit stack, so a cover may run to any
         # number of columns: one (uncovered rows, depth left, untried
@@ -153,7 +174,7 @@ def _cover_search(
                 if column is not None:
                     return chosen + [column]
             elif depth_left:
-                candidates, widest = table.rows()
+                allowed, widest = table.candidates()
                 state = uncovered, depth_left
                 if uncovered.bit_count() <= depth_left * widest and state not in dead:
                     # fail-first: the uncovered row with the fewest
@@ -164,12 +185,13 @@ def _cover_search(
                     while rest:
                         low = rest & -rest
                         rest ^= low
-                        c = candidates[low].bit_count()
+                        c = (holders[low] & allowed).bit_count()
                         if c < fewest:
                             branch_row, fewest = low, c
                             if c <= 1:
                                 break
-                    stack.append((uncovered, depth_left, _iter_bits(candidates[branch_row])))
+                    untried = _iter_bits(holders[branch_row] & allowed)
+                    stack.append((uncovered, depth_left, untried))
                     chosen.append(-1)
             # back up to the deepest open node with a candidate left to try
             while stack:
@@ -204,9 +226,9 @@ def _first_covered(matrix: BinaryMatrix, d: int, bounds: np.ndarray) -> Disjunct
     """The verdict of :func:`is_d_disjunct` at 1 <= d < n, given the
     counting bounds ``_kernels.min_cover_sizes(matrix.words, d)``."""
     # a column whose counting bound exceeds d has no cover to search for
-    masks, holders = matrix.masks, _row_holders(matrix.words)
+    masks, tables = matrix.masks, _trace_tables(matrix.masks)
     for j in np.flatnonzero(bounds <= d).tolist():
-        cover = _cover_search(_TraceTable(masks, j, holders), masks[j], (d,))
+        cover = _cover_search(tables(j), masks[j], (d,))
         if cover is not None:
             return DisjunctVerdict(False, Witness(j, tuple(cover)))
     return DisjunctVerdict(True)
@@ -223,13 +245,13 @@ def max_disjunct_order(matrix: BinaryMatrix) -> int:
     """
     best = matrix.n - 1
     bounds = _kernels.min_cover_sizes(matrix.words, best).tolist()
-    masks, holders = matrix.masks, _row_holders(matrix.words)
+    masks, tables = matrix.masks, _trace_tables(matrix.masks)
     for j, bound in enumerate(bounds):
         if best == 0:
             break
         if bound > best:
             continue  # no cover of at most best columns
-        cover = _cover_search(_TraceTable(masks, j, holders), masks[j], range(bound, best + 1))
+        cover = _cover_search(tables(j), masks[j], range(bound, best + 1))
         if cover is not None:
             best = min(best, max(1, len(cover)) - 1)
     return best

@@ -14,14 +14,13 @@ lex order, and binomials count the sets before it.
 
 from __future__ import annotations
 
-from functools import cache
 from math import comb
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from . import _kernels
-from .disjunctness import Witness, _TraceTable, _cover_search, _first_covered, _row_holders
+from .disjunctness import Witness, _TraceTable, _cover_search, _first_covered, _trace_tables
 from .matrix import BinaryMatrix, _iter_bits, _mask_to_words
 
 
@@ -155,10 +154,9 @@ def _first_failing_set(
     The fewest is the least minimum cover size over the columns, and the
     set is the least of the lex-first covers of that size.
     """
-    masks, holders = matrix.masks, _row_holders(matrix.words)
-    tables = cache(lambda j: _TraceTable(masks, j, holders))
+    masks, tables = matrix.masks, _trace_tables(matrix.masks)
 
-    def lex_first(j: int, k: int, stop: int) -> tuple[int, ...] | None:
+    def lex_first(table: _TraceTable, k: int, stop: int) -> tuple[int, ...] | None:
         """The lex-first k columns, the first below ``stop``, that cover
         column j, when no column has a cover of fewer: each the least past
         the last that leaves the rest of j coverable.  A probe searches all
@@ -168,6 +166,7 @@ def _first_failing_set(
         column of R below i.  So probes below c fail, as over the columns
         past i alone, and R lies past c: less its least column, it covers
         what picking that column leaves, so that pick needs no search."""
+        j = table.column
         chosen, uncovered, start, rest = [], masks[j], 0, None
         for left in range(k - 1, -1, -1):
             least = min(rest) if rest else -1
@@ -177,7 +176,7 @@ def _first_failing_set(
                 if i == least:
                     rest.remove(i)
                     break
-                found = _cover_search(tables(j), uncovered & ~masks[i], (left,))
+                found = _cover_search(table, uncovered & ~masks[i], (left,))
                 if found is not None:
                     rest = found
                     break
@@ -196,8 +195,9 @@ def _first_failing_set(
         for j in range(first, len(masks)):
             # once a set is found, only one that starts at or before its
             # first column can beat it
-            if bounds[j] <= k and (best or _cover_search(tables(j), masks[j], (k,)) is not None):
-                cover = lex_first(j, k, best[0] + 1 if best else len(masks))
+            table = tables(j) if bounds[j] <= k else None
+            if table and (best or _cover_search(table, masks[j], (k,)) is not None):
+                cover = lex_first(table, k, best[0] + 1 if best else len(masks))
                 if cover and (best is None or cover < best):
                     best = cover
         if best:

@@ -18,8 +18,7 @@ from disjunct.disjunctness import (
     DisjunctVerdict,
     Witness,
     _cover_search,
-    _row_holders,
-    _TraceTable,
+    _trace_tables,
     is_d_disjunct,
 )
 from disjunct.matrix import BinaryMatrix
@@ -74,9 +73,9 @@ def reference_is_d_disjunct(matrix, d):
         raise ValueError("d must be >= 1")
     if d >= matrix.n:
         return DisjunctVerdict(True, vacuous=True)
-    masks, holders = matrix.masks, _row_holders(matrix.words)
+    masks, tables = matrix.masks, _trace_tables(matrix.masks)
     for j in range(matrix.n):
-        cover = _cover_search(_TraceTable(masks, j, holders), masks[j], (d,))
+        cover = _cover_search(tables(j), masks[j], (d,))
         if cover is not None:
             return DisjunctVerdict(False, Witness(j, tuple(cover)))
     return DisjunctVerdict(True)
@@ -85,12 +84,12 @@ def reference_is_d_disjunct(matrix, d):
 def reference_max_disjunct_order(matrix):
     """``max_disjunct_order``'s former loop: every column searched, up to
     the best order found so far."""
-    masks, holders = matrix.masks, _row_holders(matrix.words)
+    masks, tables = matrix.masks, _trace_tables(matrix.masks)
     best = matrix.n - 1
     for j in range(matrix.n):
         if best == 0:
             break
-        cover = _cover_search(_TraceTable(masks, j, holders), masks[j], range(1, best + 1))
+        cover = _cover_search(tables(j), masks[j], range(1, best + 1))
         if cover is not None:
             best = min(best, max(1, len(cover)) - 1)
     return best
@@ -157,10 +156,9 @@ def passes_incremental(masks, d):
     depth = min(d, len(masks) - 1)
     if depth < 1:
         return True
-    t = max(mask.bit_length() for mask in masks)
-    holders = _row_holders(BinaryMatrix.from_masks(t, masks).words)
+    tables = _trace_tables(masks)
     for j in range(len(masks)):
-        if _cover_search(_TraceTable(masks, j, holders), masks[j], (depth,)) is not None:
+        if _cover_search(tables(j), masks[j], (depth,)) is not None:
             return False
     return True
 

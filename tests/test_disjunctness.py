@@ -18,7 +18,7 @@ from disjunct import (
     peel_isolated,
     peel_to_core,
 )
-from disjunct.disjunctness import _cover_search, _row_holders, _TraceTable
+from disjunct.disjunctness import _cover_search, _trace_tables
 from disjunct.matrix import _private_rows
 from oracles import (
     brute_is_d_disjunct,
@@ -194,16 +194,17 @@ def holds_by_brute_force(masks, j, target, depth):
 def test_cover_search_engine_matches_brute_force():
     # one table answers mixed targets and depths, deepest first and
     # shallowest first: the states it refutes for one query must stay
-    # refuted for the next, and no query may see another's answer
+    # refuted for the next, and no query may see another's answer; the
+    # tables of one matrix share the row holders the earlier ones filled
     rng = random.Random(46)
     for _ in range(250):
         t, n = rng.randint(1, 8), rng.randint(2, 8)
         m = BinaryMatrix.from_masks(t, random_masks(rng, t, n))
-        masks, holders = m.masks, _row_holders(m.words)
+        masks, tables = m.masks, _trace_tables(m.masks)
         for j in range(n):
             queries = [(masks[j] & rng.getrandbits(t), rng.randint(1, 3)) for _ in range(6)]
             for reverse in (False, True):
-                table = _TraceTable(masks, j, holders)
+                table = tables(j)
                 for target, depth in sorted(queries, key=lambda q: q[1], reverse=reverse):
                     cover = _cover_search(table, target, (depth,))
                     assert (cover is not None) == holds_by_brute_force(masks, j, target, depth)
@@ -214,23 +215,22 @@ def test_cover_search_engine_matches_brute_force():
                             union |= masks[k]
                         assert target & ~union == 0
                     # a fresh table, which has not branched yet, agrees
-                    fresh = _TraceTable(masks, j, holders)
+                    fresh = _trace_tables(masks)(j)
                     assert _cover_search(fresh, target, (depth,)) == cover
 
 
-def test_trace_table_rows_hold_the_undominated_traces():
-    # each row of column j maps to the lowest column of every trace on j
-    # that no other trace contains, by transposing sparse traces and by
-    # masking the matrix's row holders for dense ones
+def test_trace_tables_hold_the_undominated_traces():
+    # a table's candidates are the lowest column of every trace on column
+    # j that no other trace contains, and the holders its tables share
+    # map each row of column j to every column holding it
     rng = random.Random(47)
-    dense = sparse = 0
     shapes = [(rng.randint(1, 16), rng.randint(2, 30), rng.choice((0.2, 0.5, 0.7)))
               for _ in range(60)]
     for t, n, p in shapes + [(24, 56, 0.5)] * 6:
         bits = [[rng.random() < p for _ in range(t)] for _ in range(n)]
-        m = BinaryMatrix.from_masks(t, [sum(b << r for r, b in enumerate(col)) for col in bits])
-        masks, holders = m.masks, _row_holders(m.words)
-        for j in range(n):
+        masks = [sum(b << r for r, b in enumerate(col)) for col in bits]
+        tables = _trace_tables(masks)
+        for j in rng.sample(range(n), n):
             traces = {k: masks[k] & masks[j] for k in range(n) if k != j and masks[k] & masks[j]}
             candidates = [
                 k for k, trace in traces.items()
@@ -239,17 +239,13 @@ def test_trace_table_rows_hold_the_undominated_traces():
                     for i, other in traces.items() if i != k
                 )
             ]
-            expected = {
-                1 << r: sum(1 << k for k in candidates if masks[k] >> r & 1)
-                for r in range(t) if masks[j] >> r & 1
-            }
             widest = max((traces[k].bit_count() for k in candidates), default=0)
-            assert _TraceTable(masks, j, holders).rows() == (expected, widest)
-            if sum(traces[k].bit_count() for k in candidates) > 16 * masks[j].bit_count():
-                dense += 1
-            else:
-                sparse += 1
-    assert dense and sparse
+            table = tables(j)
+            assert table.candidates() == (sum(1 << k for k in candidates), widest)
+            for r in range(t):
+                if masks[j] >> r & 1:
+                    held = sum(1 << k for k in range(n) if masks[k] >> r & 1)
+                    assert table.holders[1 << r] == held
 
 
 def test_witnesses_are_pinned():
