@@ -66,23 +66,38 @@ def min_cover_sizes(words: np.ndarray, limit: int, blocks=None) -> np.ndarray:
     holds c_j meet it in at least |c_j| rows between them, so no cover of
     c_j has fewer columns than this.
 
+    Only the ``top = min(limit, n - 1)`` largest intersections of a column
+    can matter, so each row ranks just those: a partition at n - top, then
+    a sort of the tail.  A block where top times each row's largest count
+    stays below the row's weight reaches no weight, so it is cleared
+    without ranking.
+
     ``blocks``, by default ``intersection_blocks(words)``, lets a caller
-    that reads the table too pass its blocks on; each block is sorted in
-    place once the caller has passed it on.
+    that reads the table too pass its blocks on; each block is reordered
+    in place once the caller has passed it on.
     """
     n, num_words = words.shape
     weights = column_weights(words)
-    # the narrowest type that holds the sum of n counts
-    reach_type = np.min_scalar_type(64 * num_words * n)
+    top = min(limit, n - 1)
+    # the narrowest type that holds the sum of top counts
+    reach_type = np.min_scalar_type(64 * num_words * top)
     out = np.empty(n, dtype=np.int64)
     for lo, counts in intersection_blocks(words) if blocks is None else blocks:
         hi = lo + len(counts)
-        counts.sort(axis=1)
+        # in int64: top times a uint8 count may pass 255.  At top 0 an
+        # empty column fails the test, but nothing is left to rank
+        largest = counts.max(axis=1).astype(np.int64)
+        if top == 0 or (top * largest < weights[lo:hi]).all():
+            out[lo:hi] = top + 1
+            continue
+        counts.partition(n - top, axis=1)
+        tail = counts[:, n - top :]
+        tail.sort(axis=1)
         # reach[:, k-1] is the sum of the k largest intersections
-        reach = counts[:, ::-1].cumsum(axis=1, dtype=reach_type)
+        reach = tail[:, ::-1].cumsum(axis=1, dtype=reach_type)
         out[lo:hi] = np.count_nonzero(reach < weights[lo:hi, None], axis=1) + 1
-    # a column that all n - 1 others together cannot reach reads n + 1
-    out[out > min(limit, n - 1)] = limit + 1
+    # a column that its top largest intersections cannot reach reads top + 1
+    out[out > top] = limit + 1
     out[weights == 0] = 0
     return out
 

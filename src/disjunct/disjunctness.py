@@ -242,10 +242,19 @@ def max_disjunct_order(matrix: BinaryMatrix) -> int:
     found by one search over its trace table, deepened from its counting
     bound up to the best order found so far (larger covers cannot lower
     it).  A column whose bound exceeds that order is skipped unsearched.
+
+    The order starts from a cap the weights give: a column of weight w
+    with no private row is covered by one other column per row, so the
+    matrix is not w-disjunct.  On an affine plane the cap is the order
+    and every counting bound exceeds it, so no column is searched.
     """
-    best = matrix.n - 1
+    masks, private = matrix.masks, _private_rows(matrix.masks)
+    best = min(
+        [matrix.n - 1]
+        + [max(0, mask.bit_count() - 1) for mask in masks if not mask & private]
+    )
     bounds = _kernels.min_cover_sizes(matrix.words, best).tolist()
-    masks, tables = matrix.masks, _trace_tables(matrix.masks)
+    tables = _trace_tables(masks)
     for j, bound in enumerate(bounds):
         if best == 0:
             break

@@ -268,7 +268,7 @@ def analyze_pairs(matrix: BinaryMatrix, d: int) -> PairAnalysis:
 
     The pairs and the checker's counting bounds come from one pass over
     the all-pairs intersection table: each block's columns are counted
-    before the bounds sort the block in place.
+    before the bounds reorder the block in place.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -286,8 +286,11 @@ def analyze_pairs(matrix: BinaryMatrix, d: int) -> PairAnalysis:
                 counted.append((nonprivate, nu))
             yield lo, counts
 
-    bounds = _kernels.min_cover_sizes(words, d, counting_pairs())
-    if d >= matrix.n:
+    # the bounds are read only when d < n; at limit 0 no block is ranked,
+    # and no d >= n reaches the kernel's int64 bounds
+    vacuous = d >= matrix.n
+    bounds = _kernels.min_cover_sizes(words, 0 if vacuous else d, counting_pairs())
+    if vacuous:
         verdict = DisjunctVerdict(True, vacuous=True)
     else:
         verdict = _first_covered(matrix, d, bounds)

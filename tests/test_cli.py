@@ -228,6 +228,20 @@ def test_analyze_skips_checks_when_vacuous(mixed_corpus, tmp_path, capsys, extra
     assert lines[-1] == "private_total=170 pair_budget=276 budget_ok=true"
 
 
+@pytest.mark.parametrize("d", [2**63 - 1, 10**30])
+def test_analyze_vacuous_past_int64(tmp_path, capsys, d):
+    # a d past int64 is vacuous like any d >= n, not an overflow
+    path = tmp_path / "ag5.dmat"
+    save_matrix(affine_plane_matrix(5), path)
+    code, expected, _ = run(capsys, "analyze", "--d", "100", str(path))
+    assert code == 0
+    code, stdout, stderr = run(capsys, "analyze", "--d", str(d), str(path))
+    assert code == 0 and stderr == ""
+    lines = stdout.splitlines()
+    assert lines[0] == f"note=d={d} >= n=30 is vacuous; pair-bound checks skipped"
+    assert len(lines) == 32 and lines[1:] == expected.splitlines()[1:]
+
+
 def test_analyze_skips_checks_with_isolated_columns(tmp_path, capsys):
     # a triangle and a column on a row of its own: 1-disjunct, one isolated
     path = tmp_path / "iso.dmat"

@@ -18,6 +18,7 @@ from disjunct import (
     peel_isolated,
     peel_to_core,
 )
+from disjunct import disjunctness
 from disjunct.disjunctness import _cover_search, _trace_tables
 from disjunct.matrix import _private_rows
 from oracles import (
@@ -299,16 +300,43 @@ def test_max_order_matches_brute_force_oracle():
         assert max_disjunct_order(m) == brute_max_disjunct_order(masks), masks
 
 
-@pytest.mark.parametrize("q", [5, 7])
-def test_max_order_planes_and_vertical_line_mutants(ag, q):
+@pytest.mark.parametrize("q", [5, 7, 11])
+def test_max_order_planes_and_vertical_line_mutants(ag, monkeypatch, q):
+    # a line has no private point, so its weight caps the order at q-1,
+    # and q-1 lines meet a line in at most q-1 of its q points: the cap is
+    # the order and nothing is searched.  With one point gone from line 0
+    # or the first vertical line, q-1 lines cover it, and its weight caps
+    # the order at q-2
+    searches = []
+    search = disjunctness._cover_search
+
+    def spy(*args):
+        searches.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(disjunctness, "_cover_search", spy)
     plane = ag(q)
     assert max_disjunct_order(plane) == q - 1
-    # the first vertical line; with one point gone, q-1 lines cover it
-    j = q * q
-    for row in sorted(column_rows(plane, j)):
-        masks = list(plane.masks)
-        masks[j] &= ~(1 << row)
-        assert max_disjunct_order(BinaryMatrix.from_masks(q * q, masks)) == q - 2
+    for j in (0, q * q):
+        for row in sorted(column_rows(plane, j)):
+            masks = list(plane.masks)
+            masks[j] &= ~(1 << row)
+            assert max_disjunct_order(BinaryMatrix.from_masks(q * q, masks)) == q - 2
+    assert searches == []
+
+
+@pytest.mark.parametrize(
+    "t, masks, order",
+    [
+        (4, [1, 2, 4, 8], 3),  # the identity: every column isolated
+        (3, [0b011, 0, 0b110], 0),  # an empty column
+        (2, [0b11], 0),  # one column
+        (3, [0b101, 0b011, 0b101], 0),  # two equal columns
+    ],
+)
+def test_max_order_weight_cap_edge_cases(t, masks, order):
+    m = BinaryMatrix.from_masks(t, masks)
+    assert max_disjunct_order(m) == brute_max_disjunct_order(masks) == order
 
 
 # -- isolated columns and peeling ------------------------------------

@@ -69,7 +69,7 @@ def test_min_cover_sizes(monkeypatch, block):
     rng = np.random.default_rng(5)
     for t in (1, 6, 64, 70, 130):
         for n in (1, 2, 5, 9):
-            for limit in sorted({0, 1, 3, n - 1}):
+            for limit in range(n + 2):
                 m, masks = random_words(rng, n, t)
                 masks[rng.integers(n)] = 0
                 masks[0] |= masks[-1]  # a column holding another
@@ -79,6 +79,39 @@ def test_min_cover_sizes(monkeypatch, block):
                 for j in range(n):
                     # a lower bound: no cover has fewer columns
                     assert got[j] <= brute_min_cover_size(masks, j, limit)
+
+
+@pytest.mark.parametrize("block", [2, 20, 1 << 15])
+def test_min_cover_sizes_dense_tall_columns(monkeypatch, block):
+    # t <= 192 keeps the counts uint8, while limit times the largest count
+    # passes 255: the clearing test must not wrap around in the count type
+    monkeypatch.setattr(_kernels, "_CELLS", block)
+    rng = np.random.default_rng(7)
+    for t, n in ((86, 5), (102, 28), (150, 9), (192, 12)):
+        masks = []
+        while len(masks) < n:
+            bits = rng.random(t) < 0.93
+            mask = sum(1 << i for i in range(t) if bits[i])
+            if mask.bit_count() >= 86:
+                masks.append(mask)
+        m = BinaryMatrix.from_masks(t, masks)
+        assert m.words.shape[1] <= 3
+        for limit in range(3, n + 2):
+            got = _kernels.min_cover_sizes(m.words, limit).tolist()
+            assert got == [counting_bound(masks, j, limit) for j in range(n)]
+
+
+@pytest.mark.parametrize("block", [20, 1 << 15])
+def test_min_cover_sizes_structured(monkeypatch, ag, kautz_singleton_13, block):
+    # lines meet in at most one point and these polynomials agree at most
+    # twice, so the low limits clear whole blocks and the high ones rank
+    monkeypatch.setattr(_kernels, "_CELLS", block)
+    ks = kautz_singleton_13
+    for matrix in (ag(7), BinaryMatrix.from_masks(ks.t, ks.masks[:200])):
+        masks = matrix.masks
+        for limit in range(1, 9):
+            got = _kernels.min_cover_sizes(matrix.words, limit).tolist()
+            assert got == [counting_bound(masks, j, limit) for j in range(matrix.n)]
 
 
 def test_intersection_blocks(monkeypatch):

@@ -297,6 +297,10 @@ def test_lemma3_on_affine_plane(ag):
         assert c.bound_ok and c.matching_ok
 
 
+def test_analyze_pairs_vacuous_past_int64(ag):
+    assert analyze_pairs(ag(5), 2**63).vacuous
+
+
 def test_lemma3_weight_d_plus_one_forces_no_shared_pairs(corpus):
     for m in corpus[2][:10]:
         for c in analyze_pairs(m, 2).columns:
