@@ -137,11 +137,10 @@ class _TraceTable:
 
 
 def _trace_tables(masks: Sequence[int]) -> Callable[[int], _TraceTable]:
-    """Column j -> a new trace table for column j of ``masks``; the tables
-    share one ``holders`` map, so each row is transposed at most once."""
-    holders = {0: 0}  # no row is a 0 bit, so key 0 can hold the rows filled in
-    return lambda j: _TraceTable(masks, j, holders)
-
+    """Column j -> column j's trace table over ``masks``, made once; the
+    tables share one ``holders`` map, so each row is transposed once."""
+    holders, made = {0: 0}, {}  # no row is a 0 bit, so key 0 can hold the rows filled in
+    return lambda j: made.get(j) or made.setdefault(j, _TraceTable(masks, j, holders))
 
 
 def _cover_search(
@@ -238,32 +237,39 @@ def max_disjunct_order(matrix: BinaryMatrix) -> int:
     """Largest d >= 0 for which the matrix is d-disjunct, capped at n-1.
 
     0 means some column is contained in another.  Equivalent to running
-    the checker for increasing d, but each column's minimum cover size is
-    found by one search over its trace table, deepened from its counting
-    bound up to the best order found so far (larger covers cannot lower
-    it).  A column whose bound exceeds that order is skipped unsearched.
-
-    The order starts from a cap the weights give: a column of weight w
-    with no private row is covered by one other column per row, so the
+    the checker for increasing d: the order is one less than the fewest
+    columns whose union holds another column, found by
+    :func:`_least_cover` up to a cap the weights give.  A column of weight
+    w with no private row is covered by one other column per row, so the
     matrix is not w-disjunct.  On an affine plane the cap is the order
     and every counting bound exceeds it, so no column is searched.
     """
     masks, private = matrix.masks, _private_rows(matrix.masks)
-    best = min(
+    cap = min(
         [matrix.n - 1]
         + [max(0, mask.bit_count() - 1) for mask in masks if not mask & private]
     )
-    bounds = _kernels.min_cover_sizes(matrix.words, best).tolist()
-    tables = _trace_tables(masks)
-    for j, bound in enumerate(bounds):
-        if best == 0:
-            break
-        if bound > best:
-            continue  # no cover of at most best columns
-        cover = _cover_search(tables(j), masks[j], range(bound, best + 1))
-        if cover is not None:
-            best = min(best, max(1, len(cover)) - 1)
-    return best
+    k, _ = _least_cover(matrix, cap, _trace_tables(masks))
+    return max(0, k - 1)
+
+
+def _least_cover(
+    matrix: BinaryMatrix, cap: int, tables: Callable[[int], _TraceTable]
+) -> tuple[int, np.ndarray]:
+    """(k, bounds): the fewest k <= ``cap`` columns whose union holds
+    another column, or cap + 1, and the counting bounds at cap.  k grows
+    from the least bound; at each k the columns whose bound allows k are
+    searched in index order, on ``tables``, so refuted states carry over.
+    """
+    bounds = _kernels.min_cover_sizes(matrix.words, cap)
+    least = int(bounds.min(initial=cap + 1))
+    if least <= cap:  # a column with a private row has no cover
+        bounds[list(find_isolated_columns(matrix))] = cap + 1
+    for k in range(least, cap + 1):
+        for j in np.flatnonzero(bounds <= k).tolist():
+            if _cover_search(tables(j), matrix.masks[j], (k,)) is not None:
+                return k, bounds
+    return cap + 1, bounds
 
 
 def _drop(t: int, masks: Sequence[int], j: int, rows: list[int]) -> tuple[int, list[int]]:

@@ -6,21 +6,21 @@ every item appearing in no negative test; on a d-disjunct matrix it
 recovers any positive set of size at most d exactly.
 
 The guarantee fails exactly when the union of at most d columns holds a
-column outside them, so :func:`verify_identification` decides it with
-the disjunctness checker instead of decoding every positive set.  On a
-failure the checker's cover-search engine finds the first failing set in
-lex order, and binomials count the sets before it.
+column outside them, so :func:`verify_identification` decides it by the
+least cover size instead of decoding every positive set.  On a failure
+the same trace tables give the first failing set of that size in lex
+order, and binomials count the sets before it.
 """
 
 from __future__ import annotations
 
 from math import comb
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
 from . import _kernels
-from .disjunctness import Witness, _TraceTable, _cover_search, _first_covered, _trace_tables
+from .disjunctness import _TraceTable, _cover_search, _least_cover, _trace_tables
 from .matrix import BinaryMatrix, _iter_bits, _mask_to_words
 
 
@@ -105,15 +105,15 @@ def verify_identification(
     are always decoded, so a set fails iff its union holds a column outside
     it: the empty set iff some column is empty, a larger set iff it covers
     another column.  So every set decodes iff no column is empty and the
-    matrix is min(d, n-1)-disjunct, and the checker decides that.
+    least cover size (``disjunctness._least_cover``) exceeds min(d, n-1).
 
     ``cases`` counts the sets in that order up to and including the first
     failure, or all sum_{k <= min(d, n)} C(n, k) of them on success; it is
     computed from binomials, not by enumeration.  Raises
     :class:`BudgetExceededError` up front when that sum exceeds
-    ``max_cases``.  That refusal is the budget's only effect: the checker
-    and the search for a failing set look only at sets of at most d
-    columns, and count nothing against it.
+    ``max_cases``.  That refusal is the budget's only effect: the least
+    cover search and the failing-set search look only at sets of at most
+    d columns, and count nothing against it.
     """
     if d < 0:
         raise ValueError("d must be >= 0")
@@ -128,15 +128,11 @@ def verify_identification(
     if not matrix.words.any(axis=1).all():
         # an empty column is decoded beside the empty set
         return IdentificationReport(ok=False, cases=1, failure=())
-    limit = min(d, n - 1)
-    if limit < 1:
+    tables = _trace_tables(matrix.masks)
+    k, bounds = _least_cover(matrix, min(d, n - 1), tables)
+    if k > min(d, n - 1):
         return IdentificationReport(ok=True, cases=total)
-    bounds = _kernels.min_cover_sizes(matrix.words, limit)
-    verdict = _first_covered(matrix, limit, bounds)
-    if verdict.is_disjunct:
-        return IdentificationReport(ok=True, cases=total)
-    failure = _first_failing_set(matrix, verdict.witness, bounds.tolist())
-    k = len(failure)
+    failure = _first_failing_set(matrix, k, bounds, tables)
     return IdentificationReport(
         ok=False,
         cases=sum(comb(n, i) for i in range(k)) + _lex_rank(n, failure) + 1,
@@ -145,18 +141,17 @@ def verify_identification(
 
 
 def _first_failing_set(
-    matrix: BinaryMatrix, witness: Witness, bounds: list[int]
+    matrix: BinaryMatrix, k: int, bounds: np.ndarray, tables: Callable[[int], _TraceTable]
 ) -> tuple[int, ...]:
-    """The lex-first set of fewest columns whose union holds a column
-    outside it, given the checker's ``witness`` at d (no column before its
-    column has a cover) and the counting ``bounds`` at d.
+    """The lex-first set of k columns whose union holds a column outside
+    it, given that k is the fewest such (``disjunctness._least_cover``),
+    its counting ``bounds`` and its trace ``tables``.
 
-    The fewest is the least minimum cover size over the columns, and the
-    set is the least of the lex-first covers of that size.
+    The set is the least of the columns' lex-first covers of k columns.
     """
-    masks, tables = matrix.masks, _trace_tables(matrix.masks)
+    masks = matrix.masks
 
-    def lex_first(table: _TraceTable, k: int, stop: int) -> tuple[int, ...] | None:
+    def lex_first(table: _TraceTable, stop: int) -> tuple[int, ...] | None:
         """The lex-first k columns, the first below ``stop``, that cover
         column j, when no column has a cover of fewer: each the least past
         the last that leaves the rest of j coverable.  A probe searches all
@@ -187,21 +182,16 @@ def _first_failing_set(
             start, stop = i + 1, len(masks)
         return tuple(chosen)
 
-    # k grows from the least counting bound until some column has a cover
-    # of k columns; a column's cover is searched for only from its bound
-    first, size = witness.column, len(witness.covering)
-    for k in range(min(bounds[first:]), size + 1):
-        best = None
-        for j in range(first, len(masks)):
-            # once a set is found, only one that starts at or before its
-            # first column can beat it
-            table = tables(j) if bounds[j] <= k else None
-            if table and (best or _cover_search(table, masks[j], (k,)) is not None):
-                cover = lex_first(table, k, best[0] + 1 if best else len(masks))
-                if cover and (best is None or cover < best):
-                    best = cover
-        if best:
-            return best
+    best = None
+    for j in np.flatnonzero(bounds <= k).tolist():
+        # once a set is found, only one that starts at or before its first
+        # column can beat it
+        table = tables(j)
+        if best or _cover_search(table, masks[j], (k,)) is not None:
+            cover = lex_first(table, best[0] + 1 if best else len(masks))
+            if cover and (best is None or cover < best):
+                best = cover
+    return best
 
 
 def _lex_rank(n: int, subset: tuple[int, ...]) -> int:

@@ -61,19 +61,6 @@ def _private_rows(masks: Iterable[int]) -> int:
     return once & ~twice
 
 
-def _maximal(sets: Iterable[int]) -> tuple[int, ...]:
-    """The antichain of maximal sets among ``sets``, largest first: a set
-    is dropped when a kept one, never smaller, contains it."""
-    kept: list[int] = []
-    for u in sorted(set(sets), key=int.bit_count, reverse=True):
-        for k in kept:
-            if u | k == k:
-                break
-        else:
-            kept.append(u)
-    return tuple(kept)
-
-
 # analysis operations are specified at desk scale; a matrix of more cells
 # than this (a .dmat text over 256 MB) is refused when read or built
 DENSE_LIMIT = 1 << 28

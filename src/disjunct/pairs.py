@@ -23,8 +23,9 @@ intersection table (``_kernels.intersection_blocks``), the pass from
 which the checker also takes its counting bounds, builds the masks only
 for columns that have partners, then counts and checks every column,
 and totals the private pairs against the C(t, 2) budget they share.  The
-blossom, O(V^3) per column on the V rows that lie in a non-private pair,
-is the one step of that pass with no bound.
+masks take V^2 bits per column on the V rows that lie in a non-private
+pair, refused past ``matrix.DENSE_LIMIT``; the blossom's O(V^3) time is
+the one step of that pass with no bound.
 
 ``complete_graph_matchings`` and ``matching_numbers_all_graphs`` tabulate
 the matching number of every graph on up to seven vertices, the table
@@ -41,7 +42,7 @@ import numpy as np
 
 from . import _kernels
 from .disjunctness import DisjunctVerdict, _first_covered, find_isolated_columns
-from .matrix import BinaryMatrix, _iter_bits
+from .matrix import DENSE_LIMIT, BinaryMatrix, _iter_bits
 
 
 def _partners(counts: np.ndarray) -> list[list[int]]:
@@ -68,6 +69,8 @@ def _neighbourhoods(masks: list[int], j: int, partners: list[int]) -> list[int]:
     union = 0
     for trace in traces:
         union |= trace
+    if (size := union.bit_count()) ** 2 > DENSE_LIMIT:
+        raise ValueError(f"column {j}'s pair graph is too large: {size}^2 > {DENSE_LIMIT} bits")
     position = {r: i for i, r in enumerate(_iter_bits(union))}
     around = [0] * len(position)
     for trace in traces:

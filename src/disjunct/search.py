@@ -29,11 +29,11 @@ refused by the admission check, or descended into.
 from __future__ import annotations
 
 from math import comb, isqrt
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .constructions import _is_prime, affine_plane_matrix
 from .disjunctness import is_d_disjunct
-from .matrix import BinaryMatrix, _maximal
+from .matrix import BinaryMatrix
 
 # every t up to t_max gets a certificate, and t = (d+1)^2 builds an affine
 # plane with t rows; 1024 keeps both at desk scale (AG(2, 31) at t = 961)
@@ -60,6 +60,19 @@ class SearchCertificate(NamedTuple):
 def _candidate_pool(t: int, d: int) -> list[int]:
     """All column masks of weight >= d+1 over t rows, ascending as ints."""
     return [m for m in range(1, 1 << t) if m.bit_count() >= d + 1]
+
+
+def _maximal(sets: Iterable[int]) -> tuple[int, ...]:
+    """The antichain of maximal sets among ``sets``, largest first: a set
+    is dropped when a kept one, never smaller, contains it."""
+    kept: list[int] = []
+    for u in sorted(set(sets), key=int.bit_count, reverse=True):
+        for k in kept:
+            if u | k == k:
+                break
+        else:
+            kept.append(u)
+    return tuple(kept)
 
 
 def _grow(family: tuple[tuple[int, ...], ...], c: int) -> tuple[tuple[int, ...], ...]:

@@ -97,6 +97,16 @@ def test_analyze_skips_checks_on_invalid_input(tmp_path, capsys):
     assert stdout.splitlines()[-1] == "private_total=0 pair_budget=1 budget_ok=true"
 
 
+def test_analyze_refuses_a_pair_graph_past_the_cell_cap(tmp_path, capsys):
+    # two all-ones columns share all 16,385 rows: V^2 bits of masks pass
+    # DENSE_LIMIT, so analyze refuses before it builds any of them
+    path = tmp_path / "ones.dmat"
+    path.write_text("16385 2\n" + "11\n" * 16385)
+    code, stdout, stderr = run(capsys, "analyze", "--d", "1", str(path))
+    assert code == 2 and stdout == ""
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
+
+
 def test_analyze_golden_out_of_range(tmp_path, capsys):
     # weight 5 at d=2 gives s=3 > d-1: the bound is still evaluated
     path = tmp_path / "p5.dmat"

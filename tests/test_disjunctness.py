@@ -220,6 +220,16 @@ def test_cover_search_engine_matches_brute_force():
                     assert _cover_search(fresh, target, (depth,)) == cover
 
 
+def test_trace_tables_keep_each_column_table():
+    # one factory makes column j's table once, so every search on j shares
+    # its candidates and refuted states; a fresh factory starts anew
+    masks = [0b0011, 0b0110, 0b1100, 0b1001]
+    tables = _trace_tables(masks)
+    first = tables(2)
+    assert tables(2) is first and tables(1) is not first
+    assert _trace_tables(masks)(2) is not first
+
+
 def test_trace_tables_hold_the_undominated_traces():
     # a table's candidates are the lowest column of every trace on column
     # j that no other trace contains, and the holders its tables share

@@ -4,13 +4,14 @@ from math import comb
 
 import pytest
 
-from disjunct import _kernels, group_testing
+from disjunct import _kernels, disjunctness, group_testing
 from disjunct import (
     BinaryMatrix,
     BudgetExceededError,
     OutcomeVector,
     identity_matrix,
     is_d_disjunct,
+    max_disjunct_order,
     naive_decode,
     outcomes,
     verify_identification,
@@ -198,9 +199,9 @@ def test_verify_identification_matches_oracle():
 
 
 def test_verify_identification_matches_oracle_under_a_small_cell_cap(monkeypatch):
-    # a cap below every column count makes min_cover_sizes, which the
-    # checker and the search for a failing set both call, work one column
-    # of its intersection table at a time
+    # a cap below every column count makes min_cover_sizes, whose bounds
+    # the least cover search and the failing-set search share, work one
+    # column of its intersection table at a time
     cells = 2
     monkeypatch.setattr(_kernels, "_CELLS", cells)
     calls = []
@@ -278,9 +279,68 @@ def test_identification_is_disjunctness_without_empty_columns():
     assert failures > 1000
 
 
+def test_identification_agrees_with_max_order_past_brute_force():
+    # the least cover search answers both: every set of <= d positives
+    # decodes iff the matrix is min(d, n-1)-disjunct, and a failing set
+    # has one column more than the largest order, at sizes brute force
+    # cannot reach
+    rng = random.Random(62)
+    failures = 0
+    for _ in range(60):
+        t, n, d = rng.randint(20, 80), rng.randint(30, 120), rng.randint(1, 4)
+        density = rng.choice((0.2, 0.3, 0.5))
+        masks = [sum(1 << i for i in range(t) if rng.random() < density) or 1 for _ in range(n)]
+        m = BinaryMatrix.from_masks(t, masks)
+        report, order = verify_identification(m, d, max_cases=10**12), max_disjunct_order(m)
+        assert report.ok == (order >= min(d, n - 1))
+        if not report.ok:
+            assert len(report.failure) == order + 1
+            failures += 1
+    assert 10 < failures < 60
+
+
+def test_trace_tables_are_made_once_per_column(monkeypatch):
+    # the least cover search, the failing-set search after it and
+    # max_disjunct_order reuse each column's table from one k to the next
+    made = []
+    init = disjunctness._TraceTable.__init__
+
+    def spy(self, masks, column, holders):
+        made.append(column)
+        init(self, masks, column, holders)
+
+    monkeypatch.setattr(disjunctness._TraceTable, "__init__", spy)
+    rng = random.Random(64)
+    m = BinaryMatrix.from_masks(100, [rng.getrandbits(100) for _ in range(100)])
+    report = verify_identification(m, 3, max_cases=10**12)
+    assert not report.ok and len(report.failure) == 3
+    assert made and len(made) == len(set(made))
+    made.clear()
+    assert max_disjunct_order(m) == 2
+    assert made and len(made) == len(set(made))
+
+
+def test_isolated_columns_are_never_searched(monkeypatch):
+    # column j holds row 50 + j alone and 20 of 50 shared rows: a private
+    # row has no cover, so neither search looks at any column
+    searches = []
+    for module in (disjunctness, group_testing):
+        search = module._cover_search
+        monkeypatch.setattr(
+            module, "_cover_search", lambda *args, search=search: searches.append(args) or search(*args)
+        )
+    rng = random.Random(64)
+    n = 300
+    masks = [1 << 50 + j | sum(1 << r for r in rng.sample(range(50), 20)) for j in range(n)]
+    m = BinaryMatrix.from_masks(50 + n, masks)
+    assert max_disjunct_order(m) == n - 1
+    assert verify_identification(m, 10, max_cases=10**400).ok
+    assert searches == []
+
+
 def test_verify_identification_kautz_singleton_code(kautz_singleton_13):
-    # about 1.6e17 positive sets: the checker gives the verdict and the
-    # count is a sum of binomials
+    # about 1.6e17 positive sets: the least cover search gives the verdict
+    # and the count is a sum of binomials
     m = kautz_singleton_13
     report = verify_identification(m, 6, max_cases=10**18)
     assert report.ok

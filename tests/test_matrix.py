@@ -19,7 +19,8 @@ from disjunct import (
     write_matrix,
 )
 from disjunct import _kernels
-from disjunct.matrix import _mask_to_words, _maximal
+from disjunct.matrix import _mask_to_words
+from disjunct.search import _maximal
 from oracles import (
     brute_maximal,
     column_rows,
