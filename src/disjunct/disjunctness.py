@@ -6,19 +6,21 @@ comes first (Kautz and Singleton, 1964): k columns whose union holds
 column j meet it in at least |c_j| rows between them, so when the k
 largest intersections |c_j & c_i| add up to less than |c_j| for every
 k <= d, no cover of at most d columns exists and the column is cleared
-without a search.  The bound only clears columns that have no such
-cover, so it never changes a verdict or a witness.  Every other column
-goes to the one cover-search engine, :func:`_cover_search`: depth-bounded
-branch and bound over the other columns' undominated traces on it, which
-also serves the failing-set search of ``verify-id``.  The trace tables
-of one matrix share its rows' holding columns, each row found once.
-Greedy covering would give false positives, so no column is refuted
-without a cover.
+without a search, and so is a column with a private row.  One scan,
+:func:`_first_covered`, searches the other columns in index order and
+stops at the first that k others cover: the checker runs it at d, the
+least cover search of ``check --max`` and ``verify-id`` at each k.  It
+searches on the one cover-search engine, :func:`_cover_search`:
+depth-bounded branch and bound over the other columns' undominated
+traces on a column, which also serves ``verify-id``'s failing-set
+search.  The trace tables of one matrix share its rows' holding
+columns, each row found once.  Greedy covering would give false
+positives, so no column is refuted without a cover.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -143,15 +145,12 @@ def _trace_tables(masks: Sequence[int]) -> Callable[[int], _TraceTable]:
     return lambda j: made.get(j) or made.setdefault(j, _TraceTable(masks, j, holders))
 
 
-def _cover_search(
-    table: _TraceTable, target: int, depths: Iterable[int]
-) -> list[int] | None:
-    """Columns (other than j) whose union holds ``target``, a subset of
-    column j, found over column j's trace table.
+def _cover_search(table: _TraceTable, target: int, depth: int) -> list[int] | None:
+    """At most ``depth`` columns (other than j) whose union holds
+    ``target``, a subset of column j, found over column j's trace table,
+    or None when no such cover exists.
 
-    Tries each bound in ``depths`` in order and returns the first cover of
-    at most that many columns, or None when no bound admits one.  A
-    refuted (uncovered rows, depth left) state depends on neither bound
+    A refuted (uncovered rows, depth left) state depends on neither depth
     nor target, so the table's ``dead`` set serves every search on it.
     Deterministic: branches on the uncovered row with the fewest
     candidates (lowest row on ties), trying them in column order; with
@@ -159,53 +158,51 @@ def _cover_search(
     row, the one that order would reach first.
     """
     masks, holders, dead = table.masks, table.holders, table.dead
-    for depth in depths:
-        # depth-first over an explicit stack, so a cover may run to any
-        # number of columns: one (uncovered rows, depth left, untried
-        # candidates) frame per open node; chosen[i] is frame i's column
-        uncovered, depth_left = target, depth
-        stack, chosen = [], []
-        while True:
-            if uncovered == 0:
-                return chosen
-            if depth_left == 1:
-                column = table.lowest_holder(uncovered)
-                if column is not None:
-                    return chosen + [column]
-            elif depth_left:
-                allowed, widest = table.candidates()
-                state = uncovered, depth_left
-                if uncovered.bit_count() <= depth_left * widest and state not in dead:
-                    # fail-first: the uncovered row with the fewest
-                    # candidates.  A row with one ends the scan: only a row
-                    # with none has fewer, and then no branch has a cover
-                    branch_row, fewest = 0, len(masks)
-                    rest = uncovered
-                    while rest:
-                        low = rest & -rest
-                        rest ^= low
-                        c = (holders[low] & allowed).bit_count()
-                        if c < fewest:
-                            branch_row, fewest = low, c
-                            if c <= 1:
-                                break
-                    untried = _iter_bits(holders[branch_row] & allowed)
-                    stack.append((uncovered, depth_left, untried))
-                    chosen.append(-1)
-            # back up to the deepest open node with a candidate left to try
-            while stack:
-                uncovered, depth_left, untried = stack[-1]
-                column = next(untried, None)
-                if column is not None:
-                    break
-                dead.add((uncovered, depth_left))
-                stack.pop()
-                chosen.pop()
-            else:
-                break  # no cover of at most depth columns
-            chosen[-1] = column
-            uncovered, depth_left = uncovered & ~masks[column], depth_left - 1
-    return None
+    # depth-first over an explicit stack, so a cover may run to any number
+    # of columns: one (uncovered rows, depth left, untried candidates)
+    # frame per open node; chosen[i] is frame i's column
+    uncovered, depth_left = target, depth
+    stack, chosen = [], []
+    while True:
+        if uncovered == 0:
+            return chosen
+        if depth_left == 1:
+            column = table.lowest_holder(uncovered)
+            if column is not None:
+                return chosen + [column]
+        elif depth_left:
+            allowed, widest = table.candidates()
+            state = uncovered, depth_left
+            if uncovered.bit_count() <= depth_left * widest and state not in dead:
+                # fail-first: the uncovered row with the fewest candidates.
+                # A row with one ends the scan: only a row with none has
+                # fewer, and then no branch has a cover
+                branch_row, fewest = 0, len(masks)
+                rest = uncovered
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    c = (holders[low] & allowed).bit_count()
+                    if c < fewest:
+                        branch_row, fewest = low, c
+                        if c <= 1:
+                            break
+                untried = _iter_bits(holders[branch_row] & allowed)
+                stack.append((uncovered, depth_left, untried))
+                chosen.append(-1)
+        # back up to the deepest open node with a candidate left to try
+        while stack:
+            uncovered, depth_left, untried = stack[-1]
+            column = next(untried, None)
+            if column is not None:
+                break
+            dead.add((uncovered, depth_left))
+            stack.pop()
+            chosen.pop()
+        else:
+            return None
+        chosen[-1] = column
+        uncovered, depth_left = uncovered & ~masks[column], depth_left - 1
 
 
 def is_d_disjunct(matrix: BinaryMatrix, d: int) -> DisjunctVerdict:
@@ -218,16 +215,28 @@ def is_d_disjunct(matrix: BinaryMatrix, d: int) -> DisjunctVerdict:
         raise ValueError("d must be >= 1")
     if d >= matrix.n:
         return DisjunctVerdict(True, vacuous=True)
-    return _first_covered(matrix, d, _kernels.min_cover_sizes(matrix.words, d))
+    bounds = _kernels.min_cover_sizes(matrix.words, d)
+    return _first_covered(matrix, d, bounds, _trace_tables(matrix.masks))
 
 
-def _first_covered(matrix: BinaryMatrix, d: int, bounds: np.ndarray) -> DisjunctVerdict:
-    """The verdict of :func:`is_d_disjunct` at 1 <= d < n, given the
-    counting bounds ``_kernels.min_cover_sizes(matrix.words, d)``."""
-    # a column whose counting bound exceeds d has no cover to search for
-    masks, tables = matrix.masks, _trace_tables(matrix.masks)
-    for j in np.flatnonzero(bounds <= d).tolist():
-        cover = _cover_search(tables(j), masks[j], (d,))
+def _open_columns(matrix: BinaryMatrix, k: int, bounds: np.ndarray) -> list[int]:
+    """The columns, in index order, that k other columns may cover: those
+    whose counting bound in ``bounds`` is at most k and that hold no
+    private row, since a row no other column holds has no cover."""
+    masks, private = matrix.masks, _private_rows(matrix.masks)
+    return [j for j in np.flatnonzero(bounds <= k).tolist() if not masks[j] & private]
+
+
+def _first_covered(
+    matrix: BinaryMatrix, k: int, bounds: np.ndarray, tables: Callable[[int], _TraceTable]
+) -> DisjunctVerdict:
+    """The verdict of :func:`is_d_disjunct` at ``k``, given counting
+    ``bounds`` from ``_kernels.min_cover_sizes`` at a limit of at least k:
+    the one scan of whole columns, over :func:`_open_columns` in index
+    order on the caller's trace ``tables``, to the first covered column.
+    """
+    for j in _open_columns(matrix, k, bounds):
+        cover = _cover_search(tables(j), matrix.masks[j], k)
         if cover is not None:
             return DisjunctVerdict(False, Witness(j, tuple(cover)))
     return DisjunctVerdict(True)
@@ -245,31 +254,28 @@ def max_disjunct_order(matrix: BinaryMatrix) -> int:
     and every counting bound exceeds it, so no column is searched.
     """
     masks, private = matrix.masks, _private_rows(matrix.masks)
-    cap = min(
-        [matrix.n - 1]
-        + [max(0, mask.bit_count() - 1) for mask in masks if not mask & private]
-    )
+    cap = min([matrix.n - 1] + [max(0, m.bit_count() - 1) for m in masks if not m & private])
     k, _ = _least_cover(matrix, cap, _trace_tables(masks))
     return max(0, k - 1)
 
 
 def _least_cover(
     matrix: BinaryMatrix, cap: int, tables: Callable[[int], _TraceTable]
-) -> tuple[int, np.ndarray]:
-    """(k, bounds): the fewest k <= ``cap`` columns whose union holds
-    another column, or cap + 1, and the counting bounds at cap.  k grows
-    from the least bound; at each k the columns whose bound allows k are
-    searched in index order, on ``tables``, so refuted states carry over.
+) -> tuple[int, list[int]]:
+    """(k, columns): the fewest k <= ``cap`` columns whose union holds
+    another column, or cap + 1, and the :func:`_open_columns` at k from
+    the first one they cover on, or none.  :func:`_first_covered` scans
+    at each k from the least bound of an open column, on ``tables``, so
+    refuted states carry over from one k to the next.
     """
     bounds = _kernels.min_cover_sizes(matrix.words, cap)
-    least = int(bounds.min(initial=cap + 1))
-    if least <= cap:  # a column with a private row has no cover
-        bounds[list(find_isolated_columns(matrix))] = cap + 1
-    for k in range(least, cap + 1):
-        for j in np.flatnonzero(bounds <= k).tolist():
-            if _cover_search(tables(j), matrix.masks[j], (k,)) is not None:
-                return k, bounds
-    return cap + 1, bounds
+    least = bounds[_open_columns(matrix, cap, bounds)].min(initial=cap + 1)
+    for k in range(int(least), cap + 1):
+        verdict = _first_covered(matrix, k, bounds, tables)
+        if not verdict.is_disjunct:
+            columns = _open_columns(matrix, k, bounds)
+            return k, columns[columns.index(verdict.witness.column) :]
+    return cap + 1, []
 
 
 def _drop(t: int, masks: Sequence[int], j: int, rows: list[int]) -> tuple[int, list[int]]:
@@ -292,8 +298,6 @@ def _drop(t: int, masks: Sequence[int], j: int, rows: list[int]) -> tuple[int, l
 def find_isolated_columns(matrix: BinaryMatrix) -> frozenset[int]:
     """Columns owning a private row (a row contained in no other column)."""
     private = _private_rows(matrix.masks)
-    if not private:
-        return frozenset()
     return frozenset(j for j, mask in enumerate(matrix.masks) if mask & private)
 
 

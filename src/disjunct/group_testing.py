@@ -9,7 +9,8 @@ The guarantee fails exactly when the union of at most d columns holds a
 column outside them, so :func:`verify_identification` decides it by the
 least cover size instead of decoding every positive set.  On a failure
 the same trace tables give the first failing set of that size in lex
-order, and binomials count the sets before it.
+order, from the first column found covered; binomials count the sets
+before it.
 """
 
 from __future__ import annotations
@@ -129,10 +130,10 @@ def verify_identification(
         # an empty column is decoded beside the empty set
         return IdentificationReport(ok=False, cases=1, failure=())
     tables = _trace_tables(matrix.masks)
-    k, bounds = _least_cover(matrix, min(d, n - 1), tables)
-    if k > min(d, n - 1):
+    k, columns = _least_cover(matrix, min(d, n - 1), tables)
+    if not columns:
         return IdentificationReport(ok=True, cases=total)
-    failure = _first_failing_set(matrix, k, bounds, tables)
+    failure = _first_failing_set(matrix, k, columns, tables)
     return IdentificationReport(
         ok=False,
         cases=sum(comb(n, i) for i in range(k)) + _lex_rank(n, failure) + 1,
@@ -141,14 +142,11 @@ def verify_identification(
 
 
 def _first_failing_set(
-    matrix: BinaryMatrix, k: int, bounds: np.ndarray, tables: Callable[[int], _TraceTable]
+    matrix: BinaryMatrix, k: int, columns: list[int], tables: Callable[[int], _TraceTable]
 ) -> tuple[int, ...]:
     """The lex-first set of k columns whose union holds a column outside
-    it, given that k is the fewest such (``disjunctness._least_cover``),
-    its counting ``bounds`` and its trace ``tables``.
-
-    The set is the least of the columns' lex-first covers of k columns.
-    """
+    it: the least lex-first cover among ``columns``, given the k, columns
+    and trace ``tables`` of ``disjunctness._least_cover``."""
     masks = matrix.masks
 
     def lex_first(table: _TraceTable, stop: int) -> tuple[int, ...] | None:
@@ -171,7 +169,7 @@ def _first_failing_set(
                 if i == least:
                     rest.remove(i)
                     break
-                found = _cover_search(table, uncovered & ~masks[i], (left,))
+                found = _cover_search(table, uncovered & ~masks[i], left)
                 if found is not None:
                     rest = found
                     break
@@ -182,15 +180,12 @@ def _first_failing_set(
             start, stop = i + 1, len(masks)
         return tuple(chosen)
 
-    best = None
-    for j in np.flatnonzero(bounds <= k).tolist():
-        # once a set is found, only one that starts at or before its first
-        # column can beat it
-        table = tables(j)
-        if best or _cover_search(table, masks[j], (k,)) is not None:
-            cover = lex_first(table, best[0] + 1 if best else len(masks))
-            if cover and (best is None or cover < best):
-                best = cover
+    best = lex_first(tables(columns[0]), len(masks))
+    for j in columns[1:]:
+        # only a set that starts at or before best's first column can beat it
+        cover = lex_first(tables(j), best[0] + 1)
+        if cover and cover < best:
+            best = cover
     return best
 
 

@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .disjunctness import DisjunctVerdict, _first_covered, find_isolated_columns
+from .disjunctness import DisjunctVerdict, _first_covered, _trace_tables, find_isolated_columns
 from .matrix import DENSE_LIMIT, BinaryMatrix, _iter_bits
 
 
@@ -296,7 +296,7 @@ def analyze_pairs(matrix: BinaryMatrix, d: int) -> PairAnalysis:
     if vacuous:
         verdict = DisjunctVerdict(True, vacuous=True)
     else:
-        verdict = _first_covered(matrix, d, bounds)
+        verdict = _first_covered(matrix, d, bounds, _trace_tables(masks))
     isolated = find_isolated_columns(matrix)
     applies = verdict.is_disjunct and not verdict.vacuous and not isolated
     columns = []

@@ -68,30 +68,33 @@ def brute_min_cover_size(masks, j, limit):
 
 def reference_is_d_disjunct(matrix, d):
     """The checker's former per-column loop, kept as the reference for its
-    counting bound: one cover search for every column, in index order."""
+    counting bound and its skipping of columns with a private row: one
+    cover search for every column, in index order."""
     if d < 1:
         raise ValueError("d must be >= 1")
     if d >= matrix.n:
         return DisjunctVerdict(True, vacuous=True)
     masks, tables = matrix.masks, _trace_tables(matrix.masks)
     for j in range(matrix.n):
-        cover = _cover_search(tables(j), masks[j], (d,))
+        cover = _cover_search(tables(j), masks[j], d)
         if cover is not None:
             return DisjunctVerdict(False, Witness(j, tuple(cover)))
     return DisjunctVerdict(True)
 
 
 def reference_max_disjunct_order(matrix):
-    """``max_disjunct_order``'s former loop: every column searched, up to
-    the best order found so far."""
+    """``max_disjunct_order``'s former loop: every column searched in
+    index order, at each depth up to the best order found so far."""
     masks, tables = matrix.masks, _trace_tables(matrix.masks)
     best = matrix.n - 1
     for j in range(matrix.n):
         if best == 0:
             break
-        cover = _cover_search(tables(j), masks[j], range(1, best + 1))
-        if cover is not None:
-            best = min(best, max(1, len(cover)) - 1)
+        for depth in range(1, best + 1):
+            cover = _cover_search(tables(j), masks[j], depth)
+            if cover is not None:
+                best = min(best, max(1, len(cover)) - 1)
+                break
     return best
 
 
@@ -158,7 +161,7 @@ def passes_incremental(masks, d):
         return True
     tables = _trace_tables(masks)
     for j in range(len(masks)):
-        if _cover_search(tables(j), masks[j], (depth,)) is not None:
+        if _cover_search(tables(j), masks[j], depth) is not None:
             return False
     return True
 

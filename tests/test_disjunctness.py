@@ -207,7 +207,7 @@ def test_cover_search_engine_matches_brute_force():
             for reverse in (False, True):
                 table = tables(j)
                 for target, depth in sorted(queries, key=lambda q: q[1], reverse=reverse):
-                    cover = _cover_search(table, target, (depth,))
+                    cover = _cover_search(table, target, depth)
                     assert (cover is not None) == holds_by_brute_force(masks, j, target, depth)
                     if cover is not None:
                         assert len(cover) <= depth and j not in cover
@@ -217,7 +217,7 @@ def test_cover_search_engine_matches_brute_force():
                         assert target & ~union == 0
                     # a fresh table, which has not branched yet, agrees
                     fresh = _trace_tables(masks)(j)
-                    assert _cover_search(fresh, target, (depth,)) == cover
+                    assert _cover_search(fresh, target, depth) == cover
 
 
 def test_trace_tables_keep_each_column_table():

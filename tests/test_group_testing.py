@@ -9,6 +9,7 @@ from disjunct import (
     BinaryMatrix,
     BudgetExceededError,
     OutcomeVector,
+    analyze_pairs,
     identity_matrix,
     is_d_disjunct,
     max_disjunct_order,
@@ -320,21 +321,46 @@ def test_trace_tables_are_made_once_per_column(monkeypatch):
     assert made and len(made) == len(set(made))
 
 
-def test_isolated_columns_are_never_searched(monkeypatch):
-    # column j holds row 50 + j alone and 20 of 50 shared rows: a private
-    # row has no cover, so neither search looks at any column
+def spy_on_cover_searches(monkeypatch):
+    """The (table, target, depth) of every cover search, through either
+    module's name for the engine."""
     searches = []
     for module in (disjunctness, group_testing):
         search = module._cover_search
         monkeypatch.setattr(
             module, "_cover_search", lambda *args, search=search: searches.append(args) or search(*args)
         )
+    return searches
+
+
+def test_whole_columns_are_searched_once(monkeypatch):
+    # the failing-set search starts from the column the least cover search
+    # found covered, so no whole column is searched twice at one depth
+    searches = spy_on_cover_searches(monkeypatch)
+    rng = random.Random(64)
+    m = BinaryMatrix.from_masks(100, [rng.getrandbits(100) for _ in range(100)])
+    report = verify_identification(m, 3, max_cases=10**12)
+    assert report == (False, 5075, (0, 1, 25))
+    whole = [
+        (table.column, depth) for table, target, depth in searches if target == m.masks[table.column]
+    ]
+    assert whole and len(whole) == len(set(whole))
+    assert len(searches) > len(whole)  # the lex pass probes parts of columns
+
+
+def test_isolated_columns_are_never_searched(monkeypatch):
+    # column j holds row 50 + j alone and 20 of 50 shared rows: a private
+    # row has no cover, so no command's scan looks at any column
+    searches = spy_on_cover_searches(monkeypatch)
     rng = random.Random(64)
     n = 300
     masks = [1 << 50 + j | sum(1 << r for r in rng.sample(range(50), 20)) for j in range(n)]
     m = BinaryMatrix.from_masks(50 + n, masks)
     assert max_disjunct_order(m) == n - 1
     assert verify_identification(m, 10, max_cases=10**400).ok
+    assert is_d_disjunct(m, 3).is_disjunct and is_d_disjunct(m, 6).is_disjunct
+    analysis = analyze_pairs(m, 3)
+    assert analysis.disjunct and analysis.isolated == frozenset(range(n))
     assert searches == []
 
 
