@@ -12,10 +12,13 @@ stops at the first that k others cover: the checker runs it at d, the
 least cover search of ``check --max`` and ``verify-id`` at each k.  It
 searches on the one cover-search engine, :func:`_cover_search`:
 depth-bounded branch and bound over the other columns' undominated
-traces on a column, which also serves ``verify-id``'s failing-set
-search.  The trace tables of one matrix share its rows' holding
-columns, each row found once.  Greedy covering would give false
-positives, so no column is refuted without a cover.
+traces on a column, which also serves ``verify-id``'s lex-first
+failing-set search.  The trace tables of one matrix share its rows'
+holding columns, each row found once.  Greedy covering would give false
+positives, so no column is refuted without a cover.  No other module
+names the engine, the tables or the scan: each question enters once, by
+:func:`_verdict`, :func:`max_disjunct_order` or
+:func:`_least_failing_set`, and finds the private rows once.
 """
 
 from __future__ import annotations
@@ -215,27 +218,34 @@ def is_d_disjunct(matrix: BinaryMatrix, d: int) -> DisjunctVerdict:
         raise ValueError("d must be >= 1")
     if d >= matrix.n:
         return DisjunctVerdict(True, vacuous=True)
-    bounds = _kernels.min_cover_sizes(matrix.words, d)
-    return _first_covered(matrix, d, bounds, _trace_tables(matrix.masks))
+    return _verdict(matrix, d, _kernels.min_cover_sizes(matrix.words, d))
 
 
-def _open_columns(matrix: BinaryMatrix, k: int, bounds: np.ndarray) -> list[int]:
+def _verdict(matrix: BinaryMatrix, d: int, bounds: np.ndarray) -> DisjunctVerdict:
+    """The verdict of :func:`is_d_disjunct` at d < n, given counting
+    ``bounds`` from ``_kernels.min_cover_sizes`` at a limit of at least d:
+    the scan on fresh trace tables."""
+    columns = _open_columns(matrix, d, bounds, _private_rows(matrix.masks))
+    return _first_covered(matrix, d, columns, _trace_tables(matrix.masks))
+
+
+def _open_columns(matrix: BinaryMatrix, k: int, bounds: np.ndarray, private: int) -> list[int]:
     """The columns, in index order, that k other columns may cover: those
     whose counting bound in ``bounds`` is at most k and that hold no
-    private row, since a row no other column holds has no cover."""
-    masks, private = matrix.masks, _private_rows(matrix.masks)
+    ``private`` row, since a row no other column holds has no cover."""
+    masks = matrix.masks
     return [j for j in np.flatnonzero(bounds <= k).tolist() if not masks[j] & private]
 
 
 def _first_covered(
-    matrix: BinaryMatrix, k: int, bounds: np.ndarray, tables: Callable[[int], _TraceTable]
+    matrix: BinaryMatrix, k: int, columns: list[int], tables: Callable[[int], _TraceTable]
 ) -> DisjunctVerdict:
-    """The verdict of :func:`is_d_disjunct` at ``k``, given counting
-    ``bounds`` from ``_kernels.min_cover_sizes`` at a limit of at least k:
-    the one scan of whole columns, over :func:`_open_columns` in index
-    order on the caller's trace ``tables``, to the first covered column.
+    """The verdict of :func:`is_d_disjunct` at ``k``, given ``columns``,
+    the :func:`_open_columns` at k: the one scan of whole columns, over
+    them in index order on the caller's trace ``tables``, to the first
+    covered column.
     """
-    for j in _open_columns(matrix, k, bounds):
+    for j in columns:
         cover = _cover_search(tables(j), matrix.masks[j], k)
         if cover is not None:
             return DisjunctVerdict(False, Witness(j, tuple(cover)))
@@ -255,27 +265,77 @@ def max_disjunct_order(matrix: BinaryMatrix) -> int:
     """
     masks, private = matrix.masks, _private_rows(matrix.masks)
     cap = min([matrix.n - 1] + [max(0, m.bit_count() - 1) for m in masks if not m & private])
-    k, _ = _least_cover(matrix, cap, _trace_tables(masks))
+    k, _ = _least_cover(matrix, cap, private, _trace_tables(masks))
     return max(0, k - 1)
 
 
 def _least_cover(
-    matrix: BinaryMatrix, cap: int, tables: Callable[[int], _TraceTable]
+    matrix: BinaryMatrix, cap: int, private: int, tables: Callable[[int], _TraceTable]
 ) -> tuple[int, list[int]]:
     """(k, columns): the fewest k <= ``cap`` columns whose union holds
-    another column, or cap + 1, and the :func:`_open_columns` at k from
-    the first one they cover on, or none.  :func:`_first_covered` scans
-    at each k from the least bound of an open column, on ``tables``, so
-    refuted states carry over from one k to the next.
+    another column, or cap + 1, and the :func:`_open_columns` at k, past
+    the ``private`` rows, from the first one they cover on, or none.
+    :func:`_first_covered` scans at each k from the least bound of an
+    open column, on ``tables``, so refuted states carry over from one k
+    to the next.
     """
     bounds = _kernels.min_cover_sizes(matrix.words, cap)
-    least = bounds[_open_columns(matrix, cap, bounds)].min(initial=cap + 1)
+    least = bounds[_open_columns(matrix, cap, bounds, private)].min(initial=cap + 1)
     for k in range(int(least), cap + 1):
-        verdict = _first_covered(matrix, k, bounds, tables)
+        columns = _open_columns(matrix, k, bounds, private)
+        verdict = _first_covered(matrix, k, columns, tables)
         if not verdict.is_disjunct:
-            columns = _open_columns(matrix, k, bounds)
             return k, columns[columns.index(verdict.witness.column) :]
     return cap + 1, []
+
+
+def _least_failing_set(matrix: BinaryMatrix, cap: int) -> tuple[int, ...] | None:
+    """The lex-first of the least sets of at most ``cap`` columns whose
+    union holds a column outside them, or None: the least lex-first cover
+    among the columns :func:`_least_cover` gives, on its trace tables."""
+    masks, tables = matrix.masks, _trace_tables(matrix.masks)
+    k, columns = _least_cover(matrix, cap, _private_rows(masks), tables)
+    if not columns:
+        return None
+
+    def lex_first(table: _TraceTable, stop: int) -> tuple[int, ...] | None:
+        """The lex-first k columns, the first below ``stop``, that cover
+        column j, when no column has a cover of fewer: each the least past
+        the last that leaves the rest of j coverable.  A probe searches all
+        columns but j: with C picked, c the lex-first cover's next column
+        and i probed, a cover R of the rest makes C + [i] + R a cover of k
+        columns, which would precede the lex-first one were i below c or a
+        column of R below i.  So probes below c fail, as over the columns
+        past i alone, and R lies past c: less its least column, it covers
+        what picking that column leaves, so that pick needs no search."""
+        j = table.column
+        chosen, uncovered, start, rest = [], masks[j], 0, None
+        for left in range(k - 1, -1, -1):
+            least = min(rest) if rest else -1
+            for i in range(start, stop):
+                if i == j or not masks[i] & uncovered:
+                    continue
+                if i == least:
+                    rest.remove(i)
+                    break
+                found = _cover_search(table, uncovered & ~masks[i], left)
+                if found is not None:
+                    rest = found
+                    break
+            else:
+                return None
+            chosen.append(i)
+            uncovered &= ~masks[i]
+            start, stop = i + 1, len(masks)
+        return tuple(chosen)
+
+    best = lex_first(tables(columns[0]), len(masks))
+    for j in columns[1:]:
+        # only a set that starts at or before best's first column can beat it
+        cover = lex_first(tables(j), best[0] + 1)
+        if cover and cover < best:
+            best = cover
+    return best
 
 
 def _drop(t: int, masks: Sequence[int], j: int, rows: list[int]) -> tuple[int, list[int]]:

@@ -6,22 +6,22 @@ every item appearing in no negative test; on a d-disjunct matrix it
 recovers any positive set of size at most d exactly.
 
 The guarantee fails exactly when the union of at most d columns holds a
-column outside them, so :func:`verify_identification` decides it by the
-least cover size instead of decoding every positive set.  On a failure
-the same trace tables give the first failing set of that size in lex
-order, from the first column found covered; binomials count the sets
+column outside them, so :func:`verify_identification` asks
+``disjunctness`` one question instead of decoding every positive set:
+the lex-first failing set of the least size, if one has at most d
+columns.  Binomials, summed one running term at a time, count the sets
 before it.
 """
 
 from __future__ import annotations
 
 from math import comb
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from . import _kernels
-from .disjunctness import _TraceTable, _cover_search, _least_cover, _trace_tables
+from .disjunctness import _least_failing_set
 from .matrix import BinaryMatrix, _iter_bits, _mask_to_words
 
 
@@ -105,88 +105,61 @@ def verify_identification(
     first, and the first failure in that order is reported.  The positives
     are always decoded, so a set fails iff its union holds a column outside
     it: the empty set iff some column is empty, a larger set iff it covers
-    another column.  So every set decodes iff no column is empty and the
-    least cover size (``disjunctness._least_cover``) exceeds min(d, n-1).
+    another column.  So every set decodes iff no column is empty and no
+    min(d, n-1) columns cover another; otherwise the first failure past
+    the empty set is ``disjunctness._least_failing_set`` at that cap.
 
     ``cases`` counts the sets in that order up to and including the first
     failure, or all sum_{k <= min(d, n)} C(n, k) of them on success; it is
     computed from binomials, not by enumeration.  Raises
     :class:`BudgetExceededError` up front when that sum exceeds
-    ``max_cases``.  That refusal is the budget's only effect: the least
-    cover search and the failing-set search look only at sets of at most
-    d columns, and count nothing against it.
+    ``max_cases``, however many digits it has.  That refusal is the
+    budget's only effect: the failing-set search looks only at sets of at
+    most d columns, and counts nothing against it.
     """
     if d < 0:
         raise ValueError("d must be >= 0")
     if max_cases < 0:
         raise ValueError("max_cases must be >= 0")
     n = matrix.n
-    total = sum(comb(n, k) for k in range(0, min(d, n) + 1))
+    total = _binomial_sum(n, d + 1)
     if total > max_cases:
         raise BudgetExceededError(
-            f"{total} positive sets exceed the budget of {max_cases}"
+            f"{_decimal(total)} positive sets exceed the budget of {_decimal(max_cases)}"
         )
     if not matrix.words.any(axis=1).all():
         # an empty column is decoded beside the empty set
         return IdentificationReport(ok=False, cases=1, failure=())
-    tables = _trace_tables(matrix.masks)
-    k, columns = _least_cover(matrix, min(d, n - 1), tables)
-    if not columns:
+    failure = _least_failing_set(matrix, min(d, n - 1))
+    if failure is None:
         return IdentificationReport(ok=True, cases=total)
-    failure = _first_failing_set(matrix, k, columns, tables)
     return IdentificationReport(
         ok=False,
-        cases=sum(comb(n, i) for i in range(k)) + _lex_rank(n, failure) + 1,
+        cases=_binomial_sum(n, len(failure)) + _lex_rank(n, failure) + 1,
         failure=failure,
     )
 
 
-def _first_failing_set(
-    matrix: BinaryMatrix, k: int, columns: list[int], tables: Callable[[int], _TraceTable]
-) -> tuple[int, ...]:
-    """The lex-first set of k columns whose union holds a column outside
-    it: the least lex-first cover among ``columns``, given the k, columns
-    and trace ``tables`` of ``disjunctness._least_cover``."""
-    masks = matrix.masks
+def _binomial_sum(n: int, k: int) -> int:
+    """sum(comb(n, i) for i in range(k)), one step C(n, i+1) = C(n, i) *
+    (n-i) / (i+1) per term; 2**n once k passes n."""
+    if k > n:
+        return 1 << n
+    total, term = 0, 1
+    for i in range(k):
+        total += term
+        term = term * (n - i) // (i + 1)
+    return total
 
-    def lex_first(table: _TraceTable, stop: int) -> tuple[int, ...] | None:
-        """The lex-first k columns, the first below ``stop``, that cover
-        column j, when no column has a cover of fewer: each the least past
-        the last that leaves the rest of j coverable.  A probe searches all
-        columns but j: with C picked, c the lex-first cover's next column
-        and i probed, a cover R of the rest makes C + [i] + R a cover of k
-        columns, which would precede the lex-first one were i below c or a
-        column of R below i.  So probes below c fail, as over the columns
-        past i alone, and R lies past c: less its least column, it covers
-        what picking that column leaves, so that pick needs no search."""
-        j = table.column
-        chosen, uncovered, start, rest = [], masks[j], 0, None
-        for left in range(k - 1, -1, -1):
-            least = min(rest) if rest else -1
-            for i in range(start, stop):
-                if i == j or not masks[i] & uncovered:
-                    continue
-                if i == least:
-                    rest.remove(i)
-                    break
-                found = _cover_search(table, uncovered & ~masks[i], left)
-                if found is not None:
-                    rest = found
-                    break
-            else:
-                return None
-            chosen.append(i)
-            uncovered &= ~masks[i]
-            start, stop = i + 1, len(masks)
-        return tuple(chosen)
 
-    best = lex_first(tables(columns[0]), len(masks))
-    for j in columns[1:]:
-        # only a set that starts at or before best's first column can beat it
-        cover = lex_first(tables(j), best[0] + 1)
-        if cover and cover < best:
-            best = cover
-    return best
+def _decimal(count: int) -> str:
+    """``count`` in decimal, or in scientific notation past Python's
+    int-to-str digit limit."""
+    try:
+        return str(count)
+    except ValueError:
+        from decimal import Decimal  # here, not per command: its import takes about 1 ms
+        return f"{Decimal(count):.3e}"
 
 
 def _lex_rank(n: int, subset: tuple[int, ...]) -> int:

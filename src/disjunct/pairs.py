@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .disjunctness import DisjunctVerdict, _first_covered, _trace_tables, find_isolated_columns
+from .disjunctness import DisjunctVerdict, _verdict, find_isolated_columns
 from .matrix import DENSE_LIMIT, BinaryMatrix, _iter_bits
 
 
@@ -293,10 +293,7 @@ def analyze_pairs(matrix: BinaryMatrix, d: int) -> PairAnalysis:
     # and no d >= n reaches the kernel's int64 bounds
     vacuous = d >= matrix.n
     bounds = _kernels.min_cover_sizes(words, 0 if vacuous else d, counting_pairs())
-    if vacuous:
-        verdict = DisjunctVerdict(True, vacuous=True)
-    else:
-        verdict = _first_covered(matrix, d, bounds, _trace_tables(masks))
+    verdict = DisjunctVerdict(True, vacuous=True) if vacuous else _verdict(matrix, d, bounds)
     isolated = find_isolated_columns(matrix)
     applies = verdict.is_disjunct and not verdict.vacuous and not isolated
     columns = []

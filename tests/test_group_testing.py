@@ -138,12 +138,29 @@ def test_lex_rank_matches_combinations():
                 assert group_testing._lex_rank(n, combo) == rank
 
 
+def test_binomial_sum_matches_comb():
+    for n in range(81):
+        for k in range(n + 3):
+            assert group_testing._binomial_sum(n, k) == sum(comb(n, i) for i in range(k))
+
+
 def test_verify_identification_budget():
     m = identity_matrix(30)
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError, match=f"^{sum(comb(30, k) for k in range(5))} "):
         verify_identification(m, 4, max_cases=1000)
     with pytest.raises(ValueError, match="max_cases must be >= 0"):
         verify_identification(m, 0, max_cases=-1)
+
+
+def test_verify_identification_budget_past_the_digit_limit():
+    # 2**15000 sets: 4,516 digits, past Python's default int-to-str limit,
+    # where the refusal names the count in scientific notation
+    rng = random.Random(0)
+    m = BinaryMatrix.from_masks(16, [rng.getrandbits(16) for _ in range(15_000)])
+    with pytest.raises(BudgetExceededError, match="positive sets exceed the budget of 2000000$"):
+        verify_identification(m, 15_000)
+    text = group_testing._decimal(2**15000)
+    assert text == "2.818e+4515" or int(text) == 2**15000
 
 
 def test_verify_identification_multiword_path():
@@ -322,14 +339,13 @@ def test_trace_tables_are_made_once_per_column(monkeypatch):
 
 
 def spy_on_cover_searches(monkeypatch):
-    """The (table, target, depth) of every cover search, through either
-    module's name for the engine."""
+    """The (table, target, depth) of every cover search: only
+    ``disjunctness`` names the engine."""
     searches = []
-    for module in (disjunctness, group_testing):
-        search = module._cover_search
-        monkeypatch.setattr(
-            module, "_cover_search", lambda *args, search=search: searches.append(args) or search(*args)
-        )
+    search = disjunctness._cover_search
+    monkeypatch.setattr(
+        disjunctness, "_cover_search", lambda *args: searches.append(args) or search(*args)
+    )
     return searches
 
 
@@ -346,6 +362,27 @@ def test_whole_columns_are_searched_once(monkeypatch):
     ]
     assert whole and len(whole) == len(set(whole))
     assert len(searches) > len(whole)  # the lex pass probes parts of columns
+
+
+def test_private_rows_are_found_once_per_question(monkeypatch, ag):
+    # each entry finds the matrix's private rows once and hands the mask
+    # to every scan it runs
+    calls = []
+    private_rows = disjunctness._private_rows
+    monkeypatch.setattr(
+        disjunctness, "_private_rows", lambda masks: calls.append(0) or private_rows(masks)
+    )
+    plane, rng = ag(7), random.Random(64)
+    m = BinaryMatrix.from_masks(100, [rng.getrandbits(100) for _ in range(100)])
+    for question in (
+        lambda: max_disjunct_order(plane),
+        lambda: max_disjunct_order(m),
+        lambda: verify_identification(m, 3, 10**12),
+        lambda: is_d_disjunct(m, 3),
+    ):
+        calls.clear()
+        question()
+        assert len(calls) == 1
 
 
 def test_isolated_columns_are_never_searched(monkeypatch):
