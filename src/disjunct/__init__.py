@@ -30,13 +30,11 @@ from .constructions import (
 )
 from .disjunctness import (
     DisjunctVerdict,
-    PeelResult,
     Witness,
     delete_column_and_rows,
     find_isolated_columns,
     is_d_disjunct,
     max_disjunct_order,
-    peel_isolated,
     peel_to_core,
 )
 from .group_testing import (
@@ -71,7 +69,6 @@ __all__ = [
     "IdentificationReport",
     "OutcomeVector",
     "PairAnalysis",
-    "PeelResult",
     "SearchCertificate",
     "TDNBound",
     "Theorem1Certificate",
@@ -92,7 +89,6 @@ __all__ = [
     "max_disjunct_order",
     "naive_decode",
     "outcomes",
-    "peel_isolated",
     "peel_to_core",
     "random_disjunct_corpus",
     "read_matrix",

@@ -7,8 +7,8 @@ packed ``(n, W)`` arrays and handle any word count W.
 
 One memory cap, ``_CELLS``, bounds every intermediate the kernels build in
 blocks: the all-pairs intersection table of :func:`intersection_blocks`,
-which :func:`min_cover_sizes` and the pair analysis read, and the
-unpacked bits of :func:`row_degrees`.
+which :func:`min_cover_sizes` and the pair analysis each read in their
+own pass, and the unpacked bits of :func:`row_degrees`.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ def intersection_blocks(words: np.ndarray):
         yield lo, counts
 
 
-def min_cover_sizes(words: np.ndarray, limit: int, blocks=None) -> np.ndarray:
+def min_cover_sizes(words: np.ndarray, limit: int) -> np.ndarray:
     """Lower bound on the number of other columns needed to cover each column.
 
     For column j: the fewest k such that the k largest intersections
@@ -71,10 +71,6 @@ def min_cover_sizes(words: np.ndarray, limit: int, blocks=None) -> np.ndarray:
     a sort of the tail.  A block where top times each row's largest count
     stays below the row's weight reaches no weight, so it is cleared
     without ranking.
-
-    ``blocks``, by default ``intersection_blocks(words)``, lets a caller
-    that reads the table too pass its blocks on; each block is reordered
-    in place once the caller has passed it on.
     """
     n, num_words = words.shape
     weights = column_weights(words)
@@ -82,7 +78,7 @@ def min_cover_sizes(words: np.ndarray, limit: int, blocks=None) -> np.ndarray:
     # the narrowest type that holds the sum of top counts
     reach_type = np.min_scalar_type(64 * num_words * top)
     out = np.empty(n, dtype=np.int64)
-    for lo, counts in intersection_blocks(words) if blocks is None else blocks:
+    for lo, counts in intersection_blocks(words):
         hi = lo + len(counts)
         # in int64: top times a uint8 count may pass 255.  At top 0 an
         # empty column fails the test, but nothing is left to rank

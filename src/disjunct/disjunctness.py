@@ -16,9 +16,10 @@ traces on a column, which also serves ``verify-id``'s lex-first
 failing-set search.  The trace tables of one matrix share its rows'
 holding columns, each row found once.  Greedy covering would give false
 positives, so no column is refuted without a cover.  No other module
-names the engine, the tables or the scan: each question enters once, by
-:func:`_verdict`, :func:`max_disjunct_order` or
-:func:`_least_failing_set`, and finds the private rows once.
+names the counting bounds, the engine, the tables or the scan: each
+question enters once, by :func:`is_d_disjunct`,
+:func:`max_disjunct_order` or :func:`_least_failing_set`, and finds the
+private rows once.
 """
 
 from __future__ import annotations
@@ -48,12 +49,6 @@ class DisjunctVerdict(NamedTuple):
     is_disjunct: bool
     witness: Witness | None = None
     vacuous: bool = False
-
-
-class PeelResult(NamedTuple):
-    reduced: BinaryMatrix
-    removed_column: int
-    removed_rows: frozenset[int]
 
 
 class _TraceTable:
@@ -218,13 +213,7 @@ def is_d_disjunct(matrix: BinaryMatrix, d: int) -> DisjunctVerdict:
         raise ValueError("d must be >= 1")
     if d >= matrix.n:
         return DisjunctVerdict(True, vacuous=True)
-    return _verdict(matrix, d, _kernels.min_cover_sizes(matrix.words, d))
-
-
-def _verdict(matrix: BinaryMatrix, d: int, bounds: np.ndarray) -> DisjunctVerdict:
-    """The verdict of :func:`is_d_disjunct` at d < n, given counting
-    ``bounds`` from ``_kernels.min_cover_sizes`` at a limit of at least d:
-    the scan on fresh trace tables."""
+    bounds = _kernels.min_cover_sizes(matrix.words, d)
     columns = _open_columns(matrix, d, bounds, _private_rows(matrix.masks))
     return _first_covered(matrix, d, columns, _trace_tables(matrix.masks))
 
@@ -359,26 +348,6 @@ def find_isolated_columns(matrix: BinaryMatrix) -> frozenset[int]:
     """Columns owning a private row (a row contained in no other column)."""
     private = _private_rows(matrix.masks)
     return frozenset(j for j, mask in enumerate(matrix.masks) if mask & private)
-
-
-def peel_isolated(matrix: BinaryMatrix, j: int) -> PeelResult:
-    """Remove isolated column j and all rows private to it.
-
-    Preserves d-disjunctness: the removed rows belong to no other column,
-    so no remaining column's support or potential covers change.
-    """
-    if not 0 <= j < matrix.n:
-        raise ValueError(f"column index {j} out of range")
-    if matrix.n < 2:
-        raise ValueError("cannot peel the last column")
-    private = list(_iter_bits(matrix.masks[j] & _private_rows(matrix.masks)))
-    if not private:
-        raise ValueError(f"column {j} is not isolated")
-    return PeelResult(
-        reduced=BinaryMatrix.from_masks(*_drop(matrix.t, matrix.masks, j, private)),
-        removed_column=j,
-        removed_rows=frozenset(private),
-    )
 
 
 def peel_to_core(matrix: BinaryMatrix) -> tuple[BinaryMatrix, int]:

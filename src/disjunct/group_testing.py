@@ -142,9 +142,13 @@ def verify_identification(
 
 def _binomial_sum(n: int, k: int) -> int:
     """sum(comb(n, i) for i in range(k)), one step C(n, i+1) = C(n, i) *
-    (n-i) / (i+1) per term; 2**n once k passes n."""
+    (n-i) / (i+1) per term; 2**n once k passes n.  Past the middle it
+    walks the shorter tail: C(n, i) = C(n, n-i), so the terms from k on
+    add up to the first n-k+1."""
     if k > n:
         return 1 << n
+    if 2 * k > n + 1:
+        return (1 << n) - _binomial_sum(n, n - k + 1)
     total, term = 0, 1
     for i in range(k):
         total += term

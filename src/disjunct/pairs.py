@@ -16,16 +16,16 @@ half the sum of the neighbourhood sizes.  The two classes partition a
 column's 2-subsets, so a column's private pairs are the other ones,
 C(w, 2) - |E| of them for weight w.
 
-``analyze_pairs`` is the one pass over a whole matrix: it decides the
-matrix-wide preconditions of that bound (Lemma 3 of the paper) once,
-finds every column's partners in one blocked pass over the all-pairs
-intersection table (``_kernels.intersection_blocks``), the pass from
-which the checker also takes its counting bounds, builds the masks only
-for columns that have partners, then counts and checks every column,
-and totals the private pairs against the C(t, 2) budget they share.  The
-masks take V^2 bits per column on the V rows that lie in a non-private
-pair, refused past ``matrix.DENSE_LIMIT``; the blossom's O(V^3) time is
-the one step of that pass with no bound.
+``analyze_pairs`` is the one pass over a whole matrix: it finds every
+column's partners in one blocked pass over the all-pairs intersection
+table (``_kernels.intersection_blocks``), builds the masks only for
+columns that have partners, then takes the matrix-wide preconditions of
+that bound (Lemma 3 of the paper) from ``is_d_disjunct`` and
+``find_isolated_columns``, checks every column, and totals the private
+pairs against the C(t, 2) budget they share.  The masks take V^2 bits
+per column on the V rows that lie in a non-private pair, refused past
+``matrix.DENSE_LIMIT``; the blossom's O(V^3) time is the one step of
+that pass with no bound.
 
 ``complete_graph_matchings`` and ``matching_numbers_all_graphs`` tabulate
 the matching number of every graph on up to seven vertices, the table
@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .disjunctness import DisjunctVerdict, _verdict, find_isolated_columns
+from .disjunctness import find_isolated_columns, is_d_disjunct
 from .matrix import DENSE_LIMIT, BinaryMatrix, _iter_bits
 
 
@@ -269,31 +269,23 @@ def analyze_pairs(matrix: BinaryMatrix, d: int) -> PairAnalysis:
     and ``in_range`` is false.  A private pair belongs to exactly one
     column, so ``private_total`` never exceeds ``pair_budget``.
 
-    The pairs and the checker's counting bounds come from one pass over
-    the all-pairs intersection table: each block's columns are counted
-    before the bounds reorder the block in place.
+    The pairs come from one pass over the all-pairs intersection table,
+    before the checker runs, so a pair graph past ``DENSE_LIMIT`` is
+    refused before any cover search.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    masks, words = matrix.masks, matrix.words
+    masks = matrix.masks
     counted = []  # (nonprivate, matching) of each column, in column order
-
-    def counting_pairs():
-        for lo, counts in _kernels.intersection_blocks(words):
-            for j, partners in enumerate(_partners(counts), lo):
-                nonprivate = nu = 0
-                if partners:
-                    around = _neighbourhoods(masks, j, partners)
-                    nonprivate = sum(near.bit_count() for near in around) // 2
-                    nu = _matching(around)
-                counted.append((nonprivate, nu))
-            yield lo, counts
-
-    # the bounds are read only when d < n; at limit 0 no block is ranked,
-    # and no d >= n reaches the kernel's int64 bounds
-    vacuous = d >= matrix.n
-    bounds = _kernels.min_cover_sizes(words, 0 if vacuous else d, counting_pairs())
-    verdict = DisjunctVerdict(True, vacuous=True) if vacuous else _verdict(matrix, d, bounds)
+    for lo, counts in _kernels.intersection_blocks(matrix.words):
+        for j, partners in enumerate(_partners(counts), lo):
+            nonprivate = nu = 0
+            if partners:
+                around = _neighbourhoods(masks, j, partners)
+                nonprivate = sum(near.bit_count() for near in around) // 2
+                nu = _matching(around)
+            counted.append((nonprivate, nu))
+    verdict = is_d_disjunct(matrix, d)
     isolated = find_isolated_columns(matrix)
     applies = verdict.is_disjunct and not verdict.vacuous and not isolated
     columns = []

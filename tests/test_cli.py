@@ -16,7 +16,7 @@ from disjunct import (
     load_matrix,
     save_matrix,
 )
-from disjunct import cli, constructions
+from disjunct import cli, constructions, disjunctness
 from disjunct import matrix as matrix_module
 from disjunct.cli import main
 from disjunct.pairs import ColumnPairs, PairAnalysis
@@ -97,14 +97,24 @@ def test_analyze_skips_checks_on_invalid_input(tmp_path, capsys):
     assert stdout.splitlines()[-1] == "private_total=0 pair_budget=1 budget_ok=true"
 
 
-def test_analyze_refuses_a_pair_graph_past_the_cell_cap(tmp_path, capsys):
+def test_analyze_refuses_a_pair_graph_past_the_cell_cap(tmp_path, capsys, monkeypatch):
     # two all-ones columns share all 16,385 rows: V^2 bits of masks pass
-    # DENSE_LIMIT, so analyze refuses before it builds any of them
+    # DENSE_LIMIT, so analyze refuses before it builds any of them, and
+    # the pair pass runs before the checker, so no column is searched
+    searched = []
+    first_covered = disjunctness._first_covered
+
+    def spy(matrix, k, columns, tables):
+        searched.append(columns)
+        return first_covered(matrix, k, columns, tables)
+
+    monkeypatch.setattr(disjunctness, "_first_covered", spy)
     path = tmp_path / "ones.dmat"
     path.write_text("16385 2\n" + "11\n" * 16385)
     code, stdout, stderr = run(capsys, "analyze", "--d", "1", str(path))
     assert code == 2 and stdout == ""
     assert stderr.startswith("error: ") and stderr.count("\n") == 1
+    assert searched == []
 
 
 def test_analyze_golden_out_of_range(tmp_path, capsys):
@@ -125,8 +135,8 @@ def test_analyze_golden_out_of_range(tmp_path, capsys):
 def test_analyze_runs_the_matrix_wide_checks_once(tmp_path, capsys, monkeypatch):
     path = tmp_path / "p5.dmat"
     save_matrix(affine_plane_matrix(5), path)
-    # the checker's verdict and the pair counts share one pass over the
-    # all-pairs intersection table
+    # the pair counts and the checker's counting bounds each make one pass
+    # over the all-pairs intersection table
     calls = {"find_isolated_columns": 0, "_first_covered": 0, "intersection_blocks": 0}
     for module in [m for name, m in sys.modules.items() if name.startswith("disjunct.")]:
         for name in calls:
@@ -141,7 +151,7 @@ def test_analyze_runs_the_matrix_wide_checks_once(tmp_path, capsys, monkeypatch)
             monkeypatch.setattr(module, name, spy)
     code, _, _ = run(capsys, "analyze", "--d", "4", str(path))
     assert code == 0
-    assert calls == {"find_isolated_columns": 1, "_first_covered": 1, "intersection_blocks": 1}
+    assert calls == {"find_isolated_columns": 1, "_first_covered": 1, "intersection_blocks": 2}
 
 
 def test_analyze_nonprivate_pairs_match_oracles(mixed_corpus, tmp_path, capsys):

@@ -15,7 +15,6 @@ from disjunct import (
     identity_matrix,
     is_d_disjunct,
     max_disjunct_order,
-    peel_isolated,
     peel_to_core,
 )
 from disjunct import disjunctness
@@ -29,7 +28,6 @@ from oracles import (
     reference_is_d_disjunct,
     reference_isolated_columns,
     reference_max_disjunct_order,
-    reference_peel_isolated,
     reference_peel_to_core,
 )
 
@@ -359,26 +357,6 @@ def test_isolated_examples(ag):
     assert find_isolated_columns(single) == frozenset({0})
 
 
-def test_peel_identity():
-    result = peel_isolated(identity_matrix(3), 0)
-    assert result.reduced == identity_matrix(2)
-    assert result.removed_rows == frozenset({0})
-
-
-def test_peel_weight2_both_rows_private():
-    m = BinaryMatrix.from_masks(3, [0b011, 0b100])
-    result = peel_isolated(m, 0)
-    assert result.removed_rows == frozenset({0, 1})
-    assert result.reduced.t == 1 and result.reduced.n == 1
-
-
-def test_peel_requires_isolated(ag):
-    with pytest.raises(ValueError):
-        peel_isolated(ag(3), 0)
-    with pytest.raises(ValueError):
-        peel_isolated(BinaryMatrix.from_masks(2, [0b11]), 0)
-
-
 def test_peel_to_fixpoint():
     rng = random.Random(7)
     for _ in range(60):
@@ -391,7 +369,8 @@ def test_peel_to_fixpoint():
 
 
 def test_peel_preserves_disjunctness():
-    # lemma: removing an isolated column and its private rows keeps d-disjunct
+    # lemma: removing an isolated column and its private rows keeps d-disjunct,
+    # so the core that peel_to_core leaves is d-disjunct too
     rng = random.Random(8)
     checked = 0
     while checked < 40:
@@ -401,13 +380,12 @@ def test_peel_preserves_disjunctness():
         isolated = find_isolated_columns(m)
         if not isolated or m.n < 3:
             continue
+        core, _ = peel_to_core(m)
         for d in range(1, n - 1):
             if not is_d_disjunct(m, d).is_disjunct:
                 continue
-            reduced = peel_isolated(m, min(isolated)).reduced
-            if reduced.n >= 1:
-                assert is_d_disjunct(reduced, d).is_disjunct
-                checked += 1
+            assert is_d_disjunct(core, d).is_disjunct
+            checked += 1
 
 
 def odd_column_matrices(t, seed):
@@ -434,18 +412,6 @@ def test_peeling_matches_the_row_degree_oracle(t):
         assert _private_rows(m.masks) == private
         isolated = find_isolated_columns(m)
         assert isolated == reference_isolated_columns(m)
-        for j in range(m.n):
-            if m.n < 2:
-                break
-            if j not in isolated:
-                with pytest.raises(ValueError, match=f"column {j} is not isolated"):
-                    peel_isolated(m, j)
-                continue
-            result = peel_isolated(m, j)
-            reduced, removed = reference_peel_isolated(m, j)
-            assert result.reduced == reduced
-            assert result.removed_rows == removed
-            assert result.removed_column == j
         assert peel_to_core(m) == reference_peel_to_core(m)
 
 

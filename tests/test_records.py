@@ -9,7 +9,6 @@ from disjunct import (
     IdentificationReport,
     OutcomeVector,
     PairAnalysis,
-    PeelResult,
     SearchCertificate,
     TDNBound,
     Theorem1Certificate,
@@ -18,11 +17,9 @@ from disjunct import (
     affine_plane_matrix,
     analyze_pairs,
     exhaustive_T,
-    identity_matrix,
     is_d_disjunct,
     lower_bounds,
     outcomes,
-    peel_isolated,
     t_dn_lower_bound,
     theorem1_certificate,
     theorem2_audit,
@@ -38,11 +35,6 @@ RECORDS = [
         DisjunctVerdict,
         ("is_disjunct", "witness", "vacuous"),
         lambda: is_d_disjunct(AG3, 3),
-    ),
-    (
-        PeelResult,
-        ("reduced", "removed_column", "removed_rows"),
-        lambda: peel_isolated(identity_matrix(3), 0),
     ),
     (
         ColumnPairs,
