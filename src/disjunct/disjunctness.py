@@ -14,12 +14,12 @@ searches on the one cover-search engine, :func:`_cover_search`:
 depth-bounded branch and bound over the other columns' undominated
 traces on a column, which also serves ``verify-id``'s lex-first
 failing-set search.  The trace tables of one matrix share its rows'
-holding columns, each row found once.  Greedy covering would give false
-positives, so no column is refuted without a cover.  No other module
-names the counting bounds, the engine, the tables or the scan: each
-question enters once, by :func:`is_d_disjunct`,
-:func:`max_disjunct_order` or :func:`_least_failing_set`, and finds the
-private rows once.
+holding columns, each row transposed once by ``matrix._fill_holders``.
+Greedy covering would give false positives, so no column is refuted
+without a cover.  No other module names the counting bounds, the
+engine, the tables or the scan: each question enters once, by
+:func:`is_d_disjunct`, :func:`max_disjunct_order` or
+:func:`_least_failing_set`, and finds the private rows once.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import _kernels
-from .matrix import BinaryMatrix, _iter_bits, _private_rows
+from .matrix import BinaryMatrix, _fill_holders, _iter_bits, _private_rows
 
 
 class Witness(NamedTuple):
@@ -55,10 +55,11 @@ class _TraceTable:
     """Column j's cover problem, shared by every search on it.  The
     candidates are the lowest column of each distinct trace on column j
     that no other trace contains, found when a search first branches.
-    ``holders`` maps a row, as its bit, to the columns holding it, as
-    bits: the tables of one matrix share it, and each fills in its
-    column's rows when a search first needs them.  ``dead`` holds every
-    search's refuted (uncovered rows, depth left) states."""
+    ``holders`` maps a row, by index, to the columns holding it, as bits
+    (``matrix._fill_holders``): the tables of one matrix share it, and
+    each fills in its column's rows when a search first needs them.
+    ``dead`` holds every search's refuted (uncovered rows, depth left)
+    states."""
 
     __slots__ = ("masks", "column", "holders", "dead", "_candidates")
 
@@ -71,8 +72,8 @@ class _TraceTable:
         """The candidates, as bits, and the most rows of column j one of
         them holds."""
         if self._candidates is None:
-            self._fill()
             masks, j = self.masks, self.column
+            _fill_holders(masks, masks[j], self.holders)
             count: dict[int, int] = {}  # columns but j with each trace
             for k, mk in enumerate(masks):
                 trace = mk & masks[j]
@@ -91,11 +92,11 @@ class _TraceTable:
         column j, or None when no column does."""
         known = self._candidates is not None
         if not known:
-            self._fill()
+            _fill_holders(self.masks, self.masks[self.column], self.holders)
         hold = self._candidates[0] if known else ~(1 << self.column)
         while rows and hold:
             low = rows & -rows
-            hold &= self.holders[low]
+            hold &= self.holders[low.bit_length() - 1]
             rows ^= low
         if known or not hold:
             return (hold & -hold).bit_length() - 1 if hold else None
@@ -114,32 +115,18 @@ class _TraceTable:
         otherwise."""
         holders = self.holders
         low = trace & -trace
-        held, rows = holders[low] & ~(1 << self.column), trace ^ low
+        held, rows = holders[low.bit_length() - 1] & ~(1 << self.column), trace ^ low
         while rows and held & (held - 1):  # one column left must be the trace's
             low = rows & -rows
-            held &= holders[low]
+            held &= holders[low.bit_length() - 1]
             rows ^= low
         return (held & -held).bit_length() - 1 if held.bit_count() == count else None
-
-    def _fill(self) -> None:
-        """Transposes the matrix on the rows of column j that ``holders``
-        lacks; ``holders[0]`` is the mask of the rows it has."""
-        holders = self.holders
-        fresh_rows = self.masks[self.column] & ~holders[0]
-        if fresh_rows:
-            holders[0] |= fresh_rows
-            for k, mk in enumerate(self.masks):
-                m = mk & fresh_rows
-                while m:
-                    low = m & -m
-                    holders[low] = holders.get(low, 0) | 1 << k
-                    m ^= low
 
 
 def _trace_tables(masks: Sequence[int]) -> Callable[[int], _TraceTable]:
     """Column j -> column j's trace table over ``masks``, made once; the
     tables share one ``holders`` map, so each row is transposed once."""
-    holders, made = {0: 0}, {}  # no row is a 0 bit, so key 0 can hold the rows filled in
+    holders, made = {}, {}
     return lambda j: made.get(j) or made.setdefault(j, _TraceTable(masks, j, holders))
 
 
@@ -176,13 +163,10 @@ def _cover_search(table: _TraceTable, target: int, depth: int) -> list[int] | No
                 # A row with one ends the scan: only a row with none has
                 # fewer, and then no branch has a cover
                 branch_row, fewest = 0, len(masks)
-                rest = uncovered
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    c = (holders[low] & allowed).bit_count()
+                for row in _iter_bits(uncovered):
+                    c = (holders[row] & allowed).bit_count()
                     if c < fewest:
-                        branch_row, fewest = low, c
+                        branch_row, fewest = row, c
                         if c <= 1:
                             break
                 untried = _iter_bits(holders[branch_row] & allowed)

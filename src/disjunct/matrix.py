@@ -61,6 +61,20 @@ def _private_rows(masks: Iterable[int]) -> int:
     return once & ~twice
 
 
+def _fill_holders(masks: Sequence[int], rows: int, holders: dict[int, int]) -> None:
+    """Transpose ``masks`` on the ``rows`` that ``holders`` lacks: row r,
+    keyed by its index, maps to the columns holding it, as bits.
+    ``holders[-1]`` is the mask of the rows filled in, so each row is
+    transposed once however many callers share the map."""
+    filled = holders.get(-1, 0)
+    if fresh := rows & ~filled:
+        holders[-1] = filled | fresh
+        for k, mask in enumerate(masks):
+            bit = 1 << k
+            for r in _iter_bits(mask & fresh):
+                holders[r] = holders.get(r, 0) | bit
+
+
 # analysis operations are specified at desk scale; a matrix of more cells
 # than this (a .dmat text over 256 MB) is refused when read or built
 DENSE_LIMIT = 1 << 28

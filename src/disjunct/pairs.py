@@ -8,21 +8,23 @@ cannot afford s pairwise disjoint non-private pairs inside a column of
 weight d+s.  Matching numbers come from Edmonds' blossom algorithm, in
 O(V^3) for a graph on V vertices.
 
-Column j shares a pair with another column k exactly when the two meet
-in at least two rows, and then every pair of the trace ``c_k & c_j`` is
-non-private.  So the graph is kept as row-neighbourhood masks: row r's
-neighbourhood is the union of the traces that hold r, minus r, and |E| is
-half the sum of the neighbourhood sizes.  The two classes partition a
-column's 2-subsets, so a column's private pairs are the other ones,
-C(w, 2) - |E| of them for weight w.
+Column j shares a pair with another column k, its partner, exactly when
+the two meet in at least two rows, and then every pair of the trace
+``c_k & c_j`` is non-private.  So rows r and s of column j form a
+non-private pair exactly when some partner holds both: when their
+partner sets, the partners holding each row, meet.  The graph is kept as
+row-neighbourhood masks, and |E| is half the sum of the neighbourhood
+sizes.  The two classes partition a column's 2-subsets, so a column's
+private pairs are the other ones, C(w, 2) - |E| of them for weight w.
 
 ``analyze_pairs`` is the one pass over a whole matrix: it finds every
 column's partners in one blocked pass over the all-pairs intersection
-table (``_kernels.intersection_blocks``), builds the masks only for
-columns that have partners, then takes the matrix-wide preconditions of
-that bound (Lemma 3 of the paper) from ``is_d_disjunct`` and
-``find_isolated_columns``, checks every column, and totals the private
-pairs against the C(t, 2) budget they share.  The masks take V^2 bits
+table (``_kernels.intersection_blocks``), and only for a column that has
+partners reads its rows' partner sets from the matrix's transposed rows
+(``matrix._fill_holders``) and builds the masks.  It then takes the
+matrix-wide preconditions of that bound (Lemma 3 of the paper) from
+``is_d_disjunct`` and ``find_isolated_columns``, checks every column,
+and totals the private pairs against the C(t, 2) budget they share.  The masks take V^2 bits
 per column on the V rows that lie in a non-private pair, refused past
 ``matrix.DENSE_LIMIT``; the blossom's O(V^3) time is the one step of
 that pass with no bound.
@@ -42,43 +44,25 @@ import numpy as np
 
 from . import _kernels
 from .disjunctness import find_isolated_columns, is_d_disjunct
-from .matrix import DENSE_LIMIT, BinaryMatrix, _iter_bits
+from .matrix import DENSE_LIMIT, BinaryMatrix, _fill_holders, _iter_bits
 
 
-def _partners(counts: np.ndarray) -> list[list[int]]:
-    """The partners of each column of a block of the all-pairs
-    intersection table (``_kernels.intersection_blocks``): the other
-    columns that meet it in at least two rows."""
-    shared = counts >= 2
-    return [
-        np.flatnonzero(row).tolist() if busy else []
-        for row, busy in zip(shared, shared.any(axis=1).tolist())
-    ]
+def _pair_graph(j: int, sets: list[int]) -> list[int]:
+    """Column j's non-private pair graph as row-neighbourhood masks, from
+    the partner set of each of its rows in ascending order.
 
-
-def _neighbourhoods(masks: list[int], j: int, partners: list[int]) -> list[int]:
-    """Column j's non-private pair graph as row-neighbourhood masks.
-
-    The vertices are the rows of column j that lie in a non-private pair,
-    numbered in ascending order.  Vertex i's mask holds the vertices whose
-    rows share a pair with its row: the union of the traces
-    ``masks[k] & c_j`` of the ``partners`` k that hold it, minus itself.
+    The vertices are the rows with a nonempty set, numbered in ascending
+    order.  Rows with equal sets form a clique, and vertex i's mask holds
+    the cliques whose sets meet its own, minus itself.
     """
-    cj = masks[j]
-    traces = {masks[k] & cj for k in partners}
-    union = 0
-    for trace in traces:
-        union |= trace
-    if (size := union.bit_count()) ** 2 > DENSE_LIMIT:
+    sets = [s for s in sets if s]
+    if (size := len(sets)) ** 2 > DENSE_LIMIT:
         raise ValueError(f"column {j}'s pair graph is too large: {size}^2 > {DENSE_LIMIT} bits")
-    position = {r: i for i, r in enumerate(_iter_bits(union))}
-    around = [0] * len(position)
-    for trace in traces:
-        at = [position[r] for r in _iter_bits(trace)]
-        local = sum(1 << i for i in at)
-        for i in at:
-            around[i] |= local
-    return [near ^ 1 << i for i, near in enumerate(around)]
+    cliques: dict[int, int] = {}
+    for i, s in enumerate(sets):
+        cliques[s] = cliques.get(s, 0) | 1 << i
+    near = {s: sum(c for other, c in cliques.items() if s & other) for s in cliques}
+    return [near[s] ^ 1 << i for i, s in enumerate(sets)]
 
 
 def _matching(around: list[int]) -> int:
@@ -269,19 +253,25 @@ def analyze_pairs(matrix: BinaryMatrix, d: int) -> PairAnalysis:
     and ``in_range`` is false.  A private pair belongs to exactly one
     column, so ``private_total`` never exceeds ``pair_budget``.
 
-    The pairs come from one pass over the all-pairs intersection table,
-    before the checker runs, so a pair graph past ``DENSE_LIMIT`` is
+    Each column's partners come from one pass over the all-pairs
+    intersection table, as bits, and its rows' partner sets from the
+    rows' holders, filled in for the columns with partners only.  The
+    pass runs before the checker, so a pair graph past ``DENSE_LIMIT`` is
     refused before any cover search.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
     masks = matrix.masks
+    holders: dict[int, int] = {}
     counted = []  # (nonprivate, matching) of each column, in column order
     for lo, counts in _kernels.intersection_blocks(matrix.words):
-        for j, partners in enumerate(_partners(counts), lo):
+        shared = np.packbits(counts >= 2, axis=1, bitorder="little")
+        for j, row in enumerate(shared, lo):
+            partners = int.from_bytes(row.tobytes(), "little")
             nonprivate = nu = 0
             if partners:
-                around = _neighbourhoods(masks, j, partners)
+                _fill_holders(masks, masks[j], holders)
+                around = _pair_graph(j, [holders[r] & partners for r in _iter_bits(masks[j])])
                 nonprivate = sum(near.bit_count() for near in around) // 2
                 nu = _matching(around)
             counted.append((nonprivate, nu))

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from disjunct import (
     BinaryMatrix,
+    DisjunctVerdict,
     Witness,
     affine_plane_matrix,
     delete_column_and_rows,
@@ -16,6 +18,7 @@ from disjunct import (
     is_d_disjunct,
     max_disjunct_order,
     peel_to_core,
+    verify_identification,
 )
 from disjunct import disjunctness
 from disjunct.disjunctness import _cover_search, _trace_tables
@@ -254,7 +257,26 @@ def test_trace_tables_hold_the_undominated_traces():
             for r in range(t):
                 if masks[j] >> r & 1:
                     held = sum(1 << k for k in range(n) if masks[k] >> r & 1)
-                    assert table.holders[1 << r] == held
+                    assert table.holders[r] == held
+
+
+def test_checker_memory_is_linear_in_the_rows():
+    # two all-ones 10,000-row columns: the shared holders map is keyed by
+    # row index, so filling a column costs no t-bit key per row
+    m = BinaryMatrix.from_masks(10_000, [(1 << 10_000) - 1] * 2)
+    questions = [
+        (lambda: is_d_disjunct(m, 1), DisjunctVerdict(False, Witness(0, (1,)))),
+        (lambda: max_disjunct_order(m), 0),
+        (lambda: verify_identification(m, 1).failure, (0,)),
+    ]
+    for ask, answer in questions:
+        tracemalloc.start()
+        try:
+            assert ask() == answer
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20, peak
 
 
 def test_witnesses_are_pinned():
