@@ -268,46 +268,45 @@ def _least_failing_set(matrix: BinaryMatrix, cap: int) -> tuple[int, ...] | None
     among the columns :func:`_least_cover` gives, on its trace tables."""
     masks, tables = matrix.masks, _trace_tables(matrix.masks)
     k, columns = _least_cover(matrix, cap, _private_rows(masks), tables)
-    if not columns:
-        return None
 
-    def lex_first(table: _TraceTable, stop: int) -> tuple[int, ...] | None:
-        """The lex-first k columns, the first below ``stop``, that cover
-        column j, when no column has a cover of fewer: each the least past
-        the last that leaves the rest of j coverable.  A probe searches all
-        columns but j: with C picked, c the lex-first cover's next column
-        and i probed, a cover R of the rest makes C + [i] + R a cover of k
-        columns, which would precede the lex-first one were i below c or a
-        column of R below i.  So probes below c fail, as over the columns
-        past i alone, and R lies past c: less its least column, it covers
-        what picking that column leaves, so that pick needs no search."""
+    def lex_first(table: _TraceTable, bound: tuple[int, ...] | None) -> tuple[int, ...] | None:
+        """The lesser of ``bound``, the least k-cover known (None for the first
+        column, which has one), and column j's lex-first k-cover; no column has
+        a cover of fewer.  Each level picks the least column past the last that
+        leaves the rest of j coverable, as a probe over all columns but j
+        finds, and none past the bound's column at that level, so every cover
+        that precedes the bound starts with the picks.  With C picked, a probe
+        at i that finds a cover R of the rest gives a k-cover C + [i] + R,
+        which would precede the lex-first cover were i below its next column or
+        a column of R below i, and precedes the bound, as i lies below the
+        bound's column.  So the first success lies on the lex-first cover's
+        path, R lies past i, and the bound becomes C + [i] + sorted(R).  When
+        every probe below the bound's column fails, that column is the one pick
+        left, taken without a probe: if R set the bound, R less its least
+        column covers the rest.  If the column is j, or holds no uncovered row
+        (a cover holding it would not need it), no cover precedes the bound,
+        nor does one when the walk follows it to its end."""
         j = table.column
-        chosen, uncovered, start, rest = [], masks[j], 0, None
-        for left in range(k - 1, -1, -1):
-            least = min(rest) if rest else -1
-            for i in range(start, stop):
-                if i == j or not masks[i] & uncovered:
-                    continue
-                if i == least:
-                    rest.remove(i)
-                    break
-                found = _cover_search(table, uncovered & ~masks[i], left)
-                if found is not None:
-                    rest = found
-                    break
+        chosen, uncovered, start = [], masks[j], 0
+        for level in range(k):
+            for i in range(start, len(masks) if bound is None else bound[level]):
+                if i != j and masks[i] & uncovered:
+                    found = _cover_search(table, uncovered & ~masks[i], k - 1 - level)
+                    if found is not None:
+                        bound = (*chosen, i, *sorted(found))
+                        break
             else:
-                return None
+                i = bound[level]
+                if i == j or not masks[i] & uncovered:
+                    return bound
             chosen.append(i)
             uncovered &= ~masks[i]
-            start, stop = i + 1, len(masks)
-        return tuple(chosen)
+            start = i + 1
+        return bound
 
-    best = lex_first(tables(columns[0]), len(masks))
-    for j in columns[1:]:
-        # only a set that starts at or before best's first column can beat it
-        cover = lex_first(tables(j), best[0] + 1)
-        if cover and cover < best:
-            best = cover
+    best = None
+    for j in columns:
+        best = lex_first(tables(j), best)
     return best
 
 

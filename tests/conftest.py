@@ -1,6 +1,7 @@
 import pytest
 
-from disjunct import BinaryMatrix, affine_plane_matrix, random_disjunct_corpus
+from disjunct import affine_plane_matrix, random_disjunct_corpus
+from oracles import kautz_singleton
 
 # corpus parameters are pinned so the counts are deterministic; the
 # acceptance suite requires at least 100 matrices per d
@@ -50,15 +51,5 @@ def mixed_corpus():
 
 @pytest.fixture(scope="session")
 def kautz_singleton_13():
-    """KS(13, 3, 13), 169 x 2197: every polynomial a + bx + cx^2 over
-    GF(13), its value at point x one-hot in rows 13x .. 13x + 12.  Two
-    such polynomials agree at most twice, so no column lies in the union
-    of 6 others (Kautz and Singleton, 1964)."""
-    q = 13
-    masks = [
-        sum(1 << (q * x + (a + b * x + c * x * x) % q) for x in range(q))
-        for c in range(q)
-        for b in range(q)
-        for a in range(q)
-    ]
-    return BinaryMatrix.from_masks(q * q, masks)
+    """KS(13, 3, 13), 169 x 2197: no column lies in the union of 6 others."""
+    return kautz_singleton(13, 3)

@@ -207,6 +207,19 @@ def reference_search_one(d, t, budget: int):
     return found, not ran_out, nodes
 
 
+def kautz_singleton(q, k):
+    """KS(q, k, q), q^2 x q^k, for a prime q: every polynomial of degree < k
+    over GF(q), constant term varying fastest, its value at point x
+    one-hot in rows qx .. qx + q - 1.  Two such polynomials agree at most
+    k - 1 times, so no column lies in the union of (q - 1) // (k - 1)
+    others (Kautz and Singleton, 1964)."""
+    masks = [
+        sum(1 << (q * x + sum(c // q**i % q * x**i for i in range(k)) % q) for x in range(q))
+        for c in range(q**k)
+    ]
+    return BinaryMatrix.from_masks(q * q, masks)
+
+
 def column_rows(matrix, j):
     """Row indices of column j, read one bit at a time off its mask."""
     mask = matrix.masks[j]

@@ -214,6 +214,18 @@ def _reports_against_oracle(rng, row_counts):
 
 def test_verify_identification_matches_oracle():
     _reports_against_oracle(random.Random(31), (5, 63, 64, 65, 130))
+    # the failing-set walk past the first covered column: in the first, a
+    # later column's cover beats the incumbent after following its first
+    # column; in the second, a column's walk meets an incumbent column that
+    # holds none of its uncovered rows and stops.  A walk that never took
+    # another column's incumbent column unprobed gives (0, 3, 5), (0, 2, 4)
+    for masks, failure in (
+        ([184, 3360, 1736, 3611, 3143, 338], (0, 1, 4)),
+        ([3286, 3145, 293, 1840, 3594], (0, 1, 3)),
+    ):
+        report = verify_identification(BinaryMatrix.from_masks(12, masks), 3)
+        assert (report.ok, report.cases, report.failure) == brute_verify_identification(masks, 3)
+        assert report.failure == failure
 
 
 def test_verify_identification_matches_oracle_under_a_small_cell_cap(monkeypatch):
@@ -401,13 +413,27 @@ def test_isolated_columns_are_never_searched(monkeypatch):
     assert searches == []
 
 
-def test_verify_identification_kautz_singleton_code(kautz_singleton_13):
+def test_verify_identification_kautz_singleton_code(kautz_singleton_13, monkeypatch):
     # about 1.6e17 positive sets: the least cover search gives the verdict
     # and the count is a sum of binomials
     m = kautz_singleton_13
     report = verify_identification(m, 6, max_cases=10**18)
     assert report.ok
     assert report.cases == sum(comb(2197, k) for k in range(7))
+    # at d=7 the failing-set search follows the incumbent at every level,
+    # so few of the 2,197 columns build their candidate sets
+    built = []
+    candidates = disjunctness._TraceTable.candidates
+
+    def spy(table):
+        if table._candidates is None:
+            built.append(table.column)
+        return candidates(table)
+
+    monkeypatch.setattr(disjunctness._TraceTable, "candidates", spy)
+    report = verify_identification(m, 7, max_cases=10**20)
+    assert report.failure == (0, 1, 2, 3, 6, 8, 10)
+    assert len(built) <= 200
 
 
 def test_verify_identification_deep_covers():

@@ -1,9 +1,11 @@
-"""The exact checker against a set-cover ILP, on sizes brute force cannot reach.
+"""The exact checker and verify-id against a set-cover ILP, on sizes brute force cannot reach.
 
 Column j of a matrix is covered by the other columns whose union holds it;
 the fewest such columns is a set-cover problem over the rows of column j,
 solved here exactly by ``scipy.optimize.milp``.  A matrix is d-disjunct iff
-every column's minimum cover has more than d columns.
+every column's minimum cover has more than d columns.  When the least of
+those minima is at most d, verify-id's failing set at d covers a column
+outside it with that many columns.
 """
 
 import random
@@ -11,8 +13,14 @@ import random
 import numpy as np
 import pytest
 
-from disjunct import BinaryMatrix, affine_plane_matrix, is_d_disjunct, max_disjunct_order
-from oracles import column_rows, dense_of
+from disjunct import (
+    BinaryMatrix,
+    affine_plane_matrix,
+    is_d_disjunct,
+    max_disjunct_order,
+    verify_identification,
+)
+from oracles import column_rows, dense_of, kautz_singleton
 
 optimize = pytest.importorskip("scipy.optimize")
 
@@ -70,6 +78,7 @@ CASES += [
     for q in (5, 7)
     for i, m in enumerate(plane_mutants(q, seed=q))
 ]
+CASES.append(pytest.param(kautz_singleton(5, 3), id="ks5-3"))  # n > t
 
 
 @pytest.mark.parametrize("matrix", CASES)
@@ -87,3 +96,9 @@ def test_checker_matches_set_cover_ilp(matrix):
             assert covers[j] is not None and covers[j] <= len(covering)
             union = frozenset().union(*(column_rows(matrix, k) for k in covering))
             assert column_rows(matrix, j) <= union
+    if smallest < matrix.n:
+        # verify-id's failing set is a least cover of a column outside it
+        failure = verify_identification(matrix, smallest, max_cases=10**30).failure
+        assert failure is not None and len(failure) == smallest
+        union = frozenset().union(*(column_rows(matrix, k) for k in failure))
+        assert any(column_rows(matrix, j) <= union for j in range(matrix.n) if j not in failure)
