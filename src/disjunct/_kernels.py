@@ -77,14 +77,13 @@ def min_cover_sizes(words: np.ndarray, limit: int) -> np.ndarray:
     top = min(limit, n - 1)
     # the narrowest type that holds the sum of top counts
     reach_type = np.min_scalar_type(64 * num_words * top)
-    out = np.empty(n, dtype=np.int64)
-    for lo, counts in intersection_blocks(words):
+    out = np.full(n, top + 1, dtype=np.int64)
+    # at top 0 nothing is left to rank, so no block is built
+    for lo, counts in intersection_blocks(words) if top > 0 else ():
         hi = lo + len(counts)
-        # in int64: top times a uint8 count may pass 255.  At top 0 an
-        # empty column fails the test, but nothing is left to rank
+        # in int64: top times a uint8 count may pass 255
         largest = counts.max(axis=1).astype(np.int64)
-        if top == 0 or (top * largest < weights[lo:hi]).all():
-            out[lo:hi] = top + 1
+        if (top * largest < weights[lo:hi]).all():
             continue
         counts.partition(n - top, axis=1)
         tail = counts[:, n - top :]

@@ -233,21 +233,23 @@ def max_disjunct_order(matrix: BinaryMatrix) -> int:
     columns whose union holds another column, found by
     :func:`_least_cover` up to a cap the weights give.  A column of weight
     w with no private row is covered by one other column per row, so the
-    matrix is not w-disjunct.  On an affine plane the cap is the order
-    and every counting bound exceeds it, so no column is searched.
+    matrix is not w-disjunct, and the cap is w - 1, as the order needs no
+    w-cover.  On an affine plane that cap is the order and every counting
+    bound exceeds it, so no column is searched (at w, every line would be).
     """
     masks, private = matrix.masks, _private_rows(matrix.masks)
     cap = min([matrix.n - 1] + [max(0, m.bit_count() - 1) for m in masks if not m & private])
-    k, _ = _least_cover(matrix, cap, private, _trace_tables(masks))
+    k, _, _ = _least_cover(matrix, cap, private, _trace_tables(masks))
     return max(0, k - 1)
 
 
 def _least_cover(
     matrix: BinaryMatrix, cap: int, private: int, tables: Callable[[int], _TraceTable]
-) -> tuple[int, list[int]]:
-    """(k, columns): the fewest k <= ``cap`` columns whose union holds
-    another column, or cap + 1, and the :func:`_open_columns` at k, past
-    the ``private`` rows, from the first one they cover on, or none.
+) -> tuple[int, list[int], tuple[int, ...] | None]:
+    """(k, columns, cover): the fewest k <= ``cap`` columns whose union
+    holds another column, or cap + 1; the :func:`_open_columns` at k, past
+    the ``private`` rows, from the first one they cover on, or none; and
+    the sorted cover the scan found for that first one, or None.
     :func:`_first_covered` scans at each k from the least bound of an
     open column, on ``tables``, so refuted states carry over from one k
     to the next.
@@ -258,38 +260,42 @@ def _least_cover(
         columns = _open_columns(matrix, k, bounds, private)
         verdict = _first_covered(matrix, k, columns, tables)
         if not verdict.is_disjunct:
-            return k, columns[columns.index(verdict.witness.column) :]
-    return cap + 1, []
+            column, cover = verdict.witness
+            return k, columns[columns.index(column) :], tuple(sorted(cover))
+    return cap + 1, [], None
 
 
 def _least_failing_set(matrix: BinaryMatrix, cap: int) -> tuple[int, ...] | None:
     """The lex-first of the least sets of at most ``cap`` columns whose
     union holds a column outside them, or None: the least lex-first cover
-    among the columns :func:`_least_cover` gives, on its trace tables."""
-    masks, tables = matrix.masks, _trace_tables(matrix.masks)
-    k, columns = _least_cover(matrix, cap, _private_rows(masks), tables)
+    among the columns :func:`_least_cover` gives, from its scan's cover on
+    its tables.  One other column per row covers a column with no private
+    row, so no search passes the lightest such column's weight."""
+    masks, private, tables = matrix.masks, _private_rows(matrix.masks), _trace_tables(matrix.masks)
+    cap = min([cap] + [m.bit_count() for m in masks if not m & private])
+    k, columns, best = _least_cover(matrix, cap, private, tables)
 
-    def lex_first(table: _TraceTable, bound: tuple[int, ...] | None) -> tuple[int, ...] | None:
-        """The lesser of ``bound``, the least k-cover known (None for the first
-        column, which has one), and column j's lex-first k-cover; no column has
-        a cover of fewer.  Each level picks the least column past the last that
-        leaves the rest of j coverable, as a probe over all columns but j
-        finds, and none past the bound's column at that level, so every cover
-        that precedes the bound starts with the picks.  With C picked, a probe
-        at i that finds a cover R of the rest gives a k-cover C + [i] + R,
-        which would precede the lex-first cover were i below its next column or
-        a column of R below i, and precedes the bound, as i lies below the
-        bound's column.  So the first success lies on the lex-first cover's
-        path, R lies past i, and the bound becomes C + [i] + sorted(R).  When
-        every probe below the bound's column fails, that column is the one pick
-        left, taken without a probe: if R set the bound, R less its least
-        column covers the rest.  If the column is j, or holds no uncovered row
-        (a cover holding it would not need it), no cover precedes the bound,
-        nor does one when the walk follows it to its end."""
+    def lex_first(table: _TraceTable, bound: tuple[int, ...]) -> tuple[int, ...]:
+        """The lesser of ``bound``, the least k-cover known, and column j's
+        lex-first k-cover; no column has a cover of fewer.  Each level picks the
+        least column past the last that leaves the rest of j coverable, as a
+        probe over all columns but j finds, and none past the bound's column at
+        that level, so every cover that precedes the bound starts with the
+        picks.  With C picked, a probe at i that finds a cover R of the rest
+        gives a k-cover C + [i] + R, which would precede the lex-first cover
+        were i below its next column or a column of R below i, and precedes the
+        bound, as i lies below the bound's column.  So the first success lies on
+        the lex-first cover's path, R lies past i, and the bound becomes
+        C + [i] + sorted(R).  When every probe below the bound's column fails,
+        that column is the one pick left, taken without a probe: if a cover of
+        j (R, or the scan's) set the bound, its columns past the picks cover
+        the rest.  If the column is j, or holds no uncovered row (a cover
+        holding it would not need it), no cover precedes the bound, nor does
+        one when the walk follows it to its end."""
         j = table.column
         chosen, uncovered, start = [], masks[j], 0
         for level in range(k):
-            for i in range(start, len(masks) if bound is None else bound[level]):
+            for i in range(start, bound[level]):
                 if i != j and masks[i] & uncovered:
                     found = _cover_search(table, uncovered & ~masks[i], k - 1 - level)
                     if found is not None:
@@ -304,7 +310,6 @@ def _least_failing_set(matrix: BinaryMatrix, cap: int) -> tuple[int, ...] | None
             start = i + 1
         return bound
 
-    best = None
     for j in columns:
         best = lex_first(tables(j), best)
     return best

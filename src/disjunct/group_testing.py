@@ -104,10 +104,8 @@ def verify_identification(
     Positive sets are taken by size then lexicographically, the empty set
     first, and the first failure in that order is reported.  The positives
     are always decoded, so a set fails iff its union holds a column outside
-    it: the empty set iff some column is empty, a larger set iff it covers
-    another column.  So every set decodes iff no column is empty and no
-    min(d, n-1) columns cover another; otherwise the first failure past
-    the empty set is ``disjunctness._least_failing_set`` at that cap.
+    it, the empty set iff some column is empty.  So the first failure, if
+    any, is ``disjunctness._least_failing_set`` at min(d, n-1).
 
     ``cases`` counts the sets in that order up to and including the first
     failure, or all sum_{k <= min(d, n)} C(n, k) of them on success; it is
@@ -127,9 +125,6 @@ def verify_identification(
         raise BudgetExceededError(
             f"{_decimal(total)} positive sets exceed the budget of {_decimal(max_cases)}"
         )
-    if not matrix.words.any(axis=1).all():
-        # an empty column is decoded beside the empty set
-        return IdentificationReport(ok=False, cases=1, failure=())
     failure = _least_failing_set(matrix, min(d, n - 1))
     if failure is None:
         return IdentificationReport(ok=True, cases=total)

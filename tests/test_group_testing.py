@@ -436,6 +436,51 @@ def test_verify_identification_kautz_singleton_code(kautz_singleton_13, monkeypa
     assert len(built) <= 200
 
 
+def test_cap_zero_questions_read_no_intersection_table(kautz_singleton_13, monkeypatch):
+    # at d = 0, or with an empty column (the least cover, of no columns),
+    # the cap is 0 and no counting bound needs the all-pairs table
+    blocks = []
+    intersection_blocks = _kernels.intersection_blocks
+    monkeypatch.setattr(
+        _kernels, "intersection_blocks", lambda w: blocks.append(0) or intersection_blocks(w)
+    )
+    m = kautz_singleton_13
+    empty = BinaryMatrix.from_masks(m.t, list(m.masks) + [0])
+    for question, answer in (
+        (lambda: verify_identification(m, 0), (True, 1, None)),
+        (lambda: max_disjunct_order(empty), 0),
+        (lambda: verify_identification(empty, 4, max_cases=10**20), (False, 1, ())),
+    ):
+        blocks.clear()
+        assert question() == answer
+        assert blocks == []
+
+
+def test_depth_one_probes_build_no_candidate_sets(monkeypatch):
+    # columns 0..199 each hold a private row and the shared row 200, so no
+    # scan searches them; columns 200..599 hold rows 201..260 and the
+    # shared row at random.  The lex pass probes each later column at
+    # depth one under each of columns 0..199, answered from the row
+    # holders without the column's candidate set (199 built without that)
+    rng = random.Random(1)
+    masks = [1 << c | 1 << 200 for c in range(200)]
+    for _ in range(400):
+        mask = sum(1 << 201 + r for r in range(60) if rng.random() < 0.5)
+        masks.append(mask | (1 << 200 if rng.random() < 0.5 else 0))
+    built = []
+    candidates = disjunctness._TraceTable.candidates
+
+    def spy(table):
+        if table._candidates is None:
+            built.append(table.column)
+        return candidates(table)
+
+    monkeypatch.setattr(disjunctness._TraceTable, "candidates", spy)
+    report = verify_identification(BinaryMatrix.from_masks(261, masks), 2)
+    assert report.failure == (200, 202)
+    assert len(built) <= 5
+
+
 def test_verify_identification_deep_covers():
     # failing-set searches deeper than the interpreter's default recursion
     # limit: column 0 holds every row and column r + 1 row r alone, so {0}
