@@ -72,11 +72,9 @@ def min_cover_sizes(words: np.ndarray, limit: int) -> np.ndarray:
     stays below the row's weight reaches no weight, so it is cleared
     without ranking.
     """
-    n, num_words = words.shape
+    n = len(words)
     weights = column_weights(words)
     top = min(limit, n - 1)
-    # the narrowest type that holds the sum of top counts
-    reach_type = np.min_scalar_type(64 * num_words * top)
     out = np.full(n, top + 1, dtype=np.int64)
     # at top 0 nothing is left to rank, so no block is built
     for lo, counts in intersection_blocks(words) if top > 0 else ():
@@ -89,7 +87,7 @@ def min_cover_sizes(words: np.ndarray, limit: int) -> np.ndarray:
         tail = counts[:, n - top :]
         tail.sort(axis=1)
         # reach[:, k-1] is the sum of the k largest intersections
-        reach = tail[:, ::-1].cumsum(axis=1, dtype=reach_type)
+        reach = tail[:, ::-1].cumsum(axis=1, dtype=np.int64)
         out[lo:hi] = np.count_nonzero(reach < weights[lo:hi, None], axis=1) + 1
     # a column that its top largest intersections cannot reach reads top + 1
     out[out > top] = limit + 1

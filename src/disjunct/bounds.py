@@ -216,10 +216,10 @@ def theorem2_audit(matrix: BinaryMatrix, d: int) -> Theorem2Audit:
         None if c.weight > weight_cap else 2 * c.private >= t_bound
         for c in analysis.columns
     )
-    # a vacuous matrix (d >= n > t) has no column in range, and no Lemma 3 fields
+    # in_range: 1 <= s <= d-1 here, as s >= 1; None on a vacuous matrix
     ok = matrix.t >= t_bound and all(
         column_ok and c.bound_ok
         for c, column_ok in zip(analysis.columns, kappa_ok)
-        if column_ok is not None and 1 <= c.weight - d <= d - 1
+        if column_ok is not None and c.in_range
     )
     return Theorem2Audit(analysis, kappa_ok, weight_cap, t_bound, ok)

@@ -24,7 +24,8 @@ engine, the tables or the scan: each question enters once, by
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -74,15 +75,7 @@ class _TraceTable:
         if self._candidates is None:
             masks, j = self.masks, self.column
             _fill_holders(masks, masks[j], self.holders)
-            count: dict[int, int] = {}  # columns but j with each trace
-            for k, mk in enumerate(masks):
-                trace = mk & masks[j]
-                if trace and k != j:
-                    count[trace] = count.get(trace, 0) + 1
-            # dominance pruning: a trace contained in another never helps
-            top = {
-                trace: k for trace, c in count.items() if (k := self._top(trace, c)) is not None
-            }
+            top = dict(self._undominated(chain(range(j), range(j + 1, len(masks)))))
             widest = max(map(int.bit_count, top), default=0)
             self._candidates = sum(1 << k for k in top.values()), widest
         return self._candidates
@@ -100,13 +93,21 @@ class _TraceTable:
             rows ^= low
         if known or not hold:
             return (hold & -hold).bit_length() - 1 if hold else None
-        # a trace that contains a held trace is held too, and so is every
-        # column with it: the lowest candidate is the first held column
-        # with an undominated trace
-        cj = self.masks[self.column]
-        held = [(k, self.masks[k] & cj) for k in _iter_bits(hold)]
-        traces = [trace for _, trace in held]
-        return next(k for k, trace in held if self._top(trace, traces.count(trace)) is not None)
+        # a trace that contains a held trace is held, and so is every column
+        # with it: the lowest candidate is the first held undominated trace's
+        return next(self._undominated(_iter_bits(hold)))[1]
+
+    def _undominated(self, columns: Iterable[int]) -> Iterator[tuple[int, int]]:
+        """(trace, its lowest column) for each nonempty trace on column j of
+        the ascending ``columns``, which hold every column but j with each
+        of their traces, that no other trace contains, by lowest column:
+        one count per column, then one :meth:`_top` per distinct trace."""
+        masks, count = self.masks, {}
+        cj = masks[self.column]
+        for k in columns:
+            if trace := masks[k] & cj:
+                count[trace] = count.get(trace, 0) + 1
+        return ((trace, k) for trace, c in count.items() if (k := self._top(trace, c)) is not None)
 
     def _top(self, trace: int, count: int) -> int | None:
         """The lowest column with ``trace``, a trace on column j that

@@ -3,6 +3,7 @@ import random
 import tracemalloc
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from disjunct import (
     DisjunctVerdict,
     Witness,
     affine_plane_matrix,
+    analyze_pairs,
     delete_column_and_rows,
     find_isolated_columns,
     identity_matrix,
@@ -169,14 +171,26 @@ def test_max_order_duplicate():
     assert max_disjunct_order(m) == 0
 
 
-def test_cover_of_a_thousand_columns():
+def test_cover_of_a_thousand_columns(monkeypatch):
     # column 0 holds every row and column r + 1 row r alone, so the one
     # cover of column 0 is all 1,100 other columns: deeper than the
-    # interpreter's default recursion limit
+    # interpreter's default recursion limit.  Every row has one candidate,
+    # so the fail-first scan of each node stops at its first row: 2,198
+    # rows read in all, against 606,648 without the early exit
     t = 1100
     m = BinaryMatrix.from_masks(t, [(1 << t) - 1] + [1 << r for r in range(t)])
+    read = []
+    iter_bits = disjunctness._iter_bits
+
+    def counted(bits):
+        for row in iter_bits(bits):
+            read.append(row)
+            yield row
+
+    monkeypatch.setattr(disjunctness, "_iter_bits", counted)
     verdict = is_d_disjunct(m, t)
     assert verdict.witness == Witness(0, tuple(range(1, t + 1)))
+    assert len(read) <= 5_000
     assert max_disjunct_order(m) == 0
 
 
@@ -282,6 +296,24 @@ def test_trace_tables_hold_the_undominated_traces():
                     assert table.holders[r] == held
 
 
+def test_depth_one_probe_counts_each_trace_once(monkeypatch):
+    # column 0 holds rows 0 and 1; each of 2,000 columns holds row 0 and a
+    # private row, and one more rows 0 and 1 and a private row.  A depth-one
+    # probe of row 0 before the table's candidates are known counts the
+    # held columns' traces in one pass and asks _top once per distinct
+    # trace: 2 calls, where a count per held column made 2,001 (and took
+    # time quadratic in the row's holders)
+    n = 2000
+    masks = [0b11] + [1 | 1 << 2 + i for i in range(n)] + [0b11 | 1 << 2 + n]
+    tops = []
+    top = disjunctness._TraceTable._top
+    monkeypatch.setattr(
+        disjunctness._TraceTable, "_top", lambda table, *args: tops.append(0) or top(table, *args)
+    )
+    assert _trace_tables(masks)(0).lowest_holder(1) == n + 1
+    assert len(tops) == 2
+
+
 def test_checker_memory_is_linear_in_the_rows():
     # two all-ones 10,000-row columns: the shared holders map is keyed by
     # row index, so filling a column costs no t-bit key per row
@@ -375,6 +407,22 @@ def test_max_order_planes_and_vertical_line_mutants(ag, monkeypatch, q):
             masks[j] &= ~(1 << row)
             assert max_disjunct_order(BinaryMatrix.from_masks(q * q, masks)) == q - 2
     assert searches == []
+
+
+def test_least_cover_starts_at_the_least_open_bound(monkeypatch):
+    # column j holds row 50 + j alone and 20 of 50 shared rows: every column
+    # holds a private row, so no column is open and the least cover search
+    # scans at no k, where starting from k = 0 would scan 1,000 times
+    rng = random.Random(0)
+    n = 1000
+    masks = [1 << 50 + j | sum(1 << r for r in rng.sample(range(50), 20)) for j in range(n)]
+    scans = []
+    first_covered = disjunctness._first_covered
+    monkeypatch.setattr(
+        disjunctness, "_first_covered", lambda *args: scans.append(0) or first_covered(*args)
+    )
+    assert max_disjunct_order(BinaryMatrix.from_masks(50 + n, masks)) == n - 1
+    assert scans == []
 
 
 @pytest.mark.parametrize(
@@ -577,6 +625,26 @@ def test_bound_agrees_with_reference_hypothesis(m, d):
     assert_same_as_reference(m, (d,))
 
 
+def test_ranked_bound_clears_the_wide_constant_weight_matrix(monkeypatch):
+    # 4,000 columns of weight 40 on 400 rows: ranking each column's
+    # intersections clears all but one column at d = 3, so one candidate
+    # set is built; the cheaper bound ceil(w / largest intersection)
+    # would leave 71 columns to search
+    rng = np.random.default_rng(0)
+    masks = [sum(1 << int(r) for r in rng.choice(400, 40, replace=False)) for _ in range(4000)]
+    built = []
+    candidates = disjunctness._TraceTable.candidates
+
+    def spy(table):
+        if table._candidates is None:
+            built.append(table.column)
+        return candidates(table)
+
+    monkeypatch.setattr(disjunctness._TraceTable, "candidates", spy)
+    assert is_d_disjunct(BinaryMatrix.from_masks(400, masks), 3).is_disjunct
+    assert len(built) <= 5
+
+
 # -- metamorphic properties ------------------------------------------
 
 
@@ -604,6 +672,24 @@ def assert_brute_witness(masks, d, witness):
 @settings(max_examples=150, deadline=None)
 @given(small_matrices(), st.integers(1, 6), st.randoms(use_true_random=False))
 def test_checker_invariant_under_row_and_column_permutations(m, d, rng):
+    """Permuting rows and columns relabels every answer and changes none.
+
+    Proof: a row permutation is a bijection on each column's rows that
+    commutes with union and containment, so c_j lies in the union of the
+    columns S after it iff it did before.  A column permutation renames the
+    columns, and with them the witnesses, failing sets and per-column
+    records.  So the order, the verdicts at d and the least size of a set
+    whose union holds a column outside it are unchanged, and so is the
+    failing set's size: verify-id's failing set is a least such set, of at
+    most d columns (the empty set when a column is empty).  When every set
+    decodes, ``cases`` is the number of sets of at most d columns, which
+    depends on n alone.  A pair of rows of column j is private iff no
+    other column holds both, which both permutations keep, and the matching
+    number is invariant under relabelling the rows; Lemma 3's fields depend
+    on these counts, the weight, d and the matrix-wide verdicts only.  (The
+    lex-first failing set itself, its ``cases`` and the witnesses depend on
+    the column order, so only their soundness is checked.)
+    """
     row_perm = list(range(m.t))
     col_perm = list(range(m.n))
     rng.shuffle(row_perm)
@@ -620,6 +706,67 @@ def test_checker_invariant_under_row_and_column_permutations(m, d, rng):
         )
         assert_brute_witness(list(m.masks), d, back)
         assert_brute_witness(list(p.masks), d, witness)
+    report, permuted = verify_identification(m, d), verify_identification(p, d)
+    assert permuted.ok == report.ok
+    if report.ok:
+        assert permuted.cases == report.cases
+    else:
+        assert len(permuted.failure) == len(report.failure)
+    analysis, permuted = analyze_pairs(m, d), analyze_pairs(p, d)
+    assert permuted._replace(columns=(), isolated=frozenset()) == analysis._replace(
+        columns=(), isolated=frozenset()
+    )
+    assert {col_perm[j] for j in permuted.isolated} == analysis.isolated
+    assert [
+        c._replace(column=col_perm[c.column]) for c in permuted.columns
+    ] == [analysis.columns[j] for j in col_perm]
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_matrices(), st.integers(0, 6), st.randoms(use_true_random=False))
+def test_duplicating_a_row_changes_no_answer(m, d, rng):
+    """A copy of one row, added as a new row, leaves the order and
+    verify-id's report unchanged.
+
+    Proof: the copy r' of row r lies in exactly the columns that hold r.
+    So for any column j and set S of columns, r' in c_j and r' outside the
+    union of S hold exactly when the same holds for r: c_j lies in the
+    union of S after the copy iff it did before.  The order, and which
+    columns each positive set decodes to, depend on nothing else, so the
+    order, the verdict, the first failing set and ``cases`` are all kept.
+    """
+    if m.t == 0:
+        return
+    r = rng.randrange(m.t)
+    copied = BinaryMatrix.from_masks(m.t + 1, [mask | (mask >> r & 1) << m.t for mask in m.masks])
+    assert max_disjunct_order(copied) == max_disjunct_order(m)
+    assert verify_identification(copied, d) == verify_identification(m, d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_matrices(), st.randoms(use_true_random=False))
+def test_a_column_set_to_a_union_of_k_others_caps_the_order(m, rng):
+    """Replacing a column by the union of k >= 1 others gives order <= k - 1.
+
+    Proof: the new column c_j is the union of k columns other than j, so it
+    lies in the union of k other columns and the matrix is not k-disjunct.
+    d-disjunctness is monotone (a cover of at most k columns is one of at
+    most d for every d >= k), so the largest d the matrix is d-disjunct for
+    is below k.  verify-id at d = k fails with a set of at most k columns.
+    """
+    if m.n < 2:
+        return
+    j = rng.randrange(m.n)
+    others = rng.sample([i for i in range(m.n) if i != j], rng.randint(1, m.n - 1))
+    masks = list(m.masks)
+    masks[j] = 0
+    for i in others:
+        masks[j] |= m.masks[i]
+    union = BinaryMatrix.from_masks(m.t, masks)
+    k = len(others)
+    assert max_disjunct_order(union) <= k - 1
+    failure = verify_identification(union, k).failure
+    assert failure is not None and len(failure) <= k
 
 
 @settings(max_examples=100, deadline=None)

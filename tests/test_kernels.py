@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from disjunct import _kernels
+from disjunct import _kernels, is_d_disjunct
 from disjunct.matrix import BinaryMatrix
 from disjunct.pairs import complete_graph_matchings
 from oracles import brute_min_cover_size
@@ -112,6 +112,20 @@ def test_min_cover_sizes_structured(monkeypatch, ag, kautz_singleton_13, block):
         for limit in range(1, 9):
             got = _kernels.min_cover_sizes(matrix.words, limit).tolist()
             assert got == [counting_bound(masks, j, limit) for j in range(matrix.n)]
+
+
+def test_min_cover_sizes_clears_blocks_unranked(monkeypatch, kautz_singleton_13):
+    # two of these polynomials agree at most twice, so 6 intersections of
+    # at most 2 rows never reach a column's 13: checking KS(13, 3, 13) at
+    # d = 6 clears every block of the table without ranking one, where
+    # ranking each block counts its reaches 157 times
+    ranked = []
+    count_nonzero = np.count_nonzero
+    monkeypatch.setattr(
+        np, "count_nonzero", lambda *args, **kw: ranked.append(0) or count_nonzero(*args, **kw)
+    )
+    assert is_d_disjunct(kautz_singleton_13, 6).is_disjunct
+    assert ranked == []
 
 
 def test_intersection_blocks(monkeypatch):
