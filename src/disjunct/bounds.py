@@ -24,11 +24,8 @@ from itertools import combinations
 from math import comb, isqrt
 from typing import NamedTuple
 
-import numpy as np
-
-from . import _kernels
 from .disjunctness import find_isolated_columns
-from .matrix import BinaryMatrix
+from .matrix import BinaryMatrix, _fill_holders, _iter_bits
 from .pairs import PairAnalysis, analyze_pairs
 
 KAPPA = (15 + math.sqrt(33)) / 24
@@ -136,13 +133,16 @@ def theorem1_certificate(matrix: BinaryMatrix, d: int) -> Theorem1Certificate:
     Preconditions (parameter errors): constant column weight d+1, no
     isolated columns, n > t.  Disjunctness is not assumed; if the matrix
     is not d-disjunct the pairwise-intersection step fails and the
-    certificate reports ok=False instead.
+    certificate reports ok=False instead.  Weights and row degrees are
+    counted from the column masks, the degrees through the rows' holders
+    (``matrix._fill_holders``).
     """
     if d < 1:
         raise ValueError("d must be >= 1")
     if find_isolated_columns(matrix):
         raise ValueError("matrix has isolated columns")
-    weights = set(int(w) for w in matrix.weights())
+    masks = matrix.masks
+    weights = {mask.bit_count() for mask in masks}
     if weights != {d + 1}:
         raise ValueError(
             f"constant column weight {d + 1} required, found weights {sorted(weights)}"
@@ -150,12 +150,12 @@ def theorem1_certificate(matrix: BinaryMatrix, d: int) -> Theorem1Certificate:
     if matrix.n <= matrix.t:
         raise ValueError(f"n > t required, got n={matrix.n}, t={matrix.t}")
 
-    degrees = _kernels.row_degrees(matrix.words, matrix.t)
+    holders: dict[int, int] = {}
+    _fill_holders(masks, (1 << matrix.t) - 1, holders)
     # counting the 1s guarantees such a row exists when n > t
-    row = int(np.flatnonzero(degrees >= d + 2)[0])
+    row = next(r for r in range(matrix.t) if holders.get(r, 0).bit_count() >= d + 2)
     point = 1 << row
-    masks = matrix.masks
-    cols = [j for j, mask in enumerate(masks) if mask & point]
+    cols = list(_iter_bits(holders[row]))
     union = 0
     for c in cols:
         union |= masks[c]

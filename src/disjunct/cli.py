@@ -61,9 +61,7 @@ def _cmd_construct(args) -> int:
         outdir = Path(args.output)
         outdir.mkdir(parents=True, exist_ok=True)
         for i, matrix in enumerate(corpus):
-            path = outdir / f"d{args.d}_s{args.seed}_{i:03d}.dmat"
-            save_matrix(matrix, path)
-            print(f"wrote={path} t={matrix.t} n={matrix.n}")
+            _write_output(matrix, str(outdir / f"d{args.d}_s{args.seed}_{i:03d}.dmat"))
         print(f"kept={len(corpus)} attempts={args.attempts}")
     return 0
 

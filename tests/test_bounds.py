@@ -202,6 +202,8 @@ def test_theorem1_preconditions():
     m = affine_plane_matrix(3)
     with pytest.raises(ValueError, match="constant column weight"):
         theorem1_certificate(m, 3)
+    with pytest.raises(ValueError, match="^d must be >= 1$"):
+        theorem1_certificate(m, 0)
 
 
 def test_theorem1_needs_more_columns_than_rows():
@@ -373,6 +375,8 @@ def test_theorem2_audit_preconditions():
     bad = BinaryMatrix.from_masks(3, [0b011, 0b011, 0b110, 0b101])
     with pytest.raises(ValueError, match="not 1-disjunct"):
         theorem2_audit(bad, 1)
+    with pytest.raises(ValueError, match="^d must be >= 1$"):
+        theorem2_audit(affine_plane_matrix(3), 0)
 
 
 def test_theorem2_audit_refuses_before_the_pair_pass(monkeypatch):

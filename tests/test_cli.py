@@ -20,6 +20,7 @@ from disjunct import cli, constructions, disjunctness
 from disjunct import matrix as matrix_module
 from disjunct.cli import main
 from disjunct.pairs import ColumnPairs, PairAnalysis
+import families
 from oracles import brute_matching_number, brute_private_pairs, dense_of
 
 
@@ -110,7 +111,7 @@ def test_analyze_refuses_a_pair_graph_past_the_cell_cap(tmp_path, capsys, monkey
 
     monkeypatch.setattr(disjunctness, "_first_covered", spy)
     path = tmp_path / "ones.dmat"
-    path.write_text("16385 2\n" + "11\n" * 16385)
+    save_matrix(families.all_ones(16385, 2), path)
     code, stdout, stderr = run(capsys, "analyze", "--d", "1", str(path))
     assert code == 2 and stdout == ""
     assert stderr.startswith("error: ") and stderr.count("\n") == 1

@@ -210,6 +210,19 @@ def test_corpus_rejections_are_pinned(monkeypatch):
     assert found == REJECTIONS
 
 
+def test_corpus_drops_a_core_of_one_column(monkeypatch):
+    # two 1-disjunct columns each hold a row the other lacks, a private
+    # row, so peeling leaves one column: all five attempts are kept whole,
+    # and all five are dropped once peeled
+    assert len(random_disjunct_corpus(1, 4, 2, 0, 5)) == 5
+    peel, cores = constructions.peel_to_core, []
+    monkeypatch.setattr(
+        constructions, "peel_to_core", lambda m: cores.append(peel(m)) or cores[-1]
+    )
+    assert random_disjunct_corpus(1, 4, 2, 0, 5, isolated_free=True) == []
+    assert [(core.n, peeled) for core, peeled in cores] == [(1, 1)] * 5
+
+
 def test_peeled_cores_stay_disjunct(corpus, mixed_corpus):
     # a core that lost a column is kept without a second check; brute
     # force confirms each one is still d-disjunct

@@ -25,6 +25,7 @@ from disjunct import (
 from disjunct import disjunctness
 from disjunct.disjunctness import _cover_search, _trace_tables
 from disjunct.matrix import _private_rows
+import families
 from oracles import (
     brute_is_d_disjunct,
     brute_max_disjunct_order,
@@ -178,7 +179,7 @@ def test_cover_of_a_thousand_columns(monkeypatch):
     # so the fail-first scan of each node stops at its first row: 2,198
     # rows read in all, against 606,648 without the early exit
     t = 1100
-    m = BinaryMatrix.from_masks(t, [(1 << t) - 1] + [1 << r for r in range(t)])
+    m = families.star(t)
     read = []
     iter_bits = disjunctness._iter_bits
 
@@ -317,7 +318,7 @@ def test_depth_one_probe_counts_each_trace_once(monkeypatch):
 def test_checker_memory_is_linear_in_the_rows():
     # two all-ones 10,000-row columns: the shared holders map is keyed by
     # row index, so filling a column costs no t-bit key per row
-    m = BinaryMatrix.from_masks(10_000, [(1 << 10_000) - 1] * 2)
+    m = families.all_ones(10_000, 2)
     questions = [
         (lambda: is_d_disjunct(m, 1), DisjunctVerdict(False, Witness(0, (1,)))),
         (lambda: max_disjunct_order(m), 0),
@@ -413,15 +414,13 @@ def test_least_cover_starts_at_the_least_open_bound(monkeypatch):
     # column j holds row 50 + j alone and 20 of 50 shared rows: every column
     # holds a private row, so no column is open and the least cover search
     # scans at no k, where starting from k = 0 would scan 1,000 times
-    rng = random.Random(0)
     n = 1000
-    masks = [1 << 50 + j | sum(1 << r for r in rng.sample(range(50), 20)) for j in range(n)]
     scans = []
     first_covered = disjunctness._first_covered
     monkeypatch.setattr(
         disjunctness, "_first_covered", lambda *args: scans.append(0) or first_covered(*args)
     )
-    assert max_disjunct_order(BinaryMatrix.from_masks(50 + n, masks)) == n - 1
+    assert max_disjunct_order(families.isolated(n, 0)) == n - 1
     assert scans == []
 
 
@@ -530,6 +529,9 @@ def test_delete_full_weight_column():
 def test_delete_requires_two_columns():
     with pytest.raises(ValueError):
         delete_column_and_rows(BinaryMatrix.from_masks(2, [0b11]), 0)
+    for j in (-1, 3):
+        with pytest.raises(ValueError, match=f"^column index {j} out of range$"):
+            delete_column_and_rows(identity_matrix(3), j)
 
 
 def test_delete_preserves_weaker_disjunctness(corpus):

@@ -18,6 +18,7 @@ from disjunct import (
     outcomes,
     verify_identification,
 )
+import families
 from oracles import (
     brute_decode,
     brute_is_d_disjunct,
@@ -151,6 +152,8 @@ def test_verify_identification_budget():
         verify_identification(m, 4, max_cases=1000)
     with pytest.raises(ValueError, match="max_cases must be >= 0"):
         verify_identification(m, 0, max_cases=-1)
+    with pytest.raises(ValueError, match="^d must be >= 0$"):
+        verify_identification(m, -1)
 
 
 def test_verify_identification_budget_past_the_digit_limit():
@@ -402,10 +405,8 @@ def test_isolated_columns_are_never_searched(monkeypatch):
     # column j holds row 50 + j alone and 20 of 50 shared rows: a private
     # row has no cover, so no command's scan looks at any column
     searches = spy_on_cover_searches(monkeypatch)
-    rng = random.Random(64)
     n = 300
-    masks = [1 << 50 + j | sum(1 << r for r in rng.sample(range(50), 20)) for j in range(n)]
-    m = BinaryMatrix.from_masks(50 + n, masks)
+    m = families.isolated(n, 64)
     assert max_disjunct_order(m) == n - 1
     assert verify_identification(m, 10, max_cases=10**400).ok
     assert is_d_disjunct(m, 3).is_disjunct and is_d_disjunct(m, 6).is_disjunct
@@ -518,13 +519,10 @@ def test_verify_identification_deep_covers():
     # failing-set searches deeper than the interpreter's default recursion
     # limit: column 0 holds every row and column r + 1 row r alone, so {0}
     # fails first
-    t = 1100
-    star = BinaryMatrix.from_masks(t, [(1 << t) - 1] + [1 << r for r in range(t)])
-    assert verify_identification(star, t, max_cases=10**400) == (False, 2, (0,))
+    assert verify_identification(families.star(1100), 1100, max_cases=10**400) == (False, 2, (0,))
     # column 0 holds rows 0..599 and column r + 1 rows r and 600 + r: only
     # all 600 others cover column 0, the last of the sets of 600 columns
-    masks = [(1 << 600) - 1] + [1 << r | 1 << 600 + r for r in range(600)]
-    report = verify_identification(BinaryMatrix.from_masks(1200, masks), 600, max_cases=10**400)
+    report = verify_identification(families.deep_cover(600), 600, max_cases=10**400)
     assert report == (False, 2**601 - 1, tuple(range(1, 601)))
 
 

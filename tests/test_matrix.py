@@ -114,6 +114,7 @@ def test_matrix_construction_equivalence():
     b = read_matrix("3 3\n101\n011\n000\n")
     c = BinaryMatrix.from_masks(3, [1, 2, 3])
     assert a == b == c
+    assert a.__eq__(a.masks) is NotImplemented and a != a.masks
     assert a.weights().tolist() == [1, 1, 2]
     assert np.array_equal(dense_of(a), dense)
 
@@ -129,6 +130,19 @@ def test_matrix_validation():
         BinaryMatrix.from_masks(70, [1, -1])
     with pytest.raises(ValueError):
         BinaryMatrix.from_masks(-1, [0])
+    # from_masks checks each column first, so words reach only the
+    # constructor's own refusals
+    words = np.zeros((1, 1), np.uint64)
+    with pytest.raises(ValueError, match="^row count must be >= 0$"):
+        BinaryMatrix(-1, words)
+    with pytest.raises(ValueError, match="^matrix must have at least one column$"):
+        BinaryMatrix(3, np.zeros(1, np.uint64))
+    with pytest.raises(ValueError, match="^expected 2 words per column, got 1$"):
+        BinaryMatrix(65, words)
+    with pytest.raises(ValueError, match="^columns contain row indices >= t$"):
+        BinaryMatrix(0, np.ones((1, 1), np.uint64))
+    with pytest.raises(ValueError, match="^columns contain row indices >= t$"):
+        BinaryMatrix(3, np.array([[0b1000]], np.uint64))
 
 
 def test_words_are_immutable():

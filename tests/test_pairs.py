@@ -16,6 +16,7 @@ from disjunct import (
     is_d_disjunct,
 )
 from disjunct.pairs import _matching, matching_numbers_all_graphs
+import families
 from oracles import (
     brute_is_d_disjunct,
     brute_matching_number,
@@ -262,6 +263,13 @@ def test_matching_table_agrees_with_matching_number():
 def test_max_edges_guard():
     with pytest.raises(ValueError):
         matching_numbers_all_graphs(8)
+    with pytest.raises(ValueError, match="^k must be >= 1$"):
+        matching_numbers_all_graphs(0)
+
+
+def test_analyze_pairs_refuses_d_below_1():
+    with pytest.raises(ValueError, match="^d must be >= 1$"):
+        analyze_pairs(identity_matrix(3), 0)
 
 
 # -- formula one -------------------------------------------------------
@@ -454,7 +462,7 @@ def test_analyze_pairs_matches_oracles_under_a_small_cell_cap(monkeypatch):
 def test_analyze_pairs_dense_columns_in_bounded_memory():
     # three all-ones 1,000-row columns: each has all 499,500 pairs of its
     # rows non-private, so the pairs must be counted, never listed
-    m = BinaryMatrix.from_masks(1000, [(1 << 1000) - 1] * 3)
+    m = families.all_ones(1000, 3)
     tracemalloc.start()
     try:
         analysis = analyze_pairs(m, 1)
